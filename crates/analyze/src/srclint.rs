@@ -1,5 +1,5 @@
 //! Token-level protocol-path lint: deny `unwrap()`/`expect()`/`panic!` in
-//! protocol and channel code.
+//! protocol and channel code, and audit every `unsafe` in the workspace.
 //!
 //! A panic inside the two-party protocol tears down a session mid-handshake
 //! and, server-side, can take a pooled worker with it — every fallible step
@@ -10,6 +10,14 @@
 //! poison-free lock recovery or compiler-internal layout checks — live in a
 //! checked-in allowlist that CI keeps honest in both directions (a finding
 //! without an entry fails, and so does a stale entry matching nothing).
+//!
+//! The same allowlist carries the workspace's `unsafe` policy. The
+//! `unsafe_code` lint is `deny`, not `forbid`, so that one audited site (the
+//! AES-NI dispatch in `crates/crypto`) can opt out; what keeps `deny` as
+//! strict as `forbid` was is this audit: every `unsafe` keyword under
+//! [`UNSAFE_AUDIT_DIRS`] — test modules included — must be covered by its
+//! own allowlist entry, and one entry covers exactly one occurrence, so a
+//! second site fails the gate even if it copies an audited line.
 //!
 //! The pass is deliberately token-level rather than a full parser: it needs
 //! zero dependencies, runs in milliseconds, and the failure mode of a
@@ -35,7 +43,16 @@ pub const DEFAULT_LINT_DIRS: &[&str] = &[
     "vendor/telemetry/src",
 ];
 
-/// One denied-token occurrence outside comments, strings and test modules.
+/// The keyword the workspace-wide audit counts. Matched as a whole word, so
+/// the `unsafe_code` lint name in an `#[allow]` is not an occurrence.
+pub const UNSAFE_TOKEN: &str = "unsafe";
+
+/// Directories the `unsafe` audit covers, relative to the repository root:
+/// every first-party and vendored source tree.
+pub const UNSAFE_AUDIT_DIRS: &[&str] = &["crates", "vendor", "src"];
+
+/// One denied-token occurrence outside comments and strings (and, for the
+/// panic tokens, outside test modules).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SrcFinding {
     /// File the token was found in (as given, root-relative when scanning a
@@ -67,7 +84,8 @@ impl fmt::Display for SrcFinding {
 pub struct AllowEntry {
     /// Path suffix the finding's file must end with.
     pub file: String,
-    /// Substring of the denied token (`unwrap`, `expect`, `panic`).
+    /// Substring of the denied token (`unwrap`, `expect`, `panic`,
+    /// `unsafe`).
     pub token: String,
     /// Substring the source line must contain (robust to line-number
     /// drift).
@@ -117,7 +135,8 @@ impl Allowlist {
                     idx + 1
                 ));
             }
-            if !DENIED_TOKENS.iter().any(|t| t.contains(fields[1])) || fields[1].is_empty() {
+            let known = DENIED_TOKENS.iter().chain([&UNSAFE_TOKEN]);
+            if !known.into_iter().any(|t| t.contains(fields[1])) || fields[1].is_empty() {
                 return Err(format!(
                     "allowlist line {}: token {:?} is not one of the denied tokens",
                     idx + 1,
@@ -142,6 +161,9 @@ pub struct SrcLintReport {
     pub findings: Vec<SrcFinding>,
     /// Occurrences covered by an allowlist entry.
     pub allowed: Vec<SrcFinding>,
+    /// Audited `unsafe` sites: occurrences of [`UNSAFE_TOKEN`] each covered
+    /// by its own allowlist entry.
+    pub unsafe_sites: Vec<SrcFinding>,
     /// Allowlist entries that matched nothing (stale — they must be
     /// removed so the list stays an audit trail, not a junk drawer).
     pub stale_entries: Vec<AllowEntry>,
@@ -157,30 +179,49 @@ impl SrcLintReport {
     }
 }
 
-/// Lints every `.rs` file under `root/<dir>` for each of `dirs`.
+/// Lints every `.rs` file under `root/<dir>` for each of `dirs` for the
+/// panic tokens, then audits [`UNSAFE_AUDIT_DIRS`] under `root` for
+/// `unsafe`. Both passes draw on the one allowlist; an entry that neither
+/// uses is stale.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from walking or reading the tree.
 pub fn lint_tree(root: &Path, dirs: &[&str], allow: &Allowlist) -> io::Result<SrcLintReport> {
-    let mut files = Vec::new();
-    for dir in dirs {
-        collect_rs_files(&root.join(dir), &mut files)?;
-    }
-    files.sort();
-    let mut report = SrcLintReport {
-        files_scanned: files.len(),
-        ..SrcLintReport::default()
-    };
+    let mut report = SrcLintReport::default();
     let mut used = vec![false; allow.entries.len()];
-    for file in files {
-        let text = fs::read_to_string(&file)?;
-        let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-        for finding in scan_source(&rel, &text) {
+    let panic_files = rs_files(root, dirs)?;
+    report.files_scanned = panic_files.len();
+    for file in &panic_files {
+        let text = fs::read_to_string(file)?;
+        let rel = file.strip_prefix(root).unwrap_or(file);
+        for finding in scan_source(rel, &text) {
             match allow.entries.iter().position(|e| e.permits(&finding)) {
                 Some(i) => {
                     used[i] = true;
                     report.allowed.push(finding);
+                }
+                None => report.findings.push(finding),
+            }
+        }
+    }
+    let audit_dirs: Vec<&str> = UNSAFE_AUDIT_DIRS
+        .iter()
+        .copied()
+        .filter(|d| root.join(d).is_dir())
+        .collect();
+    for file in rs_files(root, &audit_dirs)? {
+        let text = fs::read_to_string(&file)?;
+        let rel = file.strip_prefix(root).unwrap_or(&file);
+        for finding in scan_unsafe(rel, &text) {
+            // One entry audits one site: an entry already spent does not
+            // cover a second occurrence.
+            let entry =
+                (0..allow.entries.len()).find(|&i| !used[i] && allow.entries[i].permits(&finding));
+            match entry {
+                Some(i) => {
+                    used[i] = true;
+                    report.unsafe_sites.push(finding);
                 }
                 None => report.findings.push(finding),
             }
@@ -192,6 +233,16 @@ pub fn lint_tree(root: &Path, dirs: &[&str], allow: &Allowlist) -> io::Result<Sr
         }
     }
     Ok(report)
+}
+
+/// Every `.rs` file under `root/<dir>` for each of `dirs`, sorted.
+fn rs_files(root: &Path, dirs: &[&str]) -> io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    for dir in dirs {
+        collect_rs_files(&root.join(dir), &mut files)?;
+    }
+    files.sort();
+    Ok(files)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -225,6 +276,32 @@ pub fn scan_source(file: &Path, text: &str) -> Vec<SrcFinding> {
                     text: original_line.trim().to_string(),
                 });
             }
+        }
+    }
+    findings
+}
+
+/// Scans one source text for the `unsafe` keyword, reporting findings
+/// against `file`. Comments and string/char literals are masked out; test
+/// modules are **not** — `unsafe` in a test is still `unsafe`.
+pub fn scan_unsafe(file: &Path, text: &str) -> Vec<SrcFinding> {
+    let masked = mask_literals_and_comments(text);
+    let masked = String::from_utf8_lossy(&masked).into_owned();
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut findings = Vec::new();
+    for ((lineno, masked_line), original_line) in masked.lines().enumerate().zip(text.lines()) {
+        let whole_word = masked_line.match_indices(UNSAFE_TOKEN).any(|(at, _)| {
+            let before = masked_line[..at].chars().next_back();
+            let after = masked_line[at + UNSAFE_TOKEN.len()..].chars().next();
+            !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+        });
+        if whole_word {
+            findings.push(SrcFinding {
+                file: file.to_path_buf(),
+                line: lineno + 1,
+                token: UNSAFE_TOKEN,
+                text: original_line.trim().to_string(),
+            });
         }
     }
     findings
@@ -461,6 +538,49 @@ fn after() { y().unwrap(); }\n";
         assert_eq!(findings.len(), 1);
         assert!(allow.entries[0].permits(&findings[0]));
         assert!(!allow.entries[1].permits(&findings[0]));
+    }
+
+    #[test]
+    fn unsafe_audit_matches_the_keyword_only() {
+        let src = "\
+// unsafe in a comment\n\
+#[allow(unsafe_code)]\n\
+fn f() { let s = \"unsafe in a string\"; let not_unsafe_at_all = 1; }\n\
+#[cfg(test)]\n\
+mod tests { fn t() { unsafe { g() } } }\n";
+        let found = scan_unsafe(Path::new("x.rs"), src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 5, "test modules are audited too");
+        assert_eq!(found[0].token, UNSAFE_TOKEN);
+    }
+
+    #[test]
+    fn one_entry_audits_one_unsafe_site() {
+        let dir = std::env::temp_dir().join(format!(
+            "deepsecure-unsafe-audit-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let src_dir = dir.join("crates/k/src");
+        fs::create_dir_all(&src_dir).unwrap();
+        let site = "fn f() { unsafe { kernel() } }\n";
+        fs::write(src_dir.join("a.rs"), site).unwrap();
+        let allow = Allowlist::parse("k/src/a.rs | unsafe | kernel() | audited\n").unwrap();
+        let report = lint_tree(&dir, &[], &allow).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.unsafe_sites.len(), 1);
+        // No entry: a finding. A second, identical site: also a finding.
+        let bare = lint_tree(&dir, &[], &Allowlist::empty()).unwrap();
+        assert_eq!(bare.findings.len(), 1);
+        fs::write(src_dir.join("a.rs"), format!("{site}{site}")).unwrap();
+        let twice = lint_tree(&dir, &[], &allow).unwrap();
+        assert_eq!(twice.unsafe_sites.len(), 1);
+        assert_eq!(twice.findings.len(), 1);
+        // The site gone: the entry is stale.
+        fs::write(src_dir.join("a.rs"), "fn f() {}\n").unwrap();
+        let stale = lint_tree(&dir, &[], &allow).unwrap();
+        assert_eq!(stale.stale_entries.len(), 1);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1105,11 +1105,14 @@ impl ServerSession {
                 let eval_span = telemetry::span!("server.eval");
                 let mut cycle = evaluator.begin_cycle(&g_labels, &e_labels);
                 let mut remaining = nonfree;
+                // One table buffer for the whole cycle, refilled per chunk.
+                let mut chunk: Vec<Block> = Vec::with_capacity(2 * remaining.min(chunk_gates));
                 while remaining > 0 {
                     let k = remaining.min(chunk_gates);
                     let _s = telemetry::span!("server.eval.chunk");
                     let before = traffic(chan);
-                    let chunk = chan.recv_blocks(2 * k)?;
+                    chunk.clear();
+                    chan.recv_blocks_into(&mut chunk, 2 * k)?;
                     tally(
                         &mut wire.tables,
                         &wire_metrics::TABLES,

@@ -1,22 +1,35 @@
-//! Software AES-128, encryption direction only.
+//! AES-128, encryption direction only.
 //!
 //! The garbling engine uses AES strictly as a *fixed-key public permutation*
 //! (Bellare–Hoang–Keelveedhi–Rogaway, S&P 2013), so decryption and key
-//! schedules beyond 128-bit keys are intentionally not provided. Two
-//! implementations live here:
+//! schedules beyond 128-bit keys are intentionally not provided.
 //!
-//! * [`Aes128`] — the production path: a 32-bit T-table implementation
-//!   (four 1 KiB tables folding SubBytes + ShiftRows + MixColumns into one
-//!   lookup per state byte) with a multi-block [`Aes128::encrypt_blocks`]
-//!   batch API that keeps several independent blocks in flight per round so
-//!   the lookups pipeline.
-//! * [`reference::Aes128`] — the original byte-oriented S-box + xtime
-//!   implementation, kept as the oracle the T-table path is property-tested
-//!   against (FIPS-197 vectors plus random-block equivalence).
+//! [`Aes128`] is the production cipher. [`Aes128::new`] picks its backend
+//! once, from what the CPU reports:
 //!
-//! Neither is constant-time; within the garbling model the key and inputs
-//! are public, so cache-timing on the tables leaks nothing the adversary
-//! does not already know.
+//! * **AES-NI** on x86_64 when `is_x86_feature_detected!` sees `aes` and
+//!   `sse4.1`: ten `aesenc` rounds with up to eight independent blocks in
+//!   flight. The rounds are safe `#[target_feature]` functions; the one
+//!   `unsafe` block in the workspace is the call into them, guarded by that
+//!   runtime check (see `hardware`).
+//! * **T-tables** everywhere else (and through [`Aes128::portable`]): a
+//!   32-bit implementation, four 1 KiB tables folding SubBytes + ShiftRows
+//!   + MixColumns into one lookup per state byte.
+//!
+//! Both compute the same permutation, so which one runs never shows on the
+//! wire. [`reference::Aes128`] — the original byte-oriented S-box + xtime
+//! implementation — is the oracle both are property-tested against
+//! (FIPS-197 vectors plus random-block equivalence).
+//!
+//! A `#[target_feature]` function cannot inline into its callers, so the
+//! batch entry points ([`Aes128::encrypt_slice`],
+//! [`Aes128::encrypt_blocks`]) exist to amortise that one call over many
+//! blocks; callers with several independent blocks should hand them over
+//! together.
+//!
+//! The T-table path is not constant-time; within the garbling model the key
+//! and inputs are public, so cache-timing on the tables leaks nothing the
+//! adversary does not already know.
 
 /// AES S-box (shared by the key schedules, the T-table final round, and the
 /// reference implementation).
@@ -78,7 +91,8 @@ const T1: [u32; 256] = rotate_table(&T0, 8);
 const T2: [u32; 256] = rotate_table(&T0, 16);
 const T3: [u32; 256] = rotate_table(&T0, 24);
 
-/// An AES-128 cipher with an expanded key schedule (T-table fast path).
+/// An AES-128 cipher with an expanded key schedule, on the fastest backend
+/// this CPU offers (see the module docs for the selection rule).
 ///
 /// # Example
 ///
@@ -101,14 +115,83 @@ const T3: [u32; 256] = rotate_table(&T0, 24);
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    /// Round keys as big-endian column words: `round_keys[r][j]` covers
-    /// state bytes `4j..4j+4` of round `r`.
-    round_keys: [[u32; 4]; 11],
+    backend: Backend,
+}
+
+#[derive(Clone)]
+enum Backend {
+    Portable(Portable),
+    #[cfg(target_arch = "x86_64")]
+    Hardware(hardware::Hardware),
 }
 
 impl std::fmt::Debug for Aes128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Aes128").finish_non_exhaustive()
+        f.debug_struct("Aes128")
+            .field("backend", &self.backend_name())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Aes128 {
+    /// Expands `key` on the AES-NI backend when the CPU has it, on the
+    /// T-table backend otherwise.
+    pub fn new(key: [u8; 16]) -> Aes128 {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = hardware::Hardware::new(key) {
+            return Aes128 {
+                backend: Backend::Hardware(hw),
+            };
+        }
+        Aes128::portable(key)
+    }
+
+    /// Expands `key` on the T-table backend whatever the CPU offers — what
+    /// [`Aes128::new`] falls back to. Public so tests and benches can
+    /// exercise and time the fallback on an AES-NI host.
+    pub fn portable(key: [u8; 16]) -> Aes128 {
+        Aes128 {
+            backend: Backend::Portable(Portable::new(key)),
+        }
+    }
+
+    /// Which backend this cipher runs on: `"aes-ni"` or `"t-table"`.
+    pub fn backend_name(&self) -> &'static str {
+        match self.backend {
+            Backend::Portable(_) => "t-table",
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hardware(_) => "aes-ni",
+        }
+    }
+
+    /// Encrypts one 16-byte block.
+    #[inline]
+    pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
+        self.encrypt_blocks([block])[0]
+    }
+
+    /// Encrypts `N` independent 16-byte blocks in one pass; see
+    /// [`Aes128::encrypt_slice`].
+    #[inline]
+    pub fn encrypt_blocks<const N: usize>(&self, blocks: [[u8; 16]; N]) -> [[u8; 16]; N] {
+        let mut out = blocks;
+        self.encrypt_slice(&mut out);
+        out
+    }
+
+    /// Encrypts every block of `blocks` in place.
+    ///
+    /// Independent blocks advance round by round together (eight per pass
+    /// on AES-NI, two on the T-tables), so their rounds pipeline instead of
+    /// serializing — this is the hot path behind `FixedKeyHash` (one AND
+    /// gate needs exactly four hashes) and the PRG's counter-mode expansion.
+    #[inline]
+    pub fn encrypt_slice(&self, blocks: &mut [[u8; 16]]) {
+        match &self.backend {
+            Backend::Portable(p) => p.encrypt_slice(blocks),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hardware(hw) => hw.encrypt_slice(blocks),
+        }
     }
 }
 
@@ -120,9 +203,17 @@ fn sub_word(w: u32) -> u32 {
         | u32::from(SBOX[(w & 0xff) as usize])
 }
 
-impl Aes128 {
+/// The T-table backend.
+#[derive(Clone)]
+struct Portable {
+    /// Round keys as big-endian column words: `round_keys[r][j]` covers
+    /// state bytes `4j..4j+4` of round `r`.
+    round_keys: [[u32; 4]; 11],
+}
+
+impl Portable {
     /// Expands `key` into the 11 round keys.
-    pub fn new(key: [u8; 16]) -> Aes128 {
+    fn new(key: [u8; 16]) -> Portable {
         let mut words = [0u32; 44];
         for (i, w) in words.iter_mut().take(4).enumerate() {
             *w = u32::from_be_bytes([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
@@ -138,40 +229,27 @@ impl Aes128 {
         for (r, rk) in round_keys.iter_mut().enumerate() {
             rk.copy_from_slice(&words[4 * r..4 * r + 4]);
         }
-        Aes128 { round_keys }
+        Portable { round_keys }
     }
 
-    /// Encrypts one 16-byte block.
+    /// Two blocks per register-resident pass: the per-byte table lookups of
+    /// different blocks have no data dependencies and pipeline.
     #[inline]
-    pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
-        self.encrypt_blocks([block])[0]
-    }
-
-    /// Encrypts `N` independent 16-byte blocks in one pass.
-    ///
-    /// Blocks advance round by round together in register-sized chunks, so
-    /// the per-byte table lookups of different blocks have no data
-    /// dependencies and pipeline — this is the hot path behind
-    /// `FixedKeyHash::hash4` (one AND gate needs exactly four hashes) and
-    /// the PRG's counter-mode expansion.
-    pub fn encrypt_blocks<const N: usize>(&self, blocks: [[u8; 16]; N]) -> [[u8; 16]; N] {
-        let mut out = blocks;
-        let mut i = 0;
-        while i + 2 <= N {
-            let [a, b] = self.encrypt_chunk([out[i], out[i + 1]]);
-            out[i] = a;
-            out[i + 1] = b;
-            i += 2;
+    fn encrypt_slice(&self, blocks: &mut [[u8; 16]]) {
+        let mut pairs = blocks.chunks_exact_mut(2);
+        for pair in &mut pairs {
+            let [a, b] = self.encrypt_chunk([pair[0], pair[1]]);
+            pair[0] = a;
+            pair[1] = b;
         }
-        if i < N {
-            let [a] = self.encrypt_chunk([out[i]]);
-            out[i] = a;
+        if let [last] = pairs.into_remainder() {
+            let [a] = self.encrypt_chunk([*last]);
+            *last = a;
         }
-        out
     }
 
     /// One register-resident T-table pass over `N` blocks (`N` ≤ 2 from
-    /// [`Aes128::encrypt_blocks`]).
+    /// [`Portable::encrypt_slice`]).
     #[inline]
     fn encrypt_chunk<const N: usize>(&self, blocks: [[u8; 16]; N]) -> [[u8; 16]; N] {
         let rk = &self.round_keys;
@@ -246,6 +324,124 @@ impl Aes128 {
             }
         }
         out
+    }
+}
+
+/// The AES-NI backend, and the workspace's one `unsafe` block.
+#[cfg(target_arch = "x86_64")]
+mod hardware {
+    use core::arch::x86_64::{
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_extract_epi64, _mm_set_epi64x,
+        _mm_xor_si128,
+    };
+
+    /// Round keys for the AES-NI rounds, in block byte order. A value of
+    /// this type is the proof that the CPU has `aes`, `sse2` and `sse4.1`:
+    /// the field is private and [`Hardware::new`] — the only constructor —
+    /// returns `None` without them.
+    #[derive(Clone)]
+    pub(super) struct Hardware {
+        round_keys: [[u8; 16]; 11],
+    }
+
+    impl Hardware {
+        /// Expands `key`, or `None` when the CPU lacks a needed feature.
+        pub(super) fn new(key: [u8; 16]) -> Option<Hardware> {
+            if !(std::arch::is_x86_feature_detected!("aes")
+                && std::arch::is_x86_feature_detected!("sse2")
+                && std::arch::is_x86_feature_detected!("sse4.1"))
+            {
+                return None;
+            }
+            // The schedule is key-only work done once per cipher: reuse the
+            // portable expansion (big-endian column words) byte for byte.
+            let words = super::Portable::new(key).round_keys;
+            let round_keys = words.map(|rk| {
+                let mut bytes = [0u8; 16];
+                for (j, w) in rk.iter().enumerate() {
+                    bytes[4 * j..4 * j + 4].copy_from_slice(&w.to_be_bytes());
+                }
+                bytes
+            });
+            Some(Hardware { round_keys })
+        }
+
+        #[inline]
+        pub(super) fn encrypt_slice(&self, blocks: &mut [[u8; 16]]) {
+            // SAFETY: `encrypt_slice` needs the `aes`, `sse2` and `sse4.1`
+            // CPU features and nothing else. `self` can only have come from
+            // `Hardware::new`, which returns `None` unless
+            // `is_x86_feature_detected!` reported all three on this CPU.
+            #[allow(unsafe_code)]
+            unsafe {
+                encrypt_slice(&self.round_keys, blocks)
+            }
+        }
+    }
+
+    /// Block bytes in memory order are the register's little-endian lanes.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        let v = u128::from_le_bytes(*block);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2,sse4.1")]
+    fn store(x: __m128i) -> [u8; 16] {
+        let lo = _mm_extract_epi64::<0>(x) as u64;
+        let hi = _mm_extract_epi64::<1>(x) as u64;
+        (u128::from(hi) << 64 | u128::from(lo)).to_le_bytes()
+    }
+
+    /// Eight blocks per pass while they last (`aesenc` has a latency of a
+    /// few cycles and a throughput of one per cycle, so independent blocks
+    /// hide each other's latency), then one pass each of 4, 2 and 1.
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    fn encrypt_slice(round_keys: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
+        let mut keys = [load(&round_keys[0]); 11];
+        for (key, bytes) in keys.iter_mut().zip(round_keys) {
+            *key = load(bytes);
+        }
+        let keys = &keys;
+        let mut wide = blocks.chunks_exact_mut(8);
+        for chunk in &mut wide {
+            pass::<8>(keys, chunk);
+        }
+        let mut rest = wide.into_remainder();
+        if rest.len() >= 4 {
+            let (head, tail) = rest.split_at_mut(4);
+            pass::<4>(keys, head);
+            rest = tail;
+        }
+        if rest.len() >= 2 {
+            let (head, tail) = rest.split_at_mut(2);
+            pass::<2>(keys, head);
+            rest = tail;
+        }
+        if !rest.is_empty() {
+            pass::<1>(keys, rest);
+        }
+    }
+
+    /// All ten rounds over the first `N` blocks of `blocks`, kept in
+    /// registers throughout.
+    #[inline]
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    fn pass<const N: usize>(keys: &[__m128i; 11], blocks: &mut [[u8; 16]]) {
+        let mut state = [keys[0]; N];
+        for (s, block) in state.iter_mut().zip(blocks.iter()) {
+            *s = _mm_xor_si128(load(block), keys[0]);
+        }
+        for key in &keys[1..10] {
+            for s in &mut state {
+                *s = _mm_aesenc_si128(*s, *key);
+            }
+        }
+        for (s, block) in state.iter().zip(blocks.iter_mut()) {
+            *block = store(_mm_aesenclast_si128(*s, keys[10]));
+        }
     }
 }
 
@@ -347,9 +543,40 @@ mod tests {
 
     use super::*;
 
+    /// The cipher on each backend built as its own type, so the T-table
+    /// path is exercised on an AES-NI host too. The hardware entry is
+    /// absent — with a printed note — when the CPU (or target) lacks it.
+    fn backends(key: [u8; 16]) -> Vec<Aes128> {
+        let mut all = vec![Aes128::portable(key)];
+        #[cfg(target_arch = "x86_64")]
+        match hardware::Hardware::new(key) {
+            Some(hw) => all.push(Aes128 {
+                backend: Backend::Hardware(hw),
+            }),
+            None => eprintln!("note: CPU lacks aes/sse4.1 — hardware backend cases skipped"),
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        eprintln!("note: not x86_64 — hardware backend cases skipped");
+        all
+    }
+
+    #[test]
+    fn selected_backend_is_reported() {
+        // Shows in the test log which path `Aes128::new` chose on this host.
+        let name = Aes128::new([0u8; 16]).backend_name();
+        eprintln!("deepsecure-crypto: Aes128::new selected the {name} backend");
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            name == "aes-ni",
+            hardware::Hardware::new([0u8; 16]).is_some(),
+            "new() must pick the hardware backend exactly when it is available"
+        );
+        assert_eq!(Aes128::portable([0u8; 16]).backend_name(), "t-table");
+    }
+
     #[test]
     fn fips197_appendix_b() {
-        // FIPS-197 Appendix B worked example, against both implementations.
+        // FIPS-197 Appendix B worked example, against every implementation.
         let key = [
             0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
             0x4f, 0x3c,
@@ -363,6 +590,9 @@ mod tests {
             0x0b, 0x32,
         ];
         assert_eq!(Aes128::new(key).encrypt_block(pt), expect);
+        for aes in backends(key) {
+            assert_eq!(aes.encrypt_block(pt), expect, "{}", aes.backend_name());
+        }
         assert_eq!(reference::Aes128::new(key).encrypt_block(pt), expect);
     }
 
@@ -375,6 +605,9 @@ mod tests {
             0xc5, 0x5a,
         ];
         assert_eq!(Aes128::new(key).encrypt_block(pt), expect);
+        for aes in backends(key) {
+            assert_eq!(aes.encrypt_block(pt), expect, "{}", aes.backend_name());
+        }
         assert_eq!(reference::Aes128::new(key).encrypt_block(pt), expect);
     }
 
@@ -392,13 +625,28 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
         #[test]
-        fn ttable_matches_reference(key in any::<u128>(), pt in any::<u128>()) {
+        fn every_backend_matches_reference(
+            key in any::<u128>(),
+            blocks in proptest::collection::vec(any::<u128>(), 13..14),
+        ) {
+            // 1, 2, 4 and 8 are the hardware pass widths; 13 = 8 + 4 + 1
+            // walks the whole remainder ladder in one call.
             let key = key.to_le_bytes();
-            let pt = pt.to_le_bytes();
-            prop_assert_eq!(
-                Aes128::new(key).encrypt_block(pt),
-                reference::Aes128::new(key).encrypt_block(pt)
-            );
+            let oracle = reference::Aes128::new(key);
+            for aes in backends(key) {
+                for n in [1usize, 2, 4, 8, 13] {
+                    let mut batch: Vec<[u8; 16]> =
+                        blocks[..n].iter().map(|b| b.to_le_bytes()).collect();
+                    aes.encrypt_slice(&mut batch);
+                    for (ct, pt) in batch.iter().zip(&blocks) {
+                        prop_assert_eq!(
+                            *ct,
+                            oracle.encrypt_block(pt.to_le_bytes()),
+                            "{} at n = {}", aes.backend_name(), n
+                        );
+                    }
+                }
+            }
         }
 
         #[test]

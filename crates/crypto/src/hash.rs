@@ -28,11 +28,45 @@ pub struct FixedKeyHash {
 /// construction's provenance.
 const FIXED_KEY: [u8; 16] = *b"DeepSecure-FKC13";
 
+/// Blocks per AES call in [`FixedKeyHash::hash_many`]: four full
+/// eight-block passes, so the one non-inlinable call into the hardware
+/// backend is amortised over 32 hashes.
+const MANY_WIDTH: usize = 32;
+
 impl FixedKeyHash {
-    /// Creates the hash with the canonical fixed key.
+    /// Creates the hash with the canonical fixed key, on the fastest AES
+    /// backend this CPU offers.
     pub fn new() -> FixedKeyHash {
         FixedKeyHash {
             cipher: Aes128::new(FIXED_KEY),
+        }
+    }
+
+    /// The same hash on the portable T-table backend whatever the CPU
+    /// offers, so tests and benches can exercise and time the fallback on
+    /// an AES-NI host. Bit-identical to [`FixedKeyHash::new`].
+    pub fn portable() -> FixedKeyHash {
+        FixedKeyHash {
+            cipher: Aes128::portable(FIXED_KEY),
+        }
+    }
+
+    /// Which AES backend this hash runs on; see [`Aes128::backend_name`].
+    pub fn backend_name(&self) -> &'static str {
+        self.cipher.backend_name()
+    }
+
+    /// `x ← π(x) ⊕ x` for every block of `xs` in one AES call, with `pt`
+    /// (at least as long) as the cipher's working buffer.
+    #[inline]
+    fn permute_xor(&self, xs: &mut [Block], pt: &mut [[u8; 16]]) {
+        let pt = &mut pt[..xs.len()];
+        for (p, x) in pt.iter_mut().zip(xs.iter()) {
+            *p = x.to_bytes();
+        }
+        self.cipher.encrypt_slice(pt);
+        for (x, p) in xs.iter_mut().zip(pt.iter()) {
+            *x ^= Block::from_bytes(*p);
         }
     }
 
@@ -53,14 +87,10 @@ impl FixedKeyHash {
     /// serializing block by block.
     #[inline]
     pub fn hash_batch<const N: usize>(&self, labels: [Block; N], tweaks: [u64; N]) -> [Block; N] {
-        let mut x = [Block::ZERO; N];
-        let mut pt = [[0u8; 16]; N];
-        for i in 0..N {
-            x[i] = labels[i].gf_double() ^ Block::from(u128::from(tweaks[i]));
-            pt[i] = x[i].to_bytes();
-        }
-        let ct = self.cipher.encrypt_blocks(pt);
-        core::array::from_fn(|i| Block::from_bytes(ct[i]) ^ x[i])
+        let mut x: [Block; N] =
+            core::array::from_fn(|i| labels[i].gf_double() ^ Block::from(u128::from(tweaks[i])));
+        self.permute_xor(&mut x, &mut [[0u8; 16]; N]);
+        x
     }
 
     /// Batched hash of the four labels one AND gate consumes
@@ -75,6 +105,28 @@ impl FixedKeyHash {
     #[inline]
     pub fn hash2(&self, labels: [Block; 2], tweaks: [u64; 2]) -> [Block; 2] {
         self.hash_batch(labels, tweaks)
+    }
+
+    /// Hashes every label of `labels` in place under the tweak at the same
+    /// index; bit-identical to scalar [`FixedKeyHash::hash`] calls.
+    ///
+    /// This is the seam for callers that hold many independent labels at
+    /// once — a tile of OT-extension rows: the AES rounds run eight blocks
+    /// in flight and the call into the hardware backend is paid once per
+    /// 32 hashes, not once per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `labels` and `tweaks` differ in length.
+    pub fn hash_many(&self, labels: &mut [Block], tweaks: &[u64]) {
+        assert_eq!(labels.len(), tweaks.len(), "one tweak per label");
+        let mut pt = [[0u8; 16]; MANY_WIDTH];
+        for (xs, ts) in labels.chunks_mut(MANY_WIDTH).zip(tweaks.chunks(MANY_WIDTH)) {
+            for (x, &t) in xs.iter_mut().zip(ts) {
+                *x = x.gf_double() ^ Block::from(u128::from(t));
+            }
+            self.permute_xor(xs, &mut pt);
+        }
     }
 
     /// Hashes two labels jointly (used by 4-row garbling schemes and tests):
@@ -148,6 +200,34 @@ mod tests {
             let batched = h.hash4(ls, ts);
             for i in 0..4 {
                 proptest::prop_assert_eq!(batched[i], h.hash(ls[i], ts[i]));
+            }
+        }
+    }
+
+    #[test]
+    fn hash_many_equals_scalar_hashes_on_both_backends() {
+        // Lengths around the eight-block pass width and the 32-block call
+        // width; the portable hash is the cross-backend reference.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (h, portable) = (FixedKeyHash::new(), FixedKeyHash::portable());
+        assert_eq!(portable.backend_name(), "t-table");
+        let mut rng = StdRng::seed_from_u64(17);
+        for n in [0usize, 1, 7, 8, 9, 64] {
+            let labels: Vec<Block> = (0..n).map(|_| Block::random(&mut rng)).collect();
+            let tweaks: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+            let scalar: Vec<Block> = labels
+                .iter()
+                .zip(&tweaks)
+                .map(|(&l, &t)| portable.hash(l, t))
+                .collect();
+            for hash in [&h, &portable] {
+                let mut many = labels.clone();
+                hash.hash_many(&mut many, &tweaks);
+                assert_eq!(many, scalar, "{} at n = {n}", hash.backend_name());
+            }
+            for (&l, &t) in labels.iter().zip(&tweaks) {
+                assert_eq!(h.hash(l, t), portable.hash(l, t));
             }
         }
     }

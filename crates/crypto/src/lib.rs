@@ -1,20 +1,24 @@
 //! Cryptographic primitives for the DeepSecure garbled-circuit engine.
 //!
-//! Everything in this crate is implemented from scratch:
+//! Everything in this crate is implemented from scratch (the AES-NI path
+//! uses the CPU's round instruction, nothing else):
 //!
 //! * [`Block`] — a 128-bit wire label with XOR arithmetic and
 //!   point-and-permute color bits.
-//! * [`aes::Aes128`] — a software AES-128 (encryption direction only), used
+//! * [`aes::Aes128`] — AES-128 (encryption direction only), used
 //!   exclusively as a fixed-key public permutation per Bellare et al.,
-//!   *Efficient Garbling from a Fixed-Key Blockcipher* (S&P 2013). The
-//!   production path is a 32-bit T-table implementation with a multi-block
-//!   [`aes::Aes128::encrypt_blocks`] batch API; the byte-oriented original
-//!   survives as [`aes::reference::Aes128`], the property-test oracle.
+//!   *Efficient Garbling from a Fixed-Key Blockcipher* (S&P 2013). One
+//!   runtime check in [`aes::Aes128::new`] selects AES-NI where the CPU has
+//!   it and a 32-bit T-table implementation elsewhere; both sit behind the
+//!   multi-block [`aes::Aes128::encrypt_slice`] batch API, and the
+//!   byte-oriented original survives as [`aes::reference::Aes128`], the
+//!   property-test oracle for both.
 //! * [`FixedKeyHash`] — the correlation-robust hash
 //!   `H(L, t) = π(2L ⊕ t) ⊕ 2L` used by half-gates garbling and by the
 //!   IKNP OT extension, with batched variants ([`FixedKeyHash::hash4`] for
 //!   the garbler's four hashes per AND gate, [`FixedKeyHash::hash2`] for
-//!   the evaluator's two) that ride the multi-block AES.
+//!   the evaluator's two, [`FixedKeyHash::hash_many`] for a tile of OT
+//!   rows) that ride the multi-block AES.
 //! * [`Prg`] — an AES-CTR pseudorandom generator for label sampling and OT
 //!   extension matrices.
 //!

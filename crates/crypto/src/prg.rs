@@ -36,6 +36,10 @@ impl std::fmt::Debug for Prg {
     }
 }
 
+/// Keystream blocks per AES call in [`Prg::fill`]: one full pass of the
+/// hardware backend.
+const FILL_WIDTH: usize = 8;
+
 impl Prg {
     /// Creates a PRG from a 128-bit seed.
     pub fn from_seed(seed: Block) -> Prg {
@@ -57,7 +61,7 @@ impl Prg {
     /// Fills `out` with pseudorandom bytes.
     ///
     /// Whole 16-byte chunks are written straight from the counter-mode
-    /// keystream (four blocks per AES pass), bypassing the staging buffer;
+    /// keystream (eight blocks per AES pass), bypassing the staging buffer;
     /// only a leading buffered remainder and a trailing partial block go
     /// through it. The byte stream is identical to the byte-at-a-time
     /// formulation for every call-size split.
@@ -70,21 +74,19 @@ impl Prg {
             self.used += take;
             pos = take;
         }
-        // Four keystream blocks per batched AES pass.
-        while out.len() - pos >= 64 {
-            let pts: [[u8; 16]; 4] =
-                core::array::from_fn(|i| self.counter.wrapping_add(i as u128).to_le_bytes());
-            self.counter = self.counter.wrapping_add(4);
-            let cts = self.cipher.encrypt_blocks(pts);
-            for ct in &cts {
-                out[pos..pos + 16].copy_from_slice(ct);
+        // Whole blocks: up to eight keystream blocks per batched AES pass.
+        while out.len() - pos >= 16 {
+            let n = ((out.len() - pos) / 16).min(FILL_WIDTH);
+            let mut keystream = [[0u8; 16]; FILL_WIDTH];
+            for (i, block) in keystream[..n].iter_mut().enumerate() {
+                *block = self.counter.wrapping_add(i as u128).to_le_bytes();
+            }
+            self.counter = self.counter.wrapping_add(n as u128);
+            self.cipher.encrypt_slice(&mut keystream[..n]);
+            for block in &keystream[..n] {
+                out[pos..pos + 16].copy_from_slice(block);
                 pos += 16;
             }
-        }
-        // Remaining whole blocks, one at a time.
-        while out.len() - pos >= 16 {
-            out[pos..pos + 16].copy_from_slice(&self.next_block().to_bytes());
-            pos += 16;
         }
         // Trailing partial block: stage it so the next call continues the
         // stream mid-block.
@@ -172,11 +174,12 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
         #[test]
         fn chunked_fill_is_split_invariant(
-            splits in proptest::collection::vec(0usize..100, 1..8),
+            splits in proptest::collection::vec(0usize..300, 1..8),
         ) {
             // Any sequence of fill() call sizes must produce the same byte
             // stream as one contiguous fill — the chunked fast path may not
-            // depend on call boundaries.
+            // depend on call boundaries. Sizes straddle the 128-byte
+            // (eight-block) pass width.
             let total: usize = splits.iter().sum();
             let mut whole = vec![0u8; total];
             Prg::from_seed(Block::from(0xfeed_u128)).fill(&mut whole);
@@ -188,6 +191,18 @@ mod tests {
                 pieced.extend_from_slice(&part);
             }
             proptest::prop_assert_eq!(whole, pieced);
+        }
+    }
+
+    #[test]
+    fn fill_matches_block_at_a_time_stream() {
+        // The batched fill is the counter-mode stream next_block() defines,
+        // whatever the batch width.
+        let mut blocks = Prg::from_seed(Block::from(7u128));
+        let mut bytes = [0u8; 16 * 21];
+        Prg::from_seed(Block::from(7u128)).fill(&mut bytes);
+        for chunk in bytes.chunks_exact(16) {
+            assert_eq!(chunk, &blocks.next_block().to_bytes()[..]);
         }
     }
 

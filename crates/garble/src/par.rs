@@ -7,7 +7,8 @@ use deepsecure_circuit::Circuit;
 use workpool::ThreadPool;
 
 /// Minimum gates per work-stealing task. An AND gate is one batched AES
-/// pass (~100ns); below a handful of gates the deque handoff dominates.
+/// pass (tens of ns on AES-NI, ~200 ns on the T-tables); below a handful
+/// of gates the deque handoff dominates.
 pub(crate) const PAR_GRAIN: usize = 16;
 
 /// A thread pool plus the circuit's dependency levels, attached to a

@@ -58,6 +58,13 @@ impl std::error::Error for ChannelError {
     }
 }
 
+/// Blocks per staging-buffer pass of [`Channel::send_blocks`] and
+/// [`Channel::recv_blocks_into`]: 256 KiB of wire bytes — one default
+/// streamed table chunk (8192 gates × two rows), so a chunk stays a single
+/// `send`/`recv`, and well past [`crate::TcpChannel`]'s write buffer, so
+/// each pass is a write-through.
+const STAGE_BLOCKS: usize = 16_384;
+
 /// A reliable, ordered, byte-counted duplex channel.
 ///
 /// The byte counters are load-bearing: the "Comm." columns of the paper's
@@ -116,25 +123,54 @@ pub trait Channel {
     }
 
     /// Sends a slice of blocks back-to-back.
+    ///
+    /// Blocks are serialised through one 256 KiB staging buffer, a `send`
+    /// per fill, so a 224 MB table never exists a second time as bytes.
+    ///
+    /// On a plain byte stream that moves the same bytes as one big `send`.
+    /// A wrapper whose `send` means more than "these bytes next" — a frame
+    /// header per call ([`crate::FramedChannel`]), a slot on a fault
+    /// schedule ([`crate::FaultChannel`], which also overrides
+    /// [`Channel::recv_blocks_into`]) — must override this so a block
+    /// transfer stays one message, as those two do.
     fn send_blocks(&mut self, blocks: &[Block]) -> Result<(), ChannelError> {
-        let mut buf = Vec::with_capacity(blocks.len() * 16);
-        for b in blocks {
-            buf.extend_from_slice(&b.to_bytes());
+        let mut stage = Vec::with_capacity(blocks.len().min(STAGE_BLOCKS) * 16);
+        for part in blocks.chunks(STAGE_BLOCKS) {
+            stage.clear();
+            for b in part {
+                stage.extend_from_slice(&b.to_bytes());
+            }
+            self.send(&stage)?;
         }
-        self.send(&buf)
+        Ok(())
     }
 
     /// Receives `n` blocks.
     fn recv_blocks(&mut self, n: usize) -> Result<Vec<Block>, ChannelError> {
-        let bytes = self.recv(n * 16)?;
-        Ok(bytes
-            .chunks_exact(16)
-            .map(|c| {
+        let mut out = Vec::new();
+        self.recv_blocks_into(&mut out, n)?;
+        Ok(out)
+    }
+
+    /// Receives `n` blocks, appending them to `out` — a caller that clears
+    /// and reuses one `out` across a stream of chunks allocates it once.
+    ///
+    /// The bytes arrive at most 256 KiB per `recv` and are decoded
+    /// straight into `out`, so no `n × 16`-byte intermediate is built.
+    fn recv_blocks_into(&mut self, out: &mut Vec<Block>, n: usize) -> Result<(), ChannelError> {
+        out.reserve(n);
+        let mut left = n;
+        while left > 0 {
+            let take = left.min(STAGE_BLOCKS);
+            let bytes = self.recv(take * 16)?;
+            out.extend(bytes.chunks_exact(16).map(|c| {
                 let mut arr = [0u8; 16];
                 arr.copy_from_slice(c);
                 Block::from_bytes(arr)
-            })
-            .collect())
+            }));
+            left -= take;
+        }
+        Ok(())
     }
 
     /// Sends a `u64` (little endian).
@@ -292,6 +328,30 @@ mod tests {
             b.recv_blocks(2).unwrap(),
             vec![Block::from(1u128), Block::from(2u128)]
         );
+    }
+
+    #[test]
+    fn block_transfers_cross_the_staging_buffer() {
+        // Lengths on both sides of one and two staging passes; appending
+        // into a reused buffer keeps what was there.
+        let (mut a, mut b) = mem_pair();
+        for n in [
+            0usize,
+            1,
+            STAGE_BLOCKS - 1,
+            STAGE_BLOCKS,
+            2 * STAGE_BLOCKS + 3,
+        ] {
+            let blocks: Vec<Block> = (0..n as u128).map(|i| Block::from(i * 7 + 1)).collect();
+            a.send_blocks(&blocks).unwrap();
+            assert_eq!(b.recv_blocks(n).unwrap(), blocks);
+            assert_eq!(a.bytes_sent(), b.bytes_received());
+        }
+        a.send_blocks(&[Block::from(5u128), Block::from(6u128)])
+            .unwrap();
+        let mut out = vec![Block::from(4u128)];
+        b.recv_blocks_into(&mut out, 2).unwrap();
+        assert_eq!(out, [4u128, 5, 6].map(Block::from));
     }
 
     #[test]

@@ -17,6 +17,66 @@ use crate::{base, OtError};
 /// Security parameter: number of base OTs / matrix columns.
 const KAPPA: usize = 128;
 
+/// The `KAPPA × m` bit matrix of one batch, stored as its `KAPPA` columns
+/// back to back (`bytes_per_col` bytes each, rows packed LSB-first) — the
+/// layout the PRGs fill and the wire carries.
+struct ColumnMatrix {
+    bytes: Vec<u8>,
+    bytes_per_col: usize,
+}
+
+impl ColumnMatrix {
+    fn new(m: usize) -> ColumnMatrix {
+        let bytes_per_col = m.div_ceil(8);
+        ColumnMatrix {
+            bytes: vec![0u8; KAPPA * bytes_per_col],
+            bytes_per_col,
+        }
+    }
+
+    fn column_mut(&mut self, i: usize) -> &mut [u8] {
+        &mut self.bytes[i * self.bytes_per_col..(i + 1) * self.bytes_per_col]
+    }
+
+    /// Rows `KAPPA·k .. KAPPA·(k + 1)` as blocks — one square tile,
+    /// transposed word-wise (bit `i` of row `j` is bit `j` of column `i`);
+    /// rows past the last column byte are zero.
+    fn row_block(&self, k: usize) -> [Block; KAPPA] {
+        let from = 16 * k;
+        let len = self.bytes_per_col.saturating_sub(from).min(16);
+        let mut words = [0u128; KAPPA];
+        for (i, w) in words.iter_mut().enumerate() {
+            let mut lane = [0u8; 16];
+            let at = i * self.bytes_per_col + from;
+            lane[..len].copy_from_slice(&self.bytes[at..at + len]);
+            *w = u128::from_le_bytes(lane);
+        }
+        transpose_128(&mut words);
+        words.map(Block::from)
+    }
+}
+
+/// Transposes a 128 × 128 bit matrix in place (`m[r]` bit `c` ↔ `m[c]` bit
+/// `r`) by recursive block swaps: seven rounds of 64 word-wise
+/// shift-mask-xor exchanges in place of 16 384 single-bit moves.
+fn transpose_128(m: &mut [u128; KAPPA]) {
+    let mut j = 64;
+    let mut mask = u128::MAX >> 64;
+    while j != 0 {
+        // Swap the top-right and bottom-left j × j quadrants of every
+        // 2j × 2j block on the diagonal grid.
+        let mut k = 0;
+        while k < KAPPA {
+            let t = ((m[k] >> j) ^ m[k + j]) & mask;
+            m[k] ^= t << j;
+            m[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
+
 /// The offline half of [`ExtSender::setup`]: the random choice vector `s`
 /// and the base-OT receiver keypairs (all the modular exponentiations that
 /// don't need the peer), generated ahead of any connection.
@@ -172,19 +232,14 @@ impl ExtSender {
         }
         self.in_flight = true;
         // Column i of Q: q_i = G(k_{s_i}) ⊕ s_i · u_i  (u from receiver).
-        let mut q_rows = vec![Block::ZERO; m];
-        let bytes_per_col = m.div_ceil(8);
+        let mut q = ColumnMatrix::new(m);
         for (i, seed) in self.seeds.iter_mut().enumerate() {
-            let mut col = vec![0u8; bytes_per_col];
-            seed.fill(&mut col);
-            let u = channel.recv(bytes_per_col)?;
-            for (j, q) in q_rows.iter_mut().enumerate() {
-                let mut bit = (col[j / 8] >> (j % 8)) & 1;
-                if self.s[i] {
-                    bit ^= (u[j / 8] >> (j % 8)) & 1;
-                }
-                if bit == 1 {
-                    *q ^= Block::from(1u128 << i);
+            let col = q.column_mut(i);
+            seed.fill(col);
+            let u = channel.recv(col.len())?;
+            if self.s[i] {
+                for (c, u) in col.iter_mut().zip(&u) {
+                    *c ^= u;
                 }
             }
         }
@@ -197,11 +252,25 @@ impl ExtSender {
             }
             b
         };
+        // Row j of Q keys both masks: H(q_j, t) for x0, H(q_j ⊕ s, t) for
+        // x1 — hashed one row block (2·KAPPA hashes) per call.
         let mut cts = Vec::with_capacity(2 * m);
-        for (j, (x0, x1)) in pairs.iter().enumerate() {
-            let t = self.tweak + j as u64;
-            cts.push(*x0 ^ self.hash.hash(q_rows[j], t));
-            cts.push(*x1 ^ self.hash.hash(q_rows[j] ^ s_block, t));
+        let mut tweaks = [0u64; 2 * KAPPA];
+        for (k, block_pairs) in pairs.chunks(KAPPA).enumerate() {
+            let rows = q.row_block(k);
+            let at = cts.len();
+            for (j, &q_j) in rows[..block_pairs.len()].iter().enumerate() {
+                cts.extend_from_slice(&[q_j, q_j ^ s_block]);
+                let t = self.tweak + (k * KAPPA + j) as u64;
+                tweaks[2 * j] = t;
+                tweaks[2 * j + 1] = t;
+            }
+            self.hash
+                .hash_many(&mut cts[at..], &tweaks[..2 * block_pairs.len()]);
+            for (masks, (x0, x1)) in cts[at..].chunks_exact_mut(2).zip(block_pairs) {
+                masks[0] ^= *x0;
+                masks[1] ^= *x1;
+            }
         }
         self.tweak += m as u64;
         channel.send_blocks(&cts)?;
@@ -276,37 +345,37 @@ impl ExtReceiver {
             return Ok(Vec::new());
         }
         self.in_flight = true;
-        let bytes_per_col = m.div_ceil(8);
-        let mut r_packed = vec![0u8; bytes_per_col];
+        let mut t_matrix = ColumnMatrix::new(m);
+        let mut r_packed = vec![0u8; t_matrix.bytes_per_col];
         for (j, &c) in choices.iter().enumerate() {
             r_packed[j / 8] |= u8::from(c) << (j % 8);
         }
-        let mut t_rows = vec![Block::ZERO; m];
+        let mut u = vec![0u8; r_packed.len()];
         for (i, (k0, k1)) in self.seed_pairs.iter_mut().enumerate() {
-            let mut t_col = vec![0u8; bytes_per_col];
-            k0.fill(&mut t_col);
-            let mut g1 = vec![0u8; bytes_per_col];
-            k1.fill(&mut g1);
+            let t_col = t_matrix.column_mut(i);
+            k0.fill(t_col);
+            k1.fill(&mut u);
             // u_i = G(k0_i) ⊕ G(k1_i) ⊕ r
-            let u: Vec<u8> = t_col
-                .iter()
-                .zip(&g1)
-                .zip(&r_packed)
-                .map(|((a, b), r)| a ^ b ^ r)
-                .collect();
-            channel.send(&u)?;
-            for (j, t) in t_rows.iter_mut().enumerate() {
-                if (t_col[j / 8] >> (j % 8)) & 1 == 1 {
-                    *t ^= Block::from(1u128 << i);
-                }
+            for ((u, t), r) in u.iter_mut().zip(t_col.iter()).zip(&r_packed) {
+                *u ^= t ^ r;
             }
+            channel.send(&u)?;
         }
         let cts = channel.recv_blocks(2 * m)?;
+        // Row j of T keys the chosen mask H(t_j, t) — hashed a row block
+        // per call.
         let mut out = Vec::with_capacity(m);
-        for (j, &c) in choices.iter().enumerate() {
-            let t = self.tweak + j as u64;
-            let ct = cts[2 * j + usize::from(c)];
-            out.push(ct ^ self.hash.hash(t_rows[j], t));
+        let mut tweaks = [0u64; KAPPA];
+        for (k, block_choices) in choices.chunks(KAPPA).enumerate() {
+            let n = block_choices.len();
+            let mut rows = t_matrix.row_block(k);
+            for (j, t) in tweaks[..n].iter_mut().enumerate() {
+                *t = self.tweak + (k * KAPPA + j) as u64;
+            }
+            self.hash.hash_many(&mut rows[..n], &tweaks[..n]);
+            for (j, (&mask, &c)) in rows[..n].iter().zip(block_choices).enumerate() {
+                out.push(cts[2 * (k * KAPPA + j) + usize::from(c)] ^ mask);
+            }
         }
         self.tweak += m as u64;
         self.in_flight = false;
@@ -458,6 +527,121 @@ mod tests {
         // Receiver sends the m×128 matrix: 4096 * 16 bytes.
         assert_eq!(receiver_batch_bytes, (n / 8 * KAPPA) as u64);
     }
+
+    /// The pre-block-transpose formulation, one bit at a time: the oracle
+    /// the word-wise [`ColumnMatrix::row_block`] is tested against.
+    fn rows_bitwise(matrix: &ColumnMatrix, m: usize) -> Vec<Block> {
+        let mut rows = vec![Block::ZERO; m];
+        for i in 0..KAPPA {
+            let col = &matrix.bytes[i * matrix.bytes_per_col..(i + 1) * matrix.bytes_per_col];
+            for (j, row) in rows.iter_mut().enumerate() {
+                if (col[j / 8] >> (j % 8)) & 1 == 1 {
+                    *row ^= Block::from(1u128 << i);
+                }
+            }
+        }
+        rows
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+        #[test]
+        fn block_transpose_matches_bitwise(seed in proptest::prelude::any::<u64>()) {
+            // Row counts on both sides of the byte, tile and multi-tile
+            // edges.
+            use rand::RngCore;
+            let mut rng = StdRng::seed_from_u64(seed);
+            for m in [1usize, 7, 127, 128, 129, 4099] {
+                let mut matrix = ColumnMatrix::new(m);
+                rng.fill_bytes(&mut matrix.bytes);
+                let oracle = rows_bitwise(&matrix, m);
+                for (k, expect) in oracle.chunks(KAPPA).enumerate() {
+                    let rows = matrix.row_block(k);
+                    proptest::prop_assert_eq!(&rows[..expect.len()], expect, "m = {}, tile {}", m, k);
+                }
+            }
+        }
+    }
+
+    /// Records everything sent through it, so a transcript can be pinned.
+    struct Tap<C> {
+        inner: C,
+        sent: Vec<u8>,
+    }
+
+    impl<C: Channel> Channel for Tap<C> {
+        fn send(&mut self, data: &[u8]) -> Result<(), crate::ChannelError> {
+            self.sent.extend_from_slice(data);
+            self.inner.send(data)
+        }
+        fn recv(&mut self, n: usize) -> Result<Vec<u8>, crate::ChannelError> {
+            self.inner.recv(n)
+        }
+        fn bytes_sent(&self) -> u64 {
+            self.inner.bytes_sent()
+        }
+        fn bytes_received(&self) -> u64 {
+            self.inner.bytes_received()
+        }
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn transcript_is_pinned_to_the_bitwise_implementation() {
+        // Sender seed 5, receiver seed 6, m = 4096: FNV-1a digests of the
+        // receiver's 128 u_i columns and of the sender's ciphertext flight,
+        // recorded from the commit before the word-wise transpose and the
+        // batched hashes. "Same bytes on the wire" is asserted here, not
+        // inferred from the labels still decoding.
+        let group = DhGroup::modp_768();
+        let (ca, cb) = mem_pair();
+        let g2 = group.clone();
+        let m = 4096usize;
+        let pairs: Vec<(Block, Block)> = (0..m as u128)
+            .map(|i| (Block::from(i * 2 + 10_000), Block::from(i * 2 + 10_001)))
+            .collect();
+        let pairs2 = pairs.clone();
+        let sender = std::thread::spawn(move || {
+            let mut chan = Tap {
+                inner: ca,
+                sent: Vec::new(),
+            };
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut s = ExtSender::setup(&mut chan, &g2, &mut rng).unwrap();
+            let base = chan.sent.len();
+            s.send(&mut chan, &pairs).unwrap();
+            fnv1a(&chan.sent[base..])
+        });
+        let mut chan = Tap {
+            inner: cb,
+            sent: Vec::new(),
+        };
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut r = ExtReceiver::setup(&mut chan, &group, &mut rng).unwrap();
+        let base = chan.sent.len();
+        let choices: Vec<bool> = (0..m).map(|i| i % 3 == 0).collect();
+        let got = r.receive(&mut chan, &choices).unwrap();
+        let ciphertext_digest = sender.join().unwrap();
+        assert_eq!(chan.sent.len() - base, KAPPA * m / 8);
+        let column_digest = fnv1a(&chan.sent[base..]);
+        println!("u columns {column_digest:#018x}, ciphertexts {ciphertext_digest:#018x}");
+        assert_eq!(column_digest, PINNED_COLUMNS, "u_i columns changed");
+        assert_eq!(
+            ciphertext_digest, PINNED_CIPHERTEXTS,
+            "ciphertext flight changed"
+        );
+        for ((pair, &c), msg) in pairs2.iter().zip(&choices).zip(&got) {
+            assert_eq!(*msg, if c { pair.1 } else { pair.0 });
+        }
+    }
+
+    const PINNED_COLUMNS: u64 = 0x31e2_e664_3bbf_dbdd;
+    const PINNED_CIPHERTEXTS: u64 = 0x8135_1e4b_a2b9_1aea;
 }
 
 #[cfg(test)]

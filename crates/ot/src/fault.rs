@@ -16,7 +16,10 @@
 //! mid-protocol disconnect produces, and poison the channel: every later
 //! operation fails too, as on a closed socket.
 
+use std::ops::Range;
 use std::time::Duration;
+
+use deepsecure_crypto::Block;
 
 use crate::channel::{Channel, ChannelError};
 
@@ -330,32 +333,56 @@ impl<C: Channel> FaultChannel<C> {
     }
 }
 
-impl<C: Channel> Channel for FaultChannel<C> {
-    fn send(&mut self, data: &[u8]) -> Result<(), ChannelError> {
-        let split = self.pre_op(FaultKind::ShortWrite)?;
-        if split && data.len() >= 2 {
-            let k = self.split_point(data.len());
-            self.inner.send(&data[..k])?;
-            self.inner.send(&data[k..])?;
+impl<C: Channel> FaultChannel<C> {
+    /// One operation on the schedule's clock, moving `n` units (bytes or
+    /// blocks): `io` transfers a sub-range of them on the wrapped channel,
+    /// and a short operation calls it twice.
+    fn scheduled(
+        &mut self,
+        short_kind: FaultKind,
+        n: usize,
+        mut io: impl FnMut(&mut C, Range<usize>) -> Result<(), ChannelError>,
+    ) -> Result<(), ChannelError> {
+        let split = self.pre_op(short_kind)?;
+        if split && n >= 2 {
+            let k = self.split_point(n);
+            io(&mut self.inner, 0..k)?;
+            io(&mut self.inner, k..n)?;
         } else {
-            self.inner.send(data)?;
+            io(&mut self.inner, 0..n)?;
         }
         self.op += 1;
         Ok(())
     }
+}
+
+impl<C: Channel> Channel for FaultChannel<C> {
+    fn send(&mut self, data: &[u8]) -> Result<(), ChannelError> {
+        self.scheduled(FaultKind::ShortWrite, data.len(), |c, r| c.send(&data[r]))
+    }
 
     fn recv(&mut self, n: usize) -> Result<Vec<u8>, ChannelError> {
-        let split = self.pre_op(FaultKind::ShortRead)?;
-        let out = if split && n >= 2 {
-            let k = self.split_point(n);
-            let mut head = self.inner.recv(k)?;
-            head.extend(self.inner.recv(n - k)?);
-            head
-        } else {
-            self.inner.recv(n)?
-        };
-        self.op += 1;
+        let mut out = Vec::with_capacity(n);
+        self.scheduled(FaultKind::ShortRead, n, |c, r| {
+            out.extend(c.recv(r.len())?);
+            Ok(())
+        })?;
         Ok(out)
+    }
+
+    // A block transfer is one operation on the schedule's clock however
+    // many staging-buffer passes move it underneath: fault rates are per
+    // protocol message, not per staging pass.
+    fn send_blocks(&mut self, blocks: &[Block]) -> Result<(), ChannelError> {
+        self.scheduled(FaultKind::ShortWrite, blocks.len(), |c, r| {
+            c.send_blocks(&blocks[r])
+        })
+    }
+
+    fn recv_blocks_into(&mut self, out: &mut Vec<Block>, n: usize) -> Result<(), ChannelError> {
+        self.scheduled(FaultKind::ShortRead, n, |c, r| {
+            c.recv_blocks_into(out, r.len())
+        })
     }
 
     fn flush(&mut self) -> Result<(), ChannelError> {

@@ -12,6 +12,8 @@
 
 use std::collections::VecDeque;
 
+use deepsecure_crypto::Block;
+
 use crate::channel::{Channel, ChannelError};
 
 /// Upper bound on a frame's payload; a header above this is corrupt
@@ -44,17 +46,21 @@ impl<C: Channel> FramedChannel<C> {
     /// Fails if the payload exceeds [`MAX_FRAME_LEN`] or the transport
     /// fails.
     pub fn send_frame(&mut self, payload: &[u8]) -> Result<(), ChannelError> {
-        let len = u32::try_from(payload.len())
+        self.send_header(payload.len())?;
+        self.inner.send(payload)
+    }
+
+    /// Sends the header of a frame carrying `len` payload bytes.
+    fn send_header(&mut self, len: usize) -> Result<(), ChannelError> {
+        let len = u32::try_from(len)
             .ok()
             .filter(|&l| l <= MAX_FRAME_LEN)
             .ok_or_else(|| {
                 ChannelError::msg(format!(
-                    "sending frame: payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
-                    payload.len()
+                    "sending frame: payload of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
                 ))
             })?;
-        self.inner.send(&len.to_le_bytes())?;
-        self.inner.send(payload)
+        self.inner.send(&len.to_le_bytes())
     }
 
     /// Receives one whole frame.
@@ -106,6 +112,13 @@ impl<C: Channel> Channel for FramedChannel<C> {
         self.send_frame(data)
     }
 
+    // One frame per block transfer, whatever its size: the header goes
+    // first, the wrapped channel stages the payload behind it.
+    fn send_blocks(&mut self, blocks: &[Block]) -> Result<(), ChannelError> {
+        self.send_header(blocks.len() * 16)?;
+        self.inner.send_blocks(blocks)
+    }
+
     fn recv(&mut self, n: usize) -> Result<Vec<u8>, ChannelError> {
         while self.inbox.len() < n {
             let frame = self.recv_frame_raw()?;
@@ -147,6 +160,23 @@ mod tests {
         assert_eq!(fb.recv_frame().unwrap(), vec![7u8; 1000]);
         // Counters include the empty payload and the three 4-byte headers.
         assert_eq!(fa.bytes_sent(), 5 + 1000 + 3 * 4);
+    }
+
+    #[test]
+    fn a_block_transfer_is_one_frame_at_any_size() {
+        // 20 000 blocks is more than one staging pass of the default
+        // `send_blocks`; the frame count — and so the byte count — must
+        // not depend on that.
+        let (a, b) = mem_pair();
+        let (mut fa, mut fb) = (FramedChannel::new(a), FramedChannel::new(b));
+        let blocks: Vec<Block> = (0..20_000u128).map(Block::from).collect();
+        fa.send_blocks(&blocks).unwrap();
+        assert_eq!(fa.bytes_sent(), 4 + 16 * 20_000);
+        let frame = fb.recv_frame().unwrap();
+        assert_eq!(frame.len(), 16 * 20_000);
+        fa.send_blocks(&blocks).unwrap();
+        assert_eq!(fb.recv_blocks(20_000).unwrap(), blocks);
+        assert_eq!(fb.bytes_received(), fa.bytes_sent());
     }
 
     #[test]

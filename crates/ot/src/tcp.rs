@@ -24,13 +24,19 @@ const WRITE_BUF: usize = 1 << 16;
 /// identical totals (TCP/IP header overhead is not modelled; framing, if
 /// any, is accounted by [`crate::FramedChannel`]).
 pub struct TcpChannel {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// The socket's two handles; `None` once [`TcpChannel::close`] has
+    /// dropped them.
+    io: Option<Io>,
     peer: SocketAddr,
     sent: u64,
     received: u64,
     /// Bytes written since the last flush — flushed lazily on `recv`.
     pending: bool,
+}
+
+struct Io {
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
 }
 
 impl std::fmt::Debug for TcpChannel {
@@ -56,8 +62,7 @@ impl TcpChannel {
         let reader = BufReader::new(stream.try_clone()?);
         let writer = BufWriter::with_capacity(WRITE_BUF, stream);
         Ok(TcpChannel {
-            reader,
-            writer,
+            io: Some(Io { reader, writer }),
             peer,
             sent: 0,
             received: 0,
@@ -170,8 +175,9 @@ impl TcpChannel {
         read: Option<Duration>,
         write: Option<Duration>,
     ) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(read)?;
-        self.reader.get_ref().set_write_timeout(write)?;
+        let stream = self.io()?.reader.get_ref();
+        stream.set_read_timeout(read)?;
+        stream.set_write_timeout(write)?;
         Ok(())
     }
 
@@ -180,32 +186,46 @@ impl TcpChannel {
         self.peer
     }
 
-    /// Closes both directions of the socket immediately (best effort).
-    /// A reconnecting client calls this *before* dialing again so the
-    /// peer's blocked I/O on the dead connection fails promptly instead
-    /// of lingering until this endpoint's buffers drop.
-    pub fn shutdown(&self) {
-        let _ = self.reader.get_ref().shutdown(std::net::Shutdown::Both);
+    /// Closes this endpoint's socket now, without flushing: every later
+    /// operation on the channel fails. A reconnecting client calls this
+    /// *before* dialing again so the peer's blocked I/O on the dead
+    /// connection fails promptly. It has to be a real close, not a
+    /// `shutdown`: a peer stalled mid-write against a full receive window
+    /// sees a `shutdown` only when its next segment gets through, which it
+    /// never does, while closing a socket with unread data resets the
+    /// connection at once.
+    pub fn close(&mut self) {
+        if let Some(io) = self.io.take() {
+            // Dropping a `BufWriter` would flush it first.
+            let (_stream, _unsent) = io.writer.into_parts();
+        }
+    }
+
+    fn io(&mut self) -> std::io::Result<&mut Io> {
+        self.io.as_mut().ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::NotConnected, "channel closed locally")
+        })
     }
 }
 
 impl Channel for TcpChannel {
     fn send(&mut self, data: &[u8]) -> Result<(), ChannelError> {
+        let peer = self.peer;
+        let writer = &mut self
+            .io()
+            .map_err(|e| ChannelError::io(format!("sending {} bytes to {peer}", data.len()), e))?
+            .writer;
         if data.len() >= WRITE_BUF {
             // Write-through: a payload at least one buffer long (a garbled
             // table chunk, say) gains nothing from coalescing — route it
             // straight to the socket instead of memcpying it through the
             // buffer. Earlier buffered bytes drain first to keep order.
-            self.writer.flush().map_err(|e| {
-                ChannelError::io(format!("flushing to {} before write-through", self.peer), e)
+            writer.flush().map_err(|e| {
+                ChannelError::io(format!("flushing to {peer} before write-through"), e)
             })?;
-            self.writer.get_mut().write_all(data).map_err(|e| {
+            writer.get_mut().write_all(data).map_err(|e| {
                 ChannelError::io(
-                    format!(
-                        "sending {} bytes to {} (write-through)",
-                        data.len(),
-                        self.peer
-                    ),
+                    format!("sending {} bytes to {peer} (write-through)", data.len()),
                     e,
                 )
             })?;
@@ -214,9 +234,9 @@ impl Channel for TcpChannel {
             self.pending = false;
             return Ok(());
         }
-        self.writer.write_all(data).map_err(|e| {
-            ChannelError::io(format!("sending {} bytes to {}", data.len(), self.peer), e)
-        })?;
+        writer
+            .write_all(data)
+            .map_err(|e| ChannelError::io(format!("sending {} bytes to {peer}", data.len()), e))?;
         self.sent += data.len() as u64;
         self.pending = true;
         Ok(())
@@ -228,26 +248,27 @@ impl Channel for TcpChannel {
         if self.pending {
             self.flush()?;
         }
+        let peer = self.peer;
         let mut buf = vec![0u8; n];
-        self.reader.read_exact(&mut buf).map_err(|e| {
-            let context = if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                format!(
-                    "receiving {n} bytes from {}: peer disconnected mid-message",
-                    self.peer
-                )
-            } else {
-                format!("receiving {n} bytes from {}", self.peer)
-            };
-            ChannelError::io(context, e)
-        })?;
+        self.io()
+            .and_then(|io| io.reader.read_exact(&mut buf))
+            .map_err(|e| {
+                let context = if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                    format!("receiving {n} bytes from {peer}: peer disconnected mid-message")
+                } else {
+                    format!("receiving {n} bytes from {peer}")
+                };
+                ChannelError::io(context, e)
+            })?;
         self.received += n as u64;
         Ok(buf)
     }
 
     fn flush(&mut self) -> Result<(), ChannelError> {
-        self.writer
-            .flush()
-            .map_err(|e| ChannelError::io(format!("flushing to {}", self.peer), e))?;
+        let peer = self.peer;
+        self.io()
+            .and_then(|io| io.writer.flush())
+            .map_err(|e| ChannelError::io(format!("flushing to {peer}"), e))?;
         self.pending = false;
         Ok(())
     }
@@ -432,5 +453,31 @@ mod tests {
         );
         assert_eq!(b.recv_bits().unwrap(), vec![true, false, true]);
         t.join().unwrap();
+    }
+
+    #[test]
+    fn close_fails_a_peer_stalled_against_a_full_window() {
+        // The sender streams far more than the socket buffers hold at a
+        // receiver that never reads, so it ends up blocked in `write` with
+        // the receive window shut. Closing the receiving end must fail
+        // that write at once; a `shutdown` there would leave it blocked.
+        use deepsecure_crypto::Block;
+        let (mut a, mut b) = tcp_pair().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            let tables = vec![Block::ONES; 4 << 20];
+            done_tx.send(a.send_blocks(&tables).is_err()).unwrap();
+        });
+        // Time for the sender to fill both socket buffers and block; not
+        // an assertion — 64 MiB fits in no socket buffer, so however far it
+        // got, the only way out of that `send_blocks` is an error.
+        std::thread::sleep(Duration::from_millis(300));
+        b.close();
+        assert!(b.recv(1).is_err(), "a closed channel refuses further use");
+        let failed = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the stalled sender must be released by the close");
+        assert!(failed, "64 MiB cannot have been delivered to a closed peer");
+        sender.join().unwrap();
     }
 }

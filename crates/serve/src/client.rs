@@ -490,7 +490,7 @@ impl ServeClient {
         // Kill the dead socket first: the server's blocked I/O on it must
         // fail (so it parks the session for resumption) before our RESUME
         // hello arrives on the new connection.
-        self.chan.inner_ref().shutdown();
+        self.chan.inner_mut().close();
         let claim = if self.setup.resumable() {
             Some((self.session_id, self.token))
         } else {

@@ -3,7 +3,7 @@
 //! shedding under admission limits, and accepted-latency stability at
 //! 2× saturation.
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::thread;
 use std::time::Duration;
 
@@ -14,6 +14,12 @@ use deepsecure_serve::demo;
 use deepsecure_serve::server::{ServeConfig, Server, ServerHandle};
 use deepsecure_serve::stats::ServeStats;
 use deepsecure_serve::ServeError;
+
+/// The saturation test compares wall-clock latencies, so it takes this
+/// exclusively and has the cores to itself; the other tests share it.
+/// (Sharing two cores with three protocol tests put its loaded latency at
+/// 2.5× the unloaded one in 1 of 20 suite runs with nothing shed wrongly.)
+static QUIET: RwLock<()> = RwLock::new(());
 
 fn start_server(config: ServeConfig) -> (ServerHandle, thread::JoinHandle<ServeStats>) {
     let server = Server::bind(&config).expect("bind");
@@ -49,6 +55,7 @@ fn replay(model: &ClientModel) -> deepsecure_core::protocol::InferenceReport {
 
 #[test]
 fn scripted_drops_at_three_phases_resume_with_zero_extra_base_ot() {
+    let _shared = QUIET.read().unwrap_or_else(|p| p.into_inner());
     // The tentpole acceptance test: kill the connection at three distinct
     // protocol phases — request dispatch (the sample-index send), table
     // transfer (the bulk recv), and output decode (the final label recv).
@@ -145,6 +152,7 @@ fn scripted_drops_at_three_phases_resume_with_zero_extra_base_ot() {
 
 #[test]
 fn model_session_cap_sheds_with_busy_and_clients_back_off() {
+    let _shared = QUIET.read().unwrap_or_else(|p| p.into_inner());
     let (handle, join) = start_server(ServeConfig {
         model_session_cap: Some(1),
         retry_after_ms: 25,
@@ -224,10 +232,12 @@ fn model_session_cap_sheds_with_busy_and_clients_back_off() {
 
 #[test]
 fn saturation_sheds_busy_and_keeps_accepted_latency_stable() {
+    let _alone = QUIET.write().unwrap_or_else(|p| p.into_inner());
     // Drive the server at well over its admission capacity: excess
     // arrivals must shed with BUSY (not queue into unbounded latency),
     // every arrival must be accounted for, and the accepted requests'
-    // worst latency must stay within 25% of the unloaded worst case.
+    // worst latency must stay within 25% (at least 100 ms) of the unloaded
+    // worst case.
     // pool_target 0: every request garbles live, so the unloaded baseline
     // and the loaded burst measure the same work — with a pool, whether a
     // query hits pre-garbled stock dominates the latency and drowns the
@@ -254,6 +264,15 @@ fn saturation_sheds_busy_and_keeps_accepted_latency_stable() {
         if seed > 0 {
             unloaded_worst = unloaded_worst.max(online_s);
         }
+    }
+
+    // `finish()` does not wait for the server's handler to tear down, and
+    // the burst's hellos land within a millisecond of it: let the last
+    // baseline session leave the registry first, or its slot can shed all
+    // six arrivals and the burst starves.
+    let drained = std::time::Instant::now();
+    while handle.active_sessions() > 0 && drained.elapsed() < Duration::from_secs(5) {
+        thread::sleep(Duration::from_millis(2));
     }
 
     // 2× saturation: with one admission slot, a burst of 6 one-shot
@@ -296,11 +315,18 @@ fn saturation_sheds_busy_and_keeps_accepted_latency_stable() {
     assert!(shed >= 1, "an over-capacity burst must shed");
     assert!(!completed.is_empty(), "the burst must not starve entirely");
     let accepted_worst = completed.iter().fold(0.0f64, |acc, &s| acc.max(s));
+    // 25 % of the unloaded worst case, but never under 100 ms: the five
+    // shed arrivals still cost connects and handshakes on the same cores,
+    // and once a query takes 0.15 s a bare 25 % is 40 ms of scheduler
+    // noise on a 2-vCPU host. Sessions that were admitted side by side
+    // instead of shed would each take a multiple of the unloaded time,
+    // well past either bound.
+    let slack = (unloaded_worst * 0.25).max(0.100);
     assert!(
-        accepted_worst <= unloaded_worst * 1.25,
+        accepted_worst <= unloaded_worst + slack,
         "accepted worst-case online latency {accepted_worst:.3}s blew past \
-         125% of the unloaded worst case {unloaded_worst:.3}s — shedding \
-         failed to protect admitted sessions"
+         the unloaded worst case {unloaded_worst:.3}s + {slack:.3}s — \
+         shedding failed to protect admitted sessions"
     );
 
     handle.shutdown();
@@ -338,6 +364,7 @@ mod prop {
             ops_from_end in 1u64..=3,
             sample in 0usize..4,
         ) {
+            let _shared = QUIET.read().unwrap_or_else(|p| p.into_inner());
             let (handle, join) = start_server(ServeConfig {
                 chunk_gates: 2048,
                 ..base_config()

@@ -14,7 +14,10 @@
 //! * `--src-lint ROOT` — token-level protocol-path lint over
 //!   `crates/{ot,core,serve}/src` and `vendor/telemetry/src`, denying
 //!   `unwrap()`/`expect()`/`panic!` outside the checked-in allowlist
-//!   (stale allowlist entries fail too).
+//!   (stale allowlist entries fail too), plus an audit of every `unsafe`
+//!   keyword under `crates/`, `vendor/` and `src/`: each needs its own
+//!   allowlist entry, so the workspace's one audited site stays the only
+//!   one.
 //!
 //! ```sh
 //! circuit_lint --model all --deny-warnings
@@ -52,7 +55,9 @@ the peak-resident-table prediction (default 0,1024,8192; 0 = buffered).
 
 --src-lint scans crates/{ot,core,serve}/src and vendor/telemetry/src
 under ROOT for unwrap()/expect()/panic! outside comments, strings and #[cfg(test)]
-modules. --allowlist names the audited-exception file (default
+modules, then audits every `unsafe` keyword under crates/, vendor/ and
+src/ (test modules included; one allowlist entry covers one site).
+--allowlist names the audited-exception file (default
 ROOT/protocol_lint.allow if it exists); unmatched entries are stale and
 fail the gate.";
 
@@ -230,6 +235,14 @@ fn src_lint(root: &std::path::Path, allowlist: Option<&std::path::Path>) -> Resu
         rep.allowed.len(),
         rep.stale_entries.len()
     );
+    println!(
+        "src-lint: unsafe audit over {:?}: {} audited site(s)",
+        srclint::UNSAFE_AUDIT_DIRS,
+        rep.unsafe_sites.len()
+    );
+    for f in &rep.unsafe_sites {
+        println!("  AUDITED {}:{}: {}", f.file.display(), f.line, f.text);
+    }
     for f in &rep.findings {
         println!("  DENIED {f}");
     }
