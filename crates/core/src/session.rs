@@ -28,21 +28,39 @@
 //! [`ClientSession::run`] / [`ServerSession::run`] compose the pieces
 //! back into the original single-shot behaviour.
 //!
-//! # Chunk streaming
+//! # One cycle driver per party, two wire orders
 //!
-//! With `InferenceConfig::chunk_gates > 0` each cycle runs as a streaming
-//! pipeline instead of a buffered one: active input labels and the OT
-//! extension travel first, then the garbled tables flow in chunks of
-//! `chunk_gates` non-free gates — produced by the incremental
-//! [`Garbler::begin_cycle`] API (or sliced from precomputed material) and
-//! consumed by the evaluator's feed path as they arrive. Garbling,
-//! transfer, and evaluation overlap in time and peak resident material
-//! drops from O(circuit) to O(chunk) (measured: `peak_material_bytes` on
-//! both outcomes). Chunk boundaries are *derived* from the circuit's
-//! non-free gate count and the agreed `chunk_gates` — never framed — so
-//! a streamed run moves bit-identical per-phase wire bytes to a buffered
-//! one; both parties must simply agree on the value (binaries pin it in
-//! their handshakes).
+//! The online protocol is one loop (Fig. 3; §3.5 for sequential circuits),
+//! written once per party — the loop bodies of
+//! [`ClientSession::run_online`] and [`ServerSession::run_online`]: the first-cycle payload (constant +
+//! initial register labels), then per clock cycle the garbled tables, the
+//! garbler's active labels with the OT extension, and the colour exchange.
+//! Tables always travel as ⌈nonfree ÷ chunk⌉ chunks, sliced from a stored
+//! [`GarbledCycle`] or garbled on the fly through [`Garbler::begin_cycle`].
+//! `InferenceConfig::chunk_gates` sets the chunking **and the position of
+//! the table step**, one `bool` at the top of each driver:
+//!
+//! * `0` — **tables first**: one whole-cycle chunk, then labels + OT. The
+//!   evaluator holds the chunk until the labels arrive: O(circuit)
+//!   resident material.
+//! * `> 0` — **labels first**: labels + OT, then chunks of `chunk_gates`
+//!   non-free gates, fed to the evaluator's gate walk as they arrive.
+//!   Garbling, transfer, and evaluation overlap and resident material is
+//!   O(chunk) (measured: `peak_material_bytes` on both outcomes).
+//!
+//! The single chunk stays tables-first on purpose. Sent labels-first
+//! ("buffered ≡ streamed with chunk = circuit") it moves the same bytes
+//! and passes every test, but measured 10 % slower on pooled serving
+//! (`dsbench serve_warm` `latency_p50_s` 0.087 → 0.098 s, 4 of 4
+//! alternating pairs): with the OT round trip ahead of a 19 MB table send
+//! the parties wait on each other across the hand-off (`client.ot_ext`
+//! 3.6 → 9.4 ms, `server.ot_ext` 2.7 → 5.1 ms) instead of the OT work
+//! overlapping the tail of the transfer.
+//!
+//! Chunk boundaries are *derived* from the circuit's non-free gate count
+//! and the agreed `chunk_gates` — never framed — so every chunking moves
+//! bit-identical per-phase wire bytes; both parties must simply agree on
+//! the value (binaries pin it in their handshakes).
 //!
 //! Sessions measure their own traffic as *deltas* of the channel's byte
 //! counters, so pre-protocol traffic (e.g. the `two_party` handshake) is
@@ -56,7 +74,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use deepsecure_crypto::Block;
-use deepsecure_garble::{CycleGarbling, Evaluator, GarbledCycle, Garbler};
+use deepsecure_garble::{CycleEval, CycleGarbling, Evaluator, GarbledCycle, Garbler};
 use deepsecure_ot::channel::Channel;
 use deepsecure_ot::ext::{ExtReceiver, ExtSender, SenderPrecomp};
 use rand::rngs::StdRng;
@@ -65,33 +83,6 @@ use workpool::ThreadPool;
 
 use crate::compile::Compiled;
 use crate::protocol::{InferenceConfig, PhaseSpan, ProtocolError};
-
-/// High-water mark of garbled-table bytes resident in a session's own
-/// buffers — the measured number behind the streaming pipeline's O(chunk)
-/// memory claim. Counts table blocks held (material, chunk buffers),
-/// not transient serialization copies, identically on every path.
-#[derive(Clone, Copy, Debug, Default)]
-struct PeakBytes {
-    current: u64,
-    peak: u64,
-}
-
-impl PeakBytes {
-    fn alloc(&mut self, bytes: u64) {
-        self.current += bytes;
-        self.peak = self.peak.max(self.current);
-    }
-
-    fn free(&mut self, bytes: u64) {
-        self.current = self.current.saturating_sub(bytes);
-    }
-
-    /// A buffer that lives only within one step (alloc + free).
-    fn observe(&mut self, bytes: u64) {
-        self.alloc(bytes);
-        self.free(bytes);
-    }
-}
 
 /// Per-phase wire traffic of one protocol run, in bytes.
 ///
@@ -178,12 +169,119 @@ pub mod wire_metrics {
     }
 }
 
-/// Adds one measured phase delta to both the run's breakdown field and
-/// the matching process-global live counter — the single point keeping
-/// [`WireBreakdown`] and [`wire_metrics`] in agreement.
-fn tally(field: &mut u64, counter: &telemetry::Counter, delta: u64) {
-    *field += delta;
-    counter.add(delta);
+/// A phase of the online run: one [`WireBreakdown`] field and its live
+/// counter in [`wire_metrics`].
+enum Phase {
+    OtExt,
+    Tables,
+    InputLabels,
+    OutputBits,
+}
+
+/// The books of one online run, shared by both parties' drivers.
+struct Online<'a, C: Channel> {
+    chan: &'a mut C,
+    /// What the recorded [`PhaseSpan`]s are relative to.
+    epoch: Instant,
+    sent0: u64,
+    recv0: u64,
+    wire: WireBreakdown,
+    /// High-water mark of garbled-table bytes resident in this session's
+    /// own buffers — the measured number behind the streaming pipeline's
+    /// O(chunk) memory claim. Counts table blocks held (material, chunk
+    /// buffers), not transient serialization copies. A plain maximum is
+    /// exact because these buffers never coexist: precomputed material is
+    /// resident whole from the start; otherwise a party holds one cycle
+    /// or one chunk at a time.
+    peak: u64,
+}
+
+impl<'a, C: Channel> Online<'a, C> {
+    fn begin(chan: &'a mut C, epoch: Instant) -> Online<'a, C> {
+        Online {
+            sent0: chan.bytes_sent(),
+            recv0: chan.bytes_received(),
+            chan,
+            epoch,
+            wire: WireBreakdown::default(),
+            peak: 0,
+        }
+    }
+
+    /// Seconds since the epoch.
+    fn now(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64()
+    }
+
+    /// Runs one step of `phase` on the channel and books the bytes it
+    /// moved (both directions) to the breakdown field and the matching
+    /// live counter — the single point keeping [`WireBreakdown`] and
+    /// [`wire_metrics`] in agreement.
+    fn metered<T, E>(
+        &mut self,
+        phase: Phase,
+        step: impl FnOnce(&mut C) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let before = traffic(self.chan);
+        let out = step(self.chan)?;
+        let delta = traffic(self.chan) - before;
+        let (field, counter) = match phase {
+            Phase::OtExt => (&mut self.wire.ot_ext, &wire_metrics::OT_EXT),
+            Phase::Tables => (&mut self.wire.tables, &wire_metrics::TABLES),
+            Phase::InputLabels => (&mut self.wire.input_labels, &wire_metrics::INPUT_LABELS),
+            Phase::OutputBits => (&mut self.wire.output_bits, &wire_metrics::OUTPUT_BITS),
+        };
+        *field += delta;
+        counter.add(delta);
+        Ok(out)
+    }
+
+    /// [`Online::metered`] under the telemetry span `span`.
+    fn spanned<T, E>(
+        &mut self,
+        span: &'static str,
+        phase: Phase,
+        step: impl FnOnce(&mut C) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let _s = telemetry::span!(span);
+        self.metered(phase, step)
+    }
+
+    /// Notes a table buffer of `rows` garbled rows as resident.
+    fn resident(&mut self, rows: usize) {
+        self.peak = self.peak.max((rows * 16) as u64);
+    }
+
+    /// Flushes and closes the books: `(sent, received, wire, peak)`. The
+    /// evaluator's final colour bits are the last thing on the wire —
+    /// without the flush a buffered transport would strand them and hang
+    /// the garbler's last receive.
+    fn close(self) -> Result<(u64, u64, WireBreakdown, u64), ProtocolError> {
+        self.chan.flush()?;
+        let sent = self.chan.bytes_sent() - self.sent0;
+        let received = self.chan.bytes_received() - self.recv0;
+        debug_assert_eq!(
+            self.wire.total(),
+            sent + received,
+            "breakdown must cover all online traffic"
+        );
+        wire_metrics::SENT.add(sent);
+        wire_metrics::RECEIVED.add(received);
+        Ok((sent, received, self.wire, self.peak))
+    }
+}
+
+/// Non-free gates per table chunk of one cycle, in wire order — derived
+/// identically by both parties, which is why chunks need no framing.
+/// `chunk_gates == 0` is one whole-cycle chunk (a zero-length transfer
+/// when the circuit has no non-free gate); otherwise ⌈nonfree ÷
+/// chunk_gates⌉ chunks, the last one short.
+fn chunk_sizes(nonfree: usize, chunk_gates: usize) -> impl Iterator<Item = usize> {
+    let (step, chunks) = match chunk_gates {
+        0 => (nonfree.max(1), 1),
+        n => (n, nonfree.div_ceil(n)),
+    };
+    (0..chunks).map(move |i| step.min(nonfree - i * step))
 }
 
 /// Input-independent garbled material for one protocol run: every cycle's
@@ -393,244 +491,94 @@ pub struct ClientSession {
     cfg: InferenceConfig,
 }
 
-/// Streams one garbled cycle (tables, active labels, OT extension) and
-/// decodes the returned color bits — the per-cycle online hot path shared
-/// by [`ClientSession::run`] and [`ClientSession::run_online`].
-///
-/// Returns the decoded label bits plus the instant (relative to `epoch`)
-/// at which this side's *sending* work ended — i.e. after the OT send,
-/// before blocking on the returned colors — so the recorded OT span
-/// excludes the server's evaluation time (the Fig. 5 convention).
-fn client_cycle<C: Channel>(
-    chan: &mut C,
-    ot: &mut ExtSender,
-    cycle: &GarbledCycle,
-    g_bits: &[bool],
-    first_payload: Option<(&[Block; 2], &[Block])>,
-    wire: &mut WireBreakdown,
-    epoch: Instant,
-) -> Result<(Vec<bool>, f64), ProtocolError> {
-    if let Some((const_labels, initial_registers)) = first_payload {
-        let _s = telemetry::span!("client.input_labels");
-        let before = traffic(chan);
-        chan.send_block(const_labels[0])?;
-        chan.send_block(const_labels[1])?;
-        chan.send_blocks(initial_registers)?;
-        tally(
-            &mut wire.input_labels,
-            &wire_metrics::INPUT_LABELS,
-            traffic(chan) - before,
-        );
-    }
-    {
-        let _s = telemetry::span!("client.tables");
-        let before = traffic(chan);
-        chan.send_blocks(&cycle.tables)?;
-        tally(
-            &mut wire.tables,
-            &wire_metrics::TABLES,
-            traffic(chan) - before,
-        );
-    }
-    {
-        let _s = telemetry::span!("client.input_labels");
-        let before = traffic(chan);
-        chan.send_blocks(&cycle.garbler_active(g_bits))?;
-        tally(
-            &mut wire.input_labels,
-            &wire_metrics::INPUT_LABELS,
-            traffic(chan) - before,
-        );
-    }
-    {
-        let _s = telemetry::span!("client.ot_ext");
-        let before = traffic(chan);
-        ot.send(chan, &cycle.evaluator_input_labels)?;
-        tally(
-            &mut wire.ot_ext,
-            &wire_metrics::OT_EXT,
-            traffic(chan) - before,
-        );
-    }
-    let ot_end_s = epoch.elapsed().as_secs_f64();
-    let turnaround = telemetry::span!("client.turnaround");
-    let before = traffic(chan);
-    let colors = chan.recv_bits()?;
-    tally(
-        &mut wire.output_bits,
-        &wire_metrics::OUTPUT_BITS,
-        traffic(chan) - before,
-    );
-    turnaround.end();
-    let label_bits = colors
-        .iter()
-        .zip(&cycle.output_decode)
-        .map(|(&col, &d)| col ^ d)
-        .collect();
-    Ok((label_bits, ot_end_s))
+/// Where one cycle's garbled tables come from.
+enum CycleTables<'a, 'c> {
+    /// Garbled before the cycle starts — offline by a precompute pool, or
+    /// up front by a live garbler in single-chunk mode; shipped as slices.
+    Stored(&'a GarbledCycle),
+    /// Garbled chunk by chunk while shipping: at no point does more than
+    /// one chunk of tables exist on this side.
+    Live(CycleGarbling<'a, 'c>),
 }
 
-/// Sends the cycle-stream prologue of the **streamed** order: first-cycle
-/// payload (constants + initial registers), the garbler's active input
-/// labels, then the OT extension — everything the evaluator needs *before*
-/// the first table chunk, so it can evaluate while later chunks are still
-/// in flight. Returns the instant the OT send ended.
-fn client_stream_prologue<C: Channel>(
-    chan: &mut C,
-    ot: &mut ExtSender,
-    g_active: &[Block],
-    evaluator_input_labels: &[(Block, Block)],
-    first_payload: Option<(&[Block; 2], &[Block])>,
-    wire: &mut WireBreakdown,
-    epoch: Instant,
-) -> Result<f64, ProtocolError> {
-    {
-        let _s = telemetry::span!("client.input_labels");
-        let before = traffic(chan);
-        if let Some((const_labels, initial_registers)) = first_payload {
-            chan.send_block(const_labels[0])?;
-            chan.send_block(const_labels[1])?;
-            chan.send_blocks(initial_registers)?;
+impl CycleTables<'_, '_> {
+    fn constant_labels(&self) -> [Block; 2] {
+        match self {
+            CycleTables::Stored(cycle) => cycle.constant_labels,
+            CycleTables::Live(cycle) => cycle.constant_labels(),
         }
-        chan.send_blocks(g_active)?;
-        tally(
-            &mut wire.input_labels,
-            &wire_metrics::INPUT_LABELS,
-            traffic(chan) - before,
-        );
     }
-    let _s = telemetry::span!("client.ot_ext");
-    let before = traffic(chan);
-    ot.send(chan, evaluator_input_labels)?;
-    tally(
-        &mut wire.ot_ext,
-        &wire_metrics::OT_EXT,
-        traffic(chan) - before,
-    );
-    Ok(epoch.elapsed().as_secs_f64())
-}
 
-/// Decodes the returned output colors (the cycle epilogue shared by both
-/// streamed paths).
-fn client_stream_epilogue<C: Channel>(
-    chan: &mut C,
-    output_decode: &[bool],
-    wire: &mut WireBreakdown,
-) -> Result<Vec<bool>, ProtocolError> {
-    let _s = telemetry::span!("client.turnaround");
-    let before = traffic(chan);
-    let colors = chan.recv_bits()?;
-    tally(
-        &mut wire.output_bits,
-        &wire_metrics::OUTPUT_BITS,
-        traffic(chan) - before,
-    );
-    Ok(colors
-        .iter()
-        .zip(output_decode)
-        .map(|(&col, &d)| col ^ d)
-        .collect())
-}
-
-/// Streams one **precomputed** cycle in the chunked order: prologue, then
-/// the stored table stream sliced into `chunk_gates`-gate chunks (2 rows
-/// per non-free gate), then the decoded colors. Byte-for-byte the same
-/// wire content as [`client_cycle`], split across sends.
-#[allow(clippy::too_many_arguments)]
-fn client_cycle_streamed_ready<C: Channel>(
-    chan: &mut C,
-    ot: &mut ExtSender,
-    cycle: &GarbledCycle,
-    g_bits: &[bool],
-    first_payload: Option<(&[Block; 2], &[Block])>,
-    chunk_gates: usize,
-    wire: &mut WireBreakdown,
-    epoch: Instant,
-) -> Result<(Vec<bool>, f64), ProtocolError> {
-    let ot_end_s = client_stream_prologue(
-        chan,
-        ot,
-        &cycle.garbler_active(g_bits),
-        &cycle.evaluator_input_labels,
-        first_payload,
-        wire,
-        epoch,
-    )?;
-    for chunk in cycle.tables.chunks(2 * chunk_gates) {
-        let _s = telemetry::span!("client.tables.chunk");
-        let before = traffic(chan);
-        chan.send_blocks(chunk)?;
-        tally(
-            &mut wire.tables,
-            &wire_metrics::TABLES,
-            traffic(chan) - before,
-        );
+    fn garbler_active(&self, bits: &[bool]) -> Vec<Block> {
+        match self {
+            CycleTables::Stored(cycle) => cycle.garbler_active(bits),
+            CycleTables::Live(cycle) => cycle.garbler_active(bits),
+        }
     }
-    let label_bits = client_stream_epilogue(chan, &cycle.output_decode, wire)?;
-    Ok((label_bits, ot_end_s))
-}
 
-/// Streams one cycle garbled **on the fly**: prologue from the freshly
-/// assigned input labels, then garble-a-chunk / send-a-chunk until the
-/// gate walk completes — at no point does more than one chunk of tables
-/// exist on this side. Returns the decoded label bits, the OT-send end,
-/// and the chunk-streaming window.
-#[allow(clippy::too_many_arguments)]
-fn client_cycle_streamed_live<C: Channel, R: Rng + ?Sized>(
-    chan: &mut C,
-    ot: &mut ExtSender,
-    garbler: &mut Garbler<'_>,
-    rng: &mut R,
-    g_bits: &[bool],
-    initial_registers: Option<&[Block]>,
-    chunk_gates: usize,
-    wire: &mut WireBreakdown,
-    peak: &mut PeakBytes,
-    epoch: Instant,
-) -> Result<(Vec<bool>, f64, PhaseSpan), ProtocolError> {
-    let mut cycle: CycleGarbling<'_, '_> = garbler.begin_cycle(rng);
-    let const_labels = cycle.constant_labels();
-    let first_payload = initial_registers.map(|regs| (&const_labels, regs));
-    let ot_end_s = client_stream_prologue(
-        chan,
-        ot,
-        &cycle.garbler_active(g_bits),
-        cycle.evaluator_input_labels(),
-        first_payload,
-        wire,
-        epoch,
-    )?;
-    let stream_start_s = epoch.elapsed().as_secs_f64();
-    // Umbrella span co-extensive with the recorded garble `PhaseSpan`:
-    // `trace_view --check` reconciles the two measurements of this window.
-    let stream = telemetry::span!("client.garble");
-    let mut buf: Vec<Block> = Vec::with_capacity(2 * chunk_gates.min(1 << 20));
-    loop {
-        buf.clear();
-        {
-            let _s = telemetry::span!("client.garble.chunk");
-            if cycle.garble_chunk(chunk_gates, &mut buf) == 0 {
-                break;
+    fn evaluator_input_labels(&self) -> &[(Block, Block)] {
+        match self {
+            CycleTables::Stored(cycle) => &cycle.evaluator_input_labels,
+            CycleTables::Live(cycle) => cycle.evaluator_input_labels(),
+        }
+    }
+
+    /// The table step: ships the cycle's tables as its [`chunk_sizes`]
+    /// chunks. A live source garbles each chunk right before it goes out
+    /// and records the window that interleaving took as the cycle's
+    /// `garble` span.
+    fn ship<C: Channel>(
+        &mut self,
+        run: &mut Online<'_, C>,
+        chunk_gates: usize,
+        garble: &mut PhaseSpan,
+    ) -> Result<(), ProtocolError> {
+        let span = match chunk_gates {
+            0 => "client.tables",
+            _ => "client.tables.chunk",
+        };
+        match self {
+            CycleTables::Stored(cycle) => {
+                let mut rows = cycle.tables.as_slice();
+                for k in chunk_sizes(rows.len() / 2, chunk_gates) {
+                    let (chunk, rest) = rows.split_at(2 * k);
+                    run.spanned(span, Phase::Tables, |chan| chan.send_blocks(chunk))?;
+                    rows = rest;
+                }
+            }
+            CycleTables::Live(cycle) => {
+                let start_s = run.now();
+                // Umbrella span co-extensive with the recorded window:
+                // `trace_view --check` reconciles the two measurements.
+                let _umbrella = telemetry::span!("client.garble");
+                let nonfree = cycle.remaining_nonfree();
+                let mut buf: Vec<Block> = Vec::with_capacity(2 * chunk_gates.min(nonfree));
+                for k in chunk_sizes(nonfree, chunk_gates) {
+                    buf.clear();
+                    {
+                        let _s = telemetry::span!("client.garble.chunk");
+                        cycle.garble_chunk(k, &mut buf);
+                    }
+                    run.resident(buf.len());
+                    run.spanned(span, Phase::Tables, |chan| chan.send_blocks(&buf))?;
+                }
+                // A chunk ends at its last non-free gate: walk the free
+                // gates behind the final one (no rows come out).
+                cycle.garble_chunk(usize::MAX, &mut buf);
+                let end_s = run.now();
+                *garble = PhaseSpan { start_s, end_s };
             }
         }
-        peak.observe((buf.len() * 16) as u64);
-        let _s = telemetry::span!("client.tables.chunk");
-        let before = traffic(chan);
-        chan.send_blocks(&buf)?;
-        tally(
-            &mut wire.tables,
-            &wire_metrics::TABLES,
-            traffic(chan) - before,
-        );
+        Ok(())
     }
-    let output_decode = cycle.finish();
-    stream.end();
-    let stream_span = PhaseSpan {
-        start_s: stream_start_s,
-        end_s: epoch.elapsed().as_secs_f64(),
-    };
-    let label_bits = client_stream_epilogue(chan, &output_decode, wire)?;
-    Ok((label_bits, ot_end_s, stream_span))
+
+    /// Closes the cycle: the point-and-permute decode bit per output wire.
+    fn finish(self) -> Vec<bool> {
+        match self {
+            CycleTables::Stored(cycle) => cycle.output_decode.clone(),
+            CycleTables::Live(cycle) => cycle.finish(),
+        }
+    }
 }
 
 impl ClientSession {
@@ -693,17 +641,11 @@ impl ClientSession {
 
     /// Runs one **online** inference over an established setup. The
     /// [`MaterialSource`] decides where tables come from (pre-garbled
-    /// offline, or garbled live while streaming); the session's
-    /// `chunk_gates` config decides how they travel:
-    ///
-    /// * `chunk_gates == 0` — **buffered**: each cycle's whole table
-    ///   stream is one send, in the classic order (tables → labels → OT).
-    /// * `chunk_gates > 0` — **streamed**: labels and OT go first, then
-    ///   the tables in chunks of `chunk_gates` non-free gates, so the
-    ///   evaluator works while later chunks (and, with a live source, the
-    ///   garbling itself) are still in flight. Chunk boundaries are
-    ///   deterministic from the circuit and the agreed `chunk_gates`, so
-    ///   streaming adds **zero** wire bytes over the buffered path.
+    /// offline, or garbled live); the session's `chunk_gates` decides how
+    /// they travel (module docs): as one whole-cycle chunk ahead of labels
+    /// and OT — a live source garbles the cycle to completion first — or
+    /// behind them in `chunk_gates`-gate chunks, so the evaluator works
+    /// while later chunks (and a live source's garbling) are in flight.
     ///
     /// The setup is reusable: call again with a fresh source for the next
     /// request on the same connection. The outcome's `wire.base_ot` is
@@ -736,148 +678,117 @@ impl ClientSession {
             "material cycles must match input cycles"
         );
         let chunk_gates = self.cfg.chunk_gates;
-        let sent0 = chan.bytes_sent();
-        let recv0 = chan.bytes_received();
-        let mut wire = WireBreakdown::default();
-        let mut peak = PeakBytes::default();
-        let mut cycles = Vec::with_capacity(garbler_bits_per_cycle.len());
-        let mut cycle_labels = Vec::with_capacity(garbler_bits_per_cycle.len());
-        match source {
+        let mut run = Online::begin(chan, epoch);
+        let mut stored = Vec::new();
+        let mut live = None;
+        let initial_registers = match source {
             MaterialSource::Precomputed(material) => {
-                // The whole material is resident for the run's duration;
-                // cycles are dropped as they ship.
-                peak.alloc(material.table_bytes());
-                let initial_registers = material.initial_registers;
-                for (i, (cycle, g_bits)) in material
-                    .cycles
-                    .into_iter()
-                    .zip(garbler_bits_per_cycle)
-                    .enumerate()
-                {
-                    let t0 = epoch.elapsed().as_secs_f64();
-                    let first_payload =
-                        (i == 0).then_some((&cycle.constant_labels, initial_registers.as_slice()));
-                    let (label_bits, ot_end_s) = if chunk_gates == 0 {
-                        client_cycle(
-                            chan,
-                            &mut setup.ot,
-                            &cycle,
-                            g_bits,
-                            first_payload,
-                            &mut wire,
-                            epoch,
-                        )?
-                    } else {
-                        client_cycle_streamed_ready(
-                            chan,
-                            &mut setup.ot,
-                            &cycle,
-                            g_bits,
-                            first_payload,
-                            chunk_gates,
-                            &mut wire,
-                            epoch,
-                        )?
-                    };
-                    cycle_labels.push(self.compiled.decode_label(&label_bits));
-                    // Zero-width garble span: the garbling happened offline.
-                    cycles.push((
-                        PhaseSpan {
-                            start_s: t0,
-                            end_s: t0,
-                        },
-                        PhaseSpan {
-                            start_s: t0,
-                            end_s: ot_end_s,
-                        },
-                    ));
-                    peak.free((cycle.tables.len() * 16) as u64);
-                }
+                // The whole material is resident when the run starts;
+                // each cycle's tables are released once they have shipped.
+                run.peak = material.table_bytes();
+                stored = material.cycles;
+                material.initial_registers
             }
-            MaterialSource::Live { n_cycles: _, seed } => {
+            MaterialSource::Live { seed, .. } => {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let mut garbler =
+                let garbler =
                     Garbler::new(&self.compiled.circuit, &mut rng).with_pool(self.cfg.pool());
                 // Must be read before the first cycle garbles: garbling
                 // latches the register labels forward to the next cycle.
-                let initial_registers = garbler.initial_register_labels();
-                for (i, g_bits) in garbler_bits_per_cycle.iter().enumerate() {
-                    let t0 = epoch.elapsed().as_secs_f64();
-                    if chunk_gates == 0 {
-                        let garble_span = telemetry::span!("client.garble");
-                        let cycle = garbler.garble_cycle(&mut rng);
-                        garble_span.end();
-                        peak.observe((cycle.tables.len() * 16) as u64);
-                        let t1 = epoch.elapsed().as_secs_f64();
-                        let first_payload = (i == 0)
-                            .then_some((&cycle.constant_labels, initial_registers.as_slice()));
-                        let (label_bits, ot_end_s) = client_cycle(
-                            chan,
-                            &mut setup.ot,
-                            &cycle,
-                            g_bits,
-                            first_payload,
-                            &mut wire,
-                            epoch,
-                        )?;
-                        cycle_labels.push(self.compiled.decode_label(&label_bits));
-                        cycles.push((
-                            PhaseSpan {
-                                start_s: t0,
-                                end_s: t1,
-                            },
-                            PhaseSpan {
-                                start_s: t1,
-                                end_s: ot_end_s,
-                            },
-                        ));
-                    } else {
-                        let (label_bits, ot_end_s, stream_span) = client_cycle_streamed_live(
-                            chan,
-                            &mut setup.ot,
-                            &mut garbler,
-                            &mut rng,
-                            g_bits,
-                            (i == 0).then_some(initial_registers.as_slice()),
-                            chunk_gates,
-                            &mut wire,
-                            &mut peak,
-                            epoch,
-                        )?;
-                        cycle_labels.push(self.compiled.decode_label(&label_bits));
-                        // The garble span is the chunk-streaming window
-                        // (garbling and transfer interleave by design);
-                        // the OT span precedes it in the streamed order.
-                        cycles.push((
-                            stream_span,
-                            PhaseSpan {
-                                start_s: t0,
-                                end_s: ot_end_s,
-                            },
-                        ));
-                    }
+                let registers = garbler.initial_register_labels();
+                live = Some((garbler, rng));
+                registers
+            }
+        };
+        // The two wire orders (module docs): a single whole-cycle chunk
+        // goes out before labels + OT, `chunk_gates`-sized chunks after
+        // them — so the evaluator can work through them while later ones
+        // are in flight.
+        let tables_first = chunk_gates == 0;
+        let mut label = 0;
+        let mut cycles = Vec::with_capacity(garbler_bits_per_cycle.len());
+        let mut cycle_labels = Vec::with_capacity(garbler_bits_per_cycle.len());
+        for (i, g_bits) in garbler_bits_per_cycle.iter().enumerate() {
+            let t0 = run.now();
+            // Zero-width for precomputed material: it was garbled offline.
+            let mut garble = PhaseSpan {
+                start_s: t0,
+                end_s: t0,
+            };
+            let whole;
+            let mut tables = match &mut live {
+                None => CycleTables::Stored(&stored[i]),
+                // Nothing precedes a whole-cycle chunk on the wire, so the
+                // cycle is garbled to completion first (Fig. 5's G, then T).
+                Some((garbler, rng)) if tables_first => {
+                    let garble_span = telemetry::span!("client.garble");
+                    whole = garbler.garble_cycle(rng);
+                    garble_span.end();
+                    run.resident(whole.tables.len());
+                    garble.end_s = run.now();
+                    CycleTables::Stored(&whole)
                 }
+                Some((garbler, rng)) => CycleTables::Live(garbler.begin_cycle(rng)),
+            };
+            let ot_start_s = garble.end_s;
+            if i == 0 {
+                let [const0, const1] = tables.constant_labels();
+                run.spanned("client.input_labels", Phase::InputLabels, |chan| {
+                    chan.send_block(const0)?;
+                    chan.send_block(const1)?;
+                    chan.send_blocks(&initial_registers)
+                })?;
+            }
+            if tables_first {
+                tables.ship(&mut run, chunk_gates, &mut garble)?;
+            }
+            run.spanned("client.input_labels", Phase::InputLabels, |chan| {
+                chan.send_blocks(&tables.garbler_active(g_bits))
+            })?;
+            run.spanned("client.ot_ext", Phase::OtExt, |chan| {
+                setup.ot.send(chan, tables.evaluator_input_labels())
+            })?;
+            // Taken before blocking on the returned colors, so the recorded
+            // OT span excludes the server's evaluation time (the Fig. 5
+            // convention).
+            let ot_end_s = run.now();
+            if !tables_first {
+                // The garble span of a live source becomes its
+                // chunk-streaming window: garbling and transfer interleave.
+                tables.ship(&mut run, chunk_gates, &mut garble)?;
+            }
+            let output_decode = tables.finish();
+            let colors = run.spanned("client.turnaround", Phase::OutputBits, |chan| {
+                chan.recv_bits()
+            })?;
+            let label_bits: Vec<bool> = colors
+                .iter()
+                .zip(&output_decode)
+                .map(|(&col, &d)| col ^ d)
+                .collect();
+            label = self.compiled.decode_label(&label_bits);
+            cycle_labels.push(label);
+            cycles.push((
+                garble,
+                PhaseSpan {
+                    start_s: ot_start_s,
+                    end_s: ot_end_s,
+                },
+            ));
+            if let Some(shipped) = stored.get_mut(i) {
+                shipped.tables = Vec::new();
             }
         }
-        chan.flush()?;
-        let sent = chan.bytes_sent() - sent0;
-        let received = chan.bytes_received() - recv0;
-        debug_assert_eq!(
-            wire.total(),
-            sent + received,
-            "breakdown must cover all online traffic"
-        );
-        wire_metrics::SENT.add(sent);
-        wire_metrics::RECEIVED.add(received);
+        let (sent, received, wire, peak_material_bytes) = run.close()?;
         Ok(ClientOutcome {
-            label: *cycle_labels.last().expect("at least one cycle"),
+            label,
             cycle_labels,
             sent,
             received,
             wire,
             ot_setup: setup.span,
             cycles,
-            peak_material_bytes: peak.peak,
+            peak_material_bytes,
         })
     }
 
@@ -968,11 +879,10 @@ impl ServerSession {
     }
 
     /// Runs one **online** inference over an established setup. With
-    /// `chunk_gates == 0` (buffered): receive a cycle's whole table
-    /// stream → labels → OT → evaluate. With `chunk_gates > 0`
-    /// (streamed): labels and OT first, then consume the tables chunk by
-    /// chunk as they arrive, evaluating the gates each chunk unblocks —
-    /// peak resident material drops from O(circuit) to O(chunk). Chunk
+    /// `chunk_gates == 0` the cycle's one table chunk arrives *before* the
+    /// labels and is held until they do; with `chunk_gates > 0` the chunks
+    /// arrive *after* labels + OT and are fed to the gate walk one by one
+    /// — peak resident material drops from O(circuit) to O(chunk). Chunk
     /// boundaries are computed from the circuit's non-free gate count and
     /// the agreed `chunk_gates`, so no framing bytes are added.
     ///
@@ -1002,161 +912,77 @@ impl ServerSession {
         );
         let c = &self.compiled.circuit;
         let chunk_gates = self.cfg.chunk_gates;
-        let sent0 = chan.bytes_sent();
-        let recv0 = chan.bytes_received();
-        let mut wire = WireBreakdown::default();
-        let mut peak = PeakBytes::default();
+        // Mirrors the garbling side: the one mode switch of this driver.
+        let tables_first = chunk_gates == 0;
+        let mut run = Online::begin(chan, epoch);
 
-        let first_labels = telemetry::span!("server.input_labels");
-        let before = traffic(chan);
-        let const0 = chan.recv_block()?;
-        let const1 = chan.recv_block()?;
-        let init_regs = chan.recv_blocks(c.registers().len())?;
-        tally(
-            &mut wire.input_labels,
-            &wire_metrics::INPUT_LABELS,
-            traffic(chan) - before,
-        );
-        first_labels.end();
+        let (const0, const1, init_regs) =
+            run.spanned("server.input_labels", Phase::InputLabels, |chan| {
+                let (const0, const1) = (chan.recv_block()?, chan.recv_block()?);
+                Ok::<_, ProtocolError>((const0, const1, chan.recv_blocks(c.registers().len())?))
+            })?;
         let mut evaluator = Evaluator::new(c).with_pool(self.cfg.pool());
         evaluator.set_constant_labels(const0, const1);
         evaluator.set_initial_registers(init_regs);
         let nonfree = c.nonfree_gate_count();
         let no_decode = vec![false; c.outputs().len()];
+        // The table step, in either position: receives the cycle's chunks
+        // through one buffer, handing each to the gate walk if it is
+        // already under way (else the single chunk stays in `chunk`).
+        let chunk_span = match chunk_gates {
+            0 => "server.tables",
+            _ => "server.eval.chunk",
+        };
+        let recv_tables = |run: &mut Online<'_, C>,
+                           chunk: &mut Vec<Block>,
+                           mut walk: Option<&mut CycleEval<'_, '_>>| {
+            for k in chunk_sizes(nonfree, chunk_gates) {
+                let _s = telemetry::span!(chunk_span);
+                chunk.clear();
+                run.metered(Phase::Tables, |chan| chan.recv_blocks_into(chunk, 2 * k))?;
+                run.resident(chunk.len());
+                if let Some(cycle) = walk.as_deref_mut() {
+                    cycle.feed(chunk);
+                }
+            }
+            Ok::<(), ProtocolError>(())
+        };
         let mut evals = Vec::with_capacity(evaluator_bits_per_cycle.len());
         for choice_bits in evaluator_bits_per_cycle {
-            let colors;
-            let span;
-            if chunk_gates == 0 {
-                let tables;
-                {
-                    let _s = telemetry::span!("server.tables");
-                    let before = traffic(chan);
-                    peak.alloc((2 * nonfree * 16) as u64);
-                    tables = chan.recv_blocks(2 * nonfree)?;
-                    tally(
-                        &mut wire.tables,
-                        &wire_metrics::TABLES,
-                        traffic(chan) - before,
-                    );
-                }
-                let g_labels;
-                {
-                    let _s = telemetry::span!("server.input_labels");
-                    let before = traffic(chan);
-                    g_labels = chan.recv_blocks(c.garbler_inputs().len())?;
-                    tally(
-                        &mut wire.input_labels,
-                        &wire_metrics::INPUT_LABELS,
-                        traffic(chan) - before,
-                    );
-                }
-                let e_labels;
-                {
-                    let _s = telemetry::span!("server.ot_ext");
-                    let before = traffic(chan);
-                    e_labels = setup.ot.receive(chan, choice_bits)?;
-                    tally(
-                        &mut wire.ot_ext,
-                        &wire_metrics::OT_EXT,
-                        traffic(chan) - before,
-                    );
-                }
-                let t0 = epoch.elapsed().as_secs_f64();
-                let eval_span = telemetry::span!("server.eval");
-                colors = evaluator.eval_cycle(&tables, &g_labels, &e_labels, &no_decode);
-                eval_span.end();
-                let t1 = epoch.elapsed().as_secs_f64();
-                drop(tables);
-                peak.free((2 * nonfree * 16) as u64);
-                span = PhaseSpan {
-                    start_s: t0,
-                    end_s: t1,
-                };
-            } else {
-                // Streamed order: everything the gate walk needs arrives
-                // before the first chunk.
-                let g_labels;
-                {
-                    let _s = telemetry::span!("server.input_labels");
-                    let before = traffic(chan);
-                    g_labels = chan.recv_blocks(c.garbler_inputs().len())?;
-                    tally(
-                        &mut wire.input_labels,
-                        &wire_metrics::INPUT_LABELS,
-                        traffic(chan) - before,
-                    );
-                }
-                let e_labels;
-                {
-                    let _s = telemetry::span!("server.ot_ext");
-                    let before = traffic(chan);
-                    e_labels = setup.ot.receive(chan, choice_bits)?;
-                    tally(
-                        &mut wire.ot_ext,
-                        &wire_metrics::OT_EXT,
-                        traffic(chan) - before,
-                    );
-                }
-                let t0 = epoch.elapsed().as_secs_f64();
-                // Umbrella span co-extensive with the recorded eval
-                // `PhaseSpan` (it includes table transfer time — the
-                // interleaving is the point of streaming).
-                let eval_span = telemetry::span!("server.eval");
-                let mut cycle = evaluator.begin_cycle(&g_labels, &e_labels);
-                let mut remaining = nonfree;
-                // One table buffer for the whole cycle, refilled per chunk.
-                let mut chunk: Vec<Block> = Vec::with_capacity(2 * remaining.min(chunk_gates));
-                while remaining > 0 {
-                    let k = remaining.min(chunk_gates);
-                    let _s = telemetry::span!("server.eval.chunk");
-                    let before = traffic(chan);
-                    chunk.clear();
-                    chan.recv_blocks_into(&mut chunk, 2 * k)?;
-                    tally(
-                        &mut wire.tables,
-                        &wire_metrics::TABLES,
-                        traffic(chan) - before,
-                    );
-                    peak.observe((chunk.len() * 16) as u64);
-                    cycle.feed(&chunk);
-                    remaining -= k;
-                }
-                colors = cycle.finish(&no_decode);
-                eval_span.end();
-                span = PhaseSpan {
-                    start_s: t0,
-                    end_s: epoch.elapsed().as_secs_f64(),
-                };
+            let mut chunk: Vec<Block> = Vec::with_capacity(2 * nonfree.min(chunk_gates));
+            if tables_first {
+                recv_tables(&mut run, &mut chunk, None)?;
             }
-            let before = traffic(chan);
-            chan.send_bits(&colors)?;
-            tally(
-                &mut wire.output_bits,
-                &wire_metrics::OUTPUT_BITS,
-                traffic(chan) - before,
-            );
-            evals.push(span);
+            let g_labels = run.spanned("server.input_labels", Phase::InputLabels, |chan| {
+                chan.recv_blocks(c.garbler_inputs().len())
+            })?;
+            let e_labels = run.spanned("server.ot_ext", Phase::OtExt, |chan| {
+                setup.ot.receive(chan, choice_bits)
+            })?;
+            let start_s = run.now();
+            // Umbrella span co-extensive with the recorded eval
+            // `PhaseSpan`. With labels first it includes table transfer
+            // time — that interleaving is the point of streaming.
+            let eval_span = telemetry::span!("server.eval");
+            let mut cycle = evaluator.begin_cycle(&g_labels, &e_labels);
+            if tables_first {
+                cycle.feed(&chunk);
+            } else {
+                recv_tables(&mut run, &mut chunk, Some(&mut cycle))?;
+            }
+            let colors = cycle.finish(&no_decode);
+            eval_span.end();
+            let end_s = run.now();
+            evals.push(PhaseSpan { start_s, end_s });
+            run.metered(Phase::OutputBits, |chan| chan.send_bits(&colors))?;
         }
-        // The final color bits are the last thing on the wire: without
-        // this flush a buffered transport would strand them and hang the
-        // client's last receive.
-        chan.flush()?;
-        let sent = chan.bytes_sent() - sent0;
-        let received = chan.bytes_received() - recv0;
-        debug_assert_eq!(
-            wire.total(),
-            sent + received,
-            "breakdown must cover all online traffic"
-        );
-        wire_metrics::SENT.add(sent);
-        wire_metrics::RECEIVED.add(received);
+        let (sent, received, wire, peak_material_bytes) = run.close()?;
         Ok(ServerOutcome {
             sent,
             received,
             wire,
             evals,
-            peak_material_bytes: peak.peak,
+            peak_material_bytes,
         })
     }
 
@@ -1191,7 +1017,7 @@ impl ServerSession {
 #[cfg(test)]
 mod tests {
     use deepsecure_fixed::Format;
-    use deepsecure_ot::channel::mem_pair;
+    use deepsecure_ot::channel::{mem_pair, ChannelError, MemChannel};
 
     use crate::compile::{folded_mac, CompileOptions};
 
@@ -1563,4 +1389,163 @@ mod tests {
         assert_eq!(cout.wire.input_labels, full.wire.input_labels);
         assert_eq!(cout.wire.output_bits, full.wire.output_bits);
     }
+
+    /// Records what one endpoint puts on the wire: FNV-1a of the bytes it
+    /// sends, and of its `(operation, length)` sequence with a block
+    /// transfer as one operation — the granularity `FaultChannel` scripts
+    /// drops at, so the resilience tests' operation indices stay valid.
+    struct Tap {
+        inner: MemChannel,
+        bytes: u64,
+        ops: u64,
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn fnv1a(h: u64, data: &[u8]) -> u64 {
+        data.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    impl Tap {
+        fn op(&mut self, kind: u8, len: usize) {
+            self.ops = fnv1a(fnv1a(self.ops, &[kind]), &(len as u64).to_le_bytes());
+        }
+    }
+
+    impl Channel for Tap {
+        fn send(&mut self, data: &[u8]) -> Result<(), ChannelError> {
+            self.op(b's', data.len());
+            self.bytes = fnv1a(self.bytes, data);
+            self.inner.send(data)
+        }
+        fn recv(&mut self, n: usize) -> Result<Vec<u8>, ChannelError> {
+            self.op(b'r', n);
+            self.inner.recv(n)
+        }
+        fn flush(&mut self) -> Result<(), ChannelError> {
+            self.op(b'f', 0);
+            self.inner.flush()
+        }
+        fn bytes_sent(&self) -> u64 {
+            self.inner.bytes_sent()
+        }
+        fn bytes_received(&self) -> u64 {
+            self.inner.bytes_received()
+        }
+        fn send_blocks(&mut self, blocks: &[Block]) -> Result<(), ChannelError> {
+            self.op(b'S', blocks.len());
+            for b in blocks {
+                self.bytes = fnv1a(self.bytes, &b.to_bytes());
+            }
+            self.inner.send_blocks(blocks)
+        }
+        fn recv_blocks_into(&mut self, out: &mut Vec<Block>, n: usize) -> Result<(), ChannelError> {
+            self.op(b'R', n);
+            self.inner.recv_blocks_into(out, n)
+        }
+    }
+
+    /// 72 AND gates behind 8 garbler and 9 evaluator inputs: a
+    /// combinational circuit whose last 64-gate chunk is short.
+    fn and_grid_compiled() -> Arc<Compiled> {
+        let mut b = deepsecure_circuit::Builder::new();
+        let xs = b.garbler_inputs(8);
+        let ys = b.evaluator_inputs(9);
+        for &x in &xs {
+            let mut acc = b.const0();
+            for &y in &ys {
+                let t = b.and(x, y);
+                acc = b.xor(acc, t);
+            }
+            b.output(acc);
+        }
+        Arc::new(Compiled {
+            circuit: b.finish(),
+            weight_order: Vec::new(),
+            format: Format::Q3_12,
+        })
+    }
+
+    /// Setup plus one online run under taps: `(bytes, ops)`, each digest
+    /// the garbling endpoint's chained into the evaluating endpoint's.
+    fn transcript(
+        compiled: &Arc<Compiled>,
+        n_cycles: usize,
+        cfg: &InferenceConfig,
+        live: bool,
+    ) -> (u64, u64) {
+        let bits = |inputs: usize, period: usize| -> Vec<Vec<bool>> {
+            let cycle = |k| (0..inputs).map(|i| (i + k) % period == 0).collect();
+            (0..n_cycles).map(cycle).collect()
+        };
+        let g_bits = bits(compiled.circuit.garbler_inputs().len(), 3);
+        let e_bits = bits(compiled.circuit.evaluator_inputs().len(), 2);
+        let (cc, cs) = mem_pair();
+        let tap = |inner| Tap {
+            inner,
+            bytes: FNV_OFFSET,
+            ops: FNV_OFFSET,
+        };
+        let epoch = Instant::now();
+        let server = ServerSession::new(Arc::clone(compiled), cfg);
+        let handle = std::thread::spawn(move || {
+            let mut cs = tap(cs);
+            let mut setup = server.setup(&mut cs).unwrap();
+            let out = server.run_online(&mut cs, &mut setup, &e_bits, epoch);
+            out.map(|_| cs).unwrap()
+        });
+        let client = ClientSession::new(Arc::clone(compiled), cfg);
+        let mut cc = tap(cc);
+        let mut setup = client.setup(&mut cc, epoch).unwrap();
+        let seed = 77;
+        let source = if live {
+            MaterialSource::Live { n_cycles, seed }
+        } else {
+            GarbledMaterial::garble(compiled, n_cycles, &mut StdRng::seed_from_u64(seed)).into()
+        };
+        let out = client.run_online(&mut cc, &mut setup, source, &g_bits, epoch);
+        out.unwrap();
+        let cs = handle.join().unwrap();
+        (
+            fnv1a(cc.bytes, &cs.bytes.to_le_bytes()),
+            fnv1a(cc.ops, &cs.ops.to_le_bytes()),
+        )
+    }
+
+    #[test]
+    fn transcript_is_pinned_to_the_five_path_implementation() {
+        // Byte order and `Channel` operation boundaries of both endpoints,
+        // RECORDED FROM THE COMMIT BEFORE the cycle paths were merged into
+        // one driver per party. Neither the material source nor the thread
+        // count may move a byte or an operation boundary.
+        let (mac, grid) = (mac_compiled(), and_grid_compiled());
+        for &(name, chunk_gates, bytes, ops) in &PINNED_TRANSCRIPTS {
+            let (compiled, n_cycles) = if name == "mac" { (&mac, 3) } else { (&grid, 1) };
+            for (threads, live) in [(1, false), (1, true), (4, false), (4, true)] {
+                let cfg = InferenceConfig {
+                    chunk_gates,
+                    threads,
+                    seed: 3,
+                    ..InferenceConfig::default()
+                };
+                let got = transcript(compiled, n_cycles, &cfg, live);
+                assert_eq!(got, (bytes, ops), "{name} {chunk_gates} {threads} {live}");
+            }
+        }
+    }
+
+    /// `(circuit, chunk_gates, byte-stream digest, operation digest)`; the
+    /// last chunk size of each circuit exceeds its non-free gate count.
+    const PINNED_TRANSCRIPTS: [(&str, usize, u64, u64); 8] = [
+        ("mac", 0, 0x4074_c2b7_89d3_3ef0, 0xef71_7b7c_6304_3504),
+        ("mac", 1, 0x20f9_2891_ad9c_8700, 0x8275_e3aa_c4ba_746f),
+        ("mac", 64, 0x20f9_2891_ad9c_8700, 0x4e40_4224_de29_5772),
+        ("mac", 99_999, 0x20f9_2891_ad9c_8700, 0xd558_bbc2_b12f_1650),
+        ("grid", 0, 0x395d_df74_1de7_0f24, 0xd077_636a_f7ec_a4b4),
+        ("grid", 1, 0xdcbe_eb70_5f16_b4d8, 0x7d3f_5027_5a10_61a6),
+        ("grid", 64, 0xdcbe_eb70_5f16_b4d8, 0x0fcc_7400_c6cb_eaef),
+        ("grid", 99_999, 0xdcbe_eb70_5f16_b4d8, 0x7973_58a3_8eb3_1dd0),
+    ];
 }

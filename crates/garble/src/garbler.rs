@@ -1,6 +1,6 @@
 use std::sync::RwLock;
 
-use deepsecure_circuit::{Circuit, GateKind, Wire, CONST_0, CONST_1};
+use deepsecure_circuit::{Circuit, GateKind, CONST_0, CONST_1};
 use deepsecure_crypto::{Block, FixedKeyHash};
 use rand::Rng;
 use workpool::ThreadPool;
@@ -215,11 +215,6 @@ impl<'c> Garbler<'c> {
     /// (Used by invariant tests.)
     pub fn labels_differ_by_delta(&self, l0: Block, l1: Block) -> bool {
         l0 ^ l1 == self.delta
-    }
-
-    /// The wires whose labels an evaluator needs via OT, in order.
-    pub fn evaluator_wires(&self) -> &[Wire] {
-        self.circuit.evaluator_inputs()
     }
 }
 

@@ -180,16 +180,6 @@ impl std::fmt::Display for ChaosSpec {
 /// chaotic load runs keep running, they just stop recording.
 const LOG_CAP: usize = 4096;
 
-/// splitmix64: the per-operation draw. Statistically fine for fault
-/// scheduling and trivially reproducible — determinism is the point.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A fault-injecting wrapper around any [`Channel`].
 ///
 /// Byte counters delegate to the wrapped channel exactly: an injected
@@ -267,11 +257,6 @@ impl<C: Channel> FaultChannel<C> {
         &self.log
     }
 
-    /// The wrapped channel.
-    pub fn inner_ref(&self) -> &C {
-        &self.inner
-    }
-
     /// The wrapped channel, mutably (e.g. to set socket timeouts).
     pub fn inner_mut(&mut self) -> &mut C {
         &mut self.inner
@@ -301,7 +286,7 @@ impl<C: Channel> FaultChannel<C> {
         if self.is_transparent() {
             return Ok(false);
         }
-        let draw = splitmix(&mut self.rng);
+        let draw = crate::splitmix64(&mut self.rng);
         let scripted = self.drop_at == Some(self.op);
         if scripted || (draw & 1023) < u64::from(self.params.drop_in_1024) {
             self.note(FaultKind::Drop);
@@ -329,7 +314,7 @@ impl<C: Channel> FaultChannel<C> {
     /// The split point for a short operation on `n` bytes: in `1..n`,
     /// derived from the per-op draw stream.
     fn split_point(&mut self, n: usize) -> usize {
-        1 + (splitmix(&mut self.rng) as usize) % (n - 1)
+        1 + (crate::splitmix64(&mut self.rng) as usize) % (n - 1)
     }
 }
 

@@ -61,6 +61,28 @@ pub use framed::FramedChannel;
 pub use sim::{NetModel, SimChannel};
 pub use tcp::{tcp_pair, TcpChannel};
 
+/// One splitmix64 step: advances `state` and returns the next draw. The
+/// one seeded stream behind every deterministic schedule that is not
+/// cryptographic — [`FaultChannel`]'s fault draws, connect and retry
+/// backoff jitter, `loadgen`'s Poisson arrivals. Statistically fine for
+/// that and trivially reproducible — determinism is the point.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// `d` scaled by a factor drawn uniformly from `[0.5, 1.5)` with one
+/// [`splitmix64`] step of `state` — simultaneous clients must not retry
+/// in lockstep.
+pub fn jittered(d: std::time::Duration, state: &mut u64) -> std::time::Duration {
+    let factor = 512 + (splitmix64(state) & 1023);
+    let nanos = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+    std::time::Duration::from_nanos((nanos / 1024).saturating_mul(factor))
+}
+
 /// Errors produced by the OT protocols.
 #[derive(Debug)]
 pub enum OtError {

@@ -132,7 +132,7 @@ impl TcpChannel {
                     // Full backoff ±50% jitter; never sleep past the
                     // deadline. Lockstep retries from many clients would
                     // otherwise synchronize their reconnect storms.
-                    let sleep = jittered(backoff, &mut jitter_state);
+                    let sleep = crate::jittered(backoff, &mut jitter_state);
                     std::thread::sleep(sleep.min(timeout - elapsed));
                     backoff = (backoff * 2).min(MAX_BACKOFF);
                 }
@@ -280,19 +280,6 @@ impl Channel for TcpChannel {
     fn bytes_received(&self) -> u64 {
         self.received
     }
-}
-
-/// `backoff` scaled by a factor drawn uniformly from [0.5, 1.5): full
-/// backoff ±50% jitter, from a splitmix64 step of `state`.
-fn jittered(backoff: Duration, state: &mut u64) -> Duration {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    // factor in [512, 1536) / 1024
-    let factor = 512 + (z & 1023);
-    Duration::from_nanos((backoff.as_nanos() as u64 / 1024).saturating_mul(factor))
 }
 
 /// Creates a connected loopback pair on an ephemeral port — the TCP

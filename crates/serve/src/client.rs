@@ -35,7 +35,9 @@ use std::time::{Duration, Instant};
 use deepsecure_core::compile::Compiled;
 use deepsecure_core::protocol::InferenceConfig;
 use deepsecure_core::session::{ServerSession, ServerSetup, WireBreakdown};
-use deepsecure_ot::{Channel, ChaosSpec, FaultChannel, FramedChannel, TcpChannel};
+use deepsecure_ot::{
+    jittered, splitmix64, Channel, ChaosSpec, FaultChannel, FramedChannel, TcpChannel,
+};
 
 use crate::demo::{self, DemoModel};
 use crate::proto;
@@ -202,23 +204,6 @@ fn is_transport(e: &ServeError) -> bool {
     }
 }
 
-/// One splitmix64 step — the client's jitter stream.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// `d` scaled by a uniform factor in `[0.5, 1.5)` — simultaneous clients
-/// must not retry in lockstep.
-fn jittered(d: Duration, state: &mut u64) -> Duration {
-    let factor = 512 + (splitmix(state) & 1023);
-    let nanos = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    Duration::from_nanos((nanos / 1024).saturating_mul(factor))
-}
-
 /// Errors out once the session deadline is spent.
 fn check_deadline(opts: &ClientOptions, start: Instant) -> Result<(), ServeError> {
     if let Some(deadline) = opts.deadline {
@@ -275,7 +260,7 @@ fn establish(
                     Some(spec) => FaultChannel::new(
                         tcp,
                         ChaosSpec {
-                            seed: spec.seed.wrapping_add(splitmix(rng_state)),
+                            seed: spec.seed.wrapping_add(splitmix64(rng_state)),
                             ..spec
                         },
                     ),
@@ -331,6 +316,29 @@ fn establish(
     }
 }
 
+/// The evaluator session for one fresh base-OT setup, keyed by `seed`
+/// (fresh receiver randomness per setup). The server decides the
+/// chunking; adopting `chunk_gates` from its `OK` frame is what keeps both
+/// sides' derived chunk boundaries identical.
+fn fresh_setup(
+    compiled: &Arc<Compiled>,
+    opts: &ClientOptions,
+    seed: u64,
+    chunk_gates: usize,
+    chan: &mut FaultChannel<TcpChannel>,
+) -> Result<(ServerSession, ServerSetup), ServeError> {
+    let cfg = InferenceConfig {
+        seed,
+        chunk_gates,
+        threads: opts.threads,
+        deadline: opts.deadline,
+        ..demo::inference_config()
+    };
+    let session = ServerSession::new(Arc::clone(compiled), &cfg);
+    let setup = session.setup(chan)?;
+    Ok((session, setup))
+}
+
 impl ServeClient {
     /// Connects (with retry while the server comes up), handshakes, and
     /// runs the one-time base-OT setup. `seed` varies the client's OT
@@ -352,32 +360,6 @@ impl ServeClient {
             ClientOptions {
                 seed,
                 connect_timeout: timeout,
-                ..ClientOptions::default()
-            },
-        )
-    }
-
-    /// [`ServeClient::connect`] with an explicit evaluator thread count
-    /// (`0` = one per core) instead of the `DEEPSECURE_THREADS` default.
-    ///
-    /// # Errors
-    ///
-    /// Fails on connection/handshake/OT failure, including the server's
-    /// `ERR` rejection reason.
-    pub fn connect_with_threads(
-        addr: &str,
-        model: &ClientModel,
-        seed: u64,
-        timeout: Duration,
-        threads: usize,
-    ) -> Result<ServeClient, ServeError> {
-        Self::connect_opts(
-            addr,
-            model,
-            ClientOptions {
-                seed,
-                connect_timeout: timeout,
-                threads,
                 ..ClientOptions::default()
             },
         )
@@ -412,19 +394,16 @@ impl ServeClient {
                 None,
                 &mut busy_backoffs,
             )?;
-            // The server decides the chunking; adopting it here is what
-            // keeps both sides' derived chunk boundaries identical.
-            let cfg = InferenceConfig {
-                seed: opts.seed.wrapping_add(u64::from(attempt)),
-                chunk_gates: est.chunk_gates,
-                threads: opts.threads,
-                deadline: opts.deadline,
-                ..demo::inference_config()
-            };
-            let session = ServerSession::new(Arc::clone(&model.demo.compiled), &cfg);
+            let seed = opts.seed.wrapping_add(u64::from(attempt));
             let mut chan = est.chan;
-            match session.setup(&mut chan) {
-                Ok(setup) => {
+            match fresh_setup(
+                &model.demo.compiled,
+                &opts,
+                seed,
+                est.chunk_gates,
+                &mut chan,
+            ) {
+                Ok((session, setup)) => {
                     return Ok(ServeClient {
                         setup_bytes_total: setup.base_ot_bytes(),
                         chan,
@@ -451,7 +430,6 @@ impl ServeClient {
                     });
                 }
                 Err(e) => {
-                    let e = ServeError::from(e);
                     if !is_transport(&e) || attempt >= opts.max_retries {
                         return Err(e);
                     }
@@ -516,17 +494,15 @@ impl ServeClient {
             self.resumes += 1;
         } else {
             self.fresh_reconnects += 1;
-            let cfg = InferenceConfig {
-                // Fresh receiver randomness per fresh setup.
-                seed: self.opts.seed.wrapping_add(self.fresh_reconnects << 16),
-                chunk_gates: est.chunk_gates,
-                threads: self.opts.threads,
-                deadline: self.opts.deadline,
-                ..demo::inference_config()
-            };
+            let seed = self.opts.seed.wrapping_add(self.fresh_reconnects << 16);
             self.chunk_gates = est.chunk_gates;
-            self.session = ServerSession::new(Arc::clone(&self.compiled), &cfg);
-            self.setup = self.session.setup(&mut self.chan)?;
+            (self.session, self.setup) = fresh_setup(
+                &self.compiled,
+                &self.opts,
+                seed,
+                est.chunk_gates,
+                &mut self.chan,
+            )?;
             self.setup_bytes_total += self.setup.base_ot_bytes();
         }
         Ok(())

@@ -31,6 +31,7 @@ use std::process::ExitCode;
 
 use deepsecure::analyze::{self, report, srclint, Analysis};
 use deepsecure::circuit::netlist;
+use deepsecure::cli::Args;
 use deepsecure::serve::demo;
 
 const USAGE: &str = "\
@@ -102,16 +103,11 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         deny_warnings: false,
         json: false,
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match flag.as_str() {
+    let mut args = Args::new(args, USAGE);
+    while let Some(flag) = args.next_flag()? {
+        match flag {
             "--model" => {
-                let v = value("--model")?;
+                let v = args.value(flag)?;
                 if v == "all" {
                     cli.models = demo::MODEL_NAMES.iter().map(|s| s.to_string()).collect();
                 } else if demo::MODEL_NAMES.contains(&v.as_str()) {
@@ -123,23 +119,13 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                     ));
                 }
             }
-            "--netlist" => cli.netlist = Some(PathBuf::from(value("--netlist")?)),
-            "--src-lint" => cli.src_lint = Some(PathBuf::from(value("--src-lint")?)),
-            "--allowlist" => cli.allowlist = Some(PathBuf::from(value("--allowlist")?)),
-            "--chunk-gates" => {
-                let v = value("--chunk-gates")?;
-                cli.chunks = v
-                    .split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse::<usize>()
-                            .map_err(|_| format!("--chunk-gates takes counts, got {t:?}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
+            "--netlist" => cli.netlist = Some(PathBuf::from(args.value(flag)?)),
+            "--src-lint" => cli.src_lint = Some(PathBuf::from(args.value(flag)?)),
+            "--allowlist" => cli.allowlist = Some(PathBuf::from(args.value(flag)?)),
+            "--chunk-gates" => cli.chunks = args.list(flag, "non-free gate counts")?,
             "--deny-warnings" => cli.deny_warnings = true,
             "--json" => cli.json = true,
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            other => return Err(args.unknown(other)),
         }
     }
     let modes = usize::from(!cli.models.is_empty())

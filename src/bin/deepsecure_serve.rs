@@ -13,8 +13,7 @@
 
 use std::process::ExitCode;
 
-use deepsecure::analyze::{analyze, report};
-use deepsecure::serve::demo;
+use deepsecure::cli::Args;
 use deepsecure::serve::metrics::MetricsServer;
 use deepsecure::serve::server::{ServeConfig, Server};
 use deepsecure::trace;
@@ -26,7 +25,6 @@ usage:
                    [--queue-cap N] [--model-session-cap N]
                    [--live-session-cap N] [--retry-after-ms MS]
                    [--metrics-addr HOST:PORT] [--trace-out FILE]
-  deepsecure_serve --lint [--models NAME[,NAME…]] [--chunk-gates N]
 
   --listen       address to serve on (port 0 picks an ephemeral port)
   --models       comma-separated zoo models to host (default tiny_mlp;
@@ -65,10 +63,6 @@ usage:
   --trace-out    record wall-time spans of every session's protocol
                  phases and write a Chrome trace-event JSON file at
                  shutdown (view at https://ui.perfetto.dev)
-  --lint         do not serve: statically analyze the hosted models
-                 (structural verification, cost prediction, optimization
-                 opportunities — see circuit_lint) and exit non-zero if
-                 any model reports a diagnostic. --listen is not needed.
 
 Each model is trained and compiled deterministically at startup; clients
 must present the same circuit fingerprint in their handshake.";
@@ -86,143 +80,53 @@ fn main() -> ExitCode {
 
 struct ServeCli {
     config: ServeConfig,
-    lint: bool,
     metrics_addr: Option<String>,
     trace_out: Option<String>,
 }
 
 fn parse(args: &[String]) -> Result<ServeCli, String> {
-    let mut config = ServeConfig {
-        addr: String::new(),
-        ..ServeConfig::default()
+    let mut cli = ServeCli {
+        config: ServeConfig {
+            addr: String::new(),
+            ..ServeConfig::default()
+        },
+        metrics_addr: None,
+        trace_out: None,
     };
-    let mut lint = false;
-    let mut metrics_addr = None;
-    let mut trace_out = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match flag.as_str() {
-            "--listen" => config.addr = value("--listen")?,
-            "--models" => {
-                config.models = value("--models")?.split(',').map(str::to_string).collect();
-            }
-            "--pool" => {
-                let v = value("--pool")?;
-                config.pool_target = v
-                    .parse()
-                    .map_err(|_| format!("--pool takes a count, got {v:?}"))?;
-            }
-            "--chunk-gates" => {
-                let v = value("--chunk-gates")?;
-                config.chunk_gates = v
-                    .parse()
-                    .map_err(|_| format!("--chunk-gates takes a non-free gate count, got {v:?}"))?;
-            }
-            "--sessions" => {
-                let v = value("--sessions")?;
-                config.max_sessions = Some(
-                    v.parse()
-                        .map_err(|_| format!("--sessions takes a count, got {v:?}"))?,
-                );
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                config.seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed takes a number, got {v:?}"))?;
-            }
-            "--threads" => {
-                let v = value("--threads")?;
-                config.threads = v
-                    .parse()
-                    .map_err(|_| format!("--threads takes a count (0 = auto), got {v:?}"))?;
-            }
-            "--queue-cap" => {
-                let v = value("--queue-cap")?;
-                config.queue_cap = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("--queue-cap takes a positive count, got {v:?}"))?;
-            }
+    let config = &mut cli.config;
+    let mut args = Args::new(args, USAGE);
+    while let Some(flag) = args.next_flag()? {
+        match flag {
+            "--listen" => config.addr = args.value(flag)?,
+            "--models" => config.models = args.list(flag, "model names")?,
+            "--pool" => config.pool_target = args.parsed(flag, "a count")?,
+            "--chunk-gates" => config.chunk_gates = args.chunk_gates()?,
+            "--sessions" => config.max_sessions = Some(args.parsed(flag, "a count")?),
+            "--seed" => config.seed = args.seed()?,
+            "--threads" => config.threads = args.threads()?,
+            "--queue-cap" => config.queue_cap = args.positive(flag, "count")?,
             "--model-session-cap" => {
-                let v = value("--model-session-cap")?;
-                config.model_session_cap = Some(
-                    v.parse()
-                        .map_err(|_| format!("--model-session-cap takes a count, got {v:?}"))?,
-                );
+                config.model_session_cap = Some(args.parsed(flag, "a count")?);
             }
-            "--live-session-cap" => {
-                let v = value("--live-session-cap")?;
-                config.live_session_cap = Some(
-                    v.parse()
-                        .map_err(|_| format!("--live-session-cap takes a count, got {v:?}"))?,
-                );
-            }
-            "--retry-after-ms" => {
-                let v = value("--retry-after-ms")?;
-                config.retry_after_ms = v
-                    .parse()
-                    .map_err(|_| format!("--retry-after-ms takes milliseconds, got {v:?}"))?;
-            }
-            "--metrics-addr" => metrics_addr = Some(value("--metrics-addr")?),
-            "--trace-out" => trace_out = Some(value("--trace-out")?),
-            "--lint" => lint = true,
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            "--live-session-cap" => config.live_session_cap = Some(args.parsed(flag, "a count")?),
+            "--retry-after-ms" => config.retry_after_ms = args.parsed(flag, "milliseconds")?,
+            "--metrics-addr" => cli.metrics_addr = Some(args.value(flag)?),
+            "--trace-out" => cli.trace_out = Some(args.value(flag)?),
+            other => return Err(args.unknown(other)),
         }
     }
-    if config.addr.is_empty() && !lint {
+    if config.addr.is_empty() {
         return Err(format!("--listen HOST:PORT is required\n{USAGE}"));
     }
-    Ok(ServeCli {
-        config,
-        lint,
-        metrics_addr,
-        trace_out,
-    })
-}
-
-/// Analyzes every hosted model instead of serving: the pre-deployment
-/// sanity gate (`circuit_lint --model` over exactly the `--models` list,
-/// with the peak-resident prediction at the configured chunk size).
-fn lint_models(config: &ServeConfig) -> Result<(), String> {
-    let chunks = if config.chunk_gates > 0 {
-        vec![0, config.chunk_gates]
-    } else {
-        report::DEFAULT_CHUNK_SIZES.to_vec()
-    };
-    let mut dirty = Vec::new();
-    for name in &config.models {
-        eprintln!("serve: lint: building {name} (training + compiling)…");
-        let model = demo::load(name)?;
-        let a = analyze(&model.compiled.circuit);
-        print!("{}", report::render_text(name, &a, &chunks));
-        if !a.is_clean() {
-            dirty.push(name.clone());
-        }
-    }
-    if dirty.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("models with diagnostics: {}", dirty.join(", ")))
-    }
+    Ok(cli)
 }
 
 fn run(args: &[String]) -> Result<(), String> {
     let ServeCli {
         config,
-        lint,
         metrics_addr,
         trace_out,
     } = parse(args)?;
-    if lint {
-        return lint_models(&config);
-    }
     if trace_out.is_some() {
         let _ = trace::start();
     }

@@ -31,9 +31,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use deepsecure::cli::Args;
 use deepsecure::core::compile::plain_label;
 use deepsecure::core::protocol::{run_compiled, InferenceReport};
-use deepsecure::ot::ChaosSpec;
+use deepsecure::ot::{splitmix64, ChaosSpec};
 use deepsecure::serve::client::{ClientModel, ClientOptions, QueryOutcome, ServeClient};
 use deepsecure::serve::demo;
 use deepsecure::serve::ServeError;
@@ -110,87 +111,36 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         json: false,
         trace_out: None,
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match flag.as_str() {
-            "--connect" => cli.addr = value("--connect")?,
-            "--model" => cli.model = value("--model")?,
-            "--clients" => {
-                let v = value("--clients")?;
-                cli.clients = v
-                    .parse()
-                    .ok()
-                    .filter(|&k| k > 0)
-                    .ok_or_else(|| format!("--clients takes a positive count, got {v:?}"))?;
-            }
-            "--requests" => {
-                let v = value("--requests")?;
-                cli.requests = v
-                    .parse()
-                    .ok()
-                    .filter(|&r| r > 0)
-                    .ok_or_else(|| format!("--requests takes a positive count, got {v:?}"))?;
-            }
+    // Rates and second counts: finite and above zero.
+    let finite = |x: &f64| *x > 0.0 && x.is_finite();
+    let mut args = Args::new(args, USAGE);
+    while let Some(flag) = args.next_flag()? {
+        match flag {
+            "--connect" => cli.addr = args.value(flag)?,
+            "--model" => cli.model = args.value(flag)?,
+            "--clients" => cli.clients = args.positive(flag, "count")?,
+            "--requests" => cli.requests = args.positive(flag, "count")?,
             "--check" => cli.check = true,
             "--json" => cli.json = true,
             "--open-loop" => cli.open_loop = true,
-            "--rate" => {
-                let v = value("--rate")?;
-                cli.rate = v
-                    .parse()
-                    .ok()
-                    .filter(|&r: &f64| r > 0.0 && r.is_finite())
-                    .ok_or_else(|| format!("--rate takes arrivals/s > 0, got {v:?}"))?;
-            }
+            "--rate" => cli.rate = args.parsed_if(flag, "arrivals/s > 0", finite)?,
             "--duration-s" => {
-                let v = value("--duration-s")?;
-                let secs: f64 = v
-                    .parse()
-                    .ok()
-                    .filter(|&s: &f64| s > 0.0 && s.is_finite())
-                    .ok_or_else(|| format!("--duration-s takes seconds > 0, got {v:?}"))?;
-                cli.duration = Duration::from_secs_f64(secs);
+                cli.duration =
+                    Duration::from_secs_f64(args.parsed_if(flag, "seconds > 0", finite)?);
             }
-            "--chaos" => {
-                let v = value("--chaos")?;
-                cli.chaos = Some(ChaosSpec::parse(&v)?);
-            }
+            "--chaos" => cli.chaos = Some(args.chaos()?),
             "--deadline-s" => {
-                let v = value("--deadline-s")?;
-                let secs: f64 = v
-                    .parse()
-                    .ok()
-                    .filter(|&s: &f64| s > 0.0 && s.is_finite())
-                    .ok_or_else(|| format!("--deadline-s takes seconds > 0, got {v:?}"))?;
+                let secs = args.parsed_if(flag, "seconds > 0", finite)?;
                 cli.deadline = Some(Duration::from_secs_f64(secs));
             }
             "--io-timeout-ms" => {
-                let v = value("--io-timeout-ms")?;
-                let ms: u64 =
-                    v.parse().ok().filter(|&m| m > 0).ok_or_else(|| {
-                        format!("--io-timeout-ms takes milliseconds > 0, got {v:?}")
-                    })?;
+                let ms = args.positive(flag, "millisecond count")?;
                 cli.io_timeout = Some(Duration::from_millis(ms));
             }
-            "--trace-out" => cli.trace_out = Some(value("--trace-out")?),
-            "--seed" => {
-                let v = value("--seed")?;
-                cli.seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed takes a number, got {v:?}"))?;
-            }
-            "--threads" => {
-                let v = value("--threads")?;
-                cli.threads = v
-                    .parse()
-                    .map_err(|_| format!("--threads takes a count (0 = auto), got {v:?}"))?;
-            }
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            "--trace-out" => cli.trace_out = Some(args.value(flag)?),
+            "--seed" => cli.seed = args.seed()?,
+            "--threads" => cli.threads = args.threads()?,
+            other => return Err(args.unknown(other)),
         }
     }
     if cli.addr.is_empty() {
@@ -542,21 +492,12 @@ fn open_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
     Ok(())
 }
 
-/// One splitmix64 step.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A seeded exponential inter-arrival draw: `-ln(U)/rate`, the gap
 /// between events of a Poisson process at `rate` per second.
 #[allow(clippy::cast_precision_loss)]
 fn exp_interval(state: &mut u64, rate: f64) -> Duration {
     // 53 uniform bits in (0, 1]: never 0, so ln() is finite.
-    let u = ((splitmix(state) >> 11) + 1) as f64 / (1u64 << 53) as f64;
+    let u = ((splitmix64(state) >> 11) + 1) as f64 / (1u64 << 53) as f64;
     Duration::from_secs_f64((-u.ln() / rate).min(60.0))
 }
 

@@ -15,6 +15,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use deepsecure::analyze::budget::{self, Json};
+use deepsecure::cli::Args;
 
 const USAGE: &str = "\
 usage:
@@ -50,17 +51,12 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<bool, String> {
     let mut baseline: Option<PathBuf> = None;
     let mut fresh: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match flag.as_str() {
-            "--baseline" => baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--fresh" => fresh = Some(PathBuf::from(value("--fresh")?)),
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+    let mut args = Args::new(args, USAGE);
+    while let Some(flag) = args.next_flag()? {
+        match flag {
+            "--baseline" => baseline = Some(PathBuf::from(args.value(flag)?)),
+            "--fresh" => fresh = Some(PathBuf::from(args.value(flag)?)),
+            other => return Err(args.unknown(other)),
         }
     }
     let baseline = baseline.ok_or_else(|| format!("--baseline is required\n{USAGE}"))?;

@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use deepsecure::analyze;
+use deepsecure::cli::Args;
 use deepsecure::core::compile::plain_label;
 use deepsecure::core::protocol::{run_compiled, InferenceConfig};
 use deepsecure::core::session::{
@@ -38,7 +38,6 @@ usage:
   two_party garbler --connect HOST:PORT [--model NAME] [--input N]
                     [--chunk-gates N] [--threads N] [--check]
                     [--sim lan|wan] [--chaos SEED:PROFILE] [--trace-out FILE]
-  two_party lint [--model NAME] [--chunk-gates N]
 
 models: tiny_mlp (default), tiny_cnn, mnist_mlp, mnist_mlp_c
 
@@ -49,11 +48,6 @@ sparsity with masked re-training, compiled with the truncated multiplier
 and lerp-style nonlinearities, and circuit-preprocessed before garbling.
 Both processes derive the identical compressed model from the shared
 seeds; the fingerprint handshake pins it like any other model.
-
-`lint` runs no protocol: it compiles the model and prints the static
-analysis (structural diagnostics, garbling cost, peak resident tables at
-the chosen chunk size — see circuit_lint), failing on any diagnostic.
-What it predicts is what `garbler`/`evaluator` then measure.
 
 --threads N parallelises garbling, evaluation, and base-OT modexps
 across N worker threads (0 = one per core; default from
@@ -111,7 +105,7 @@ fn main() -> ExitCode {
 }
 
 struct Cli {
-    role: String,
+    garbler: bool,
     addr: String,
     model: String,
     input: usize,
@@ -123,15 +117,24 @@ struct Cli {
     trace_out: Option<String>,
 }
 
+impl Cli {
+    fn role(&self) -> &'static str {
+        if self.garbler {
+            "garbler"
+        } else {
+            "evaluator"
+        }
+    }
+}
+
 fn parse(args: &[String]) -> Result<Cli, String> {
-    let role = match args.first().map(String::as_str) {
-        Some("garbler") => "garbler",
-        Some("evaluator") => "evaluator",
-        Some("lint") => "lint",
+    let garbler = match args.first().map(String::as_str) {
+        Some("garbler") => true,
+        Some("evaluator") => false,
         _ => return Err(format!("expected a role subcommand\n{USAGE}")),
     };
     let mut cli = Cli {
-        role: role.to_string(),
+        garbler,
         addr: String::new(),
         model: "tiny_mlp".to_string(),
         input: 0,
@@ -142,57 +145,25 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         chaos: None,
         trace_out: None,
     };
-    let addr_flag = if role == "garbler" {
-        "--connect"
-    } else {
-        "--listen"
-    };
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match flag.as_str() {
-            f if f == addr_flag => cli.addr = value(f)?,
-            "--model" => cli.model = value("--model")?,
-            "--input" if role == "garbler" => {
-                let v = value("--input")?;
-                cli.input = v
-                    .parse()
-                    .map_err(|_| format!("--input takes a sample index, got {v:?}"))?;
-            }
-            "--chunk-gates" if role != "evaluator" => {
-                let v = value("--chunk-gates")?;
-                cli.chunk_gates = v
-                    .parse()
-                    .map_err(|_| format!("--chunk-gates takes a non-free gate count, got {v:?}"))?;
-            }
-            "--threads" => {
-                let v = value("--threads")?;
-                cli.threads = v
-                    .parse()
-                    .map_err(|_| format!("--threads takes a count (0 = auto), got {v:?}"))?;
-            }
-            "--check" if role == "garbler" => cli.check = true,
-            "--sim" if role != "lint" => {
-                let v = value("--sim")?;
-                cli.sim = Some(match v.as_str() {
-                    "lan" => NetModel::lan(),
-                    "wan" => NetModel::wan(),
-                    _ => return Err(format!("--sim takes lan or wan, got {v:?}")),
-                });
-            }
-            "--chaos" if role != "lint" => {
-                let v = value("--chaos")?;
-                cli.chaos = Some(ChaosSpec::parse(&v)?);
-            }
-            "--trace-out" if role != "lint" => cli.trace_out = Some(value("--trace-out")?),
-            other => return Err(format!("unknown flag {other:?} for {role}\n{USAGE}")),
+    let addr_flag = if garbler { "--connect" } else { "--listen" };
+    let mut args = Args::new(&args[1..], USAGE);
+    while let Some(flag) = args.next_flag()? {
+        match flag {
+            f if f == addr_flag => cli.addr = args.value(f)?,
+            "--model" => cli.model = args.value(flag)?,
+            "--input" if garbler => cli.input = args.parsed(flag, "a sample index")?,
+            // The garbler picks the chunking; the handshake hands it over.
+            "--chunk-gates" if garbler => cli.chunk_gates = args.chunk_gates()?,
+            "--threads" => cli.threads = args.threads()?,
+            "--check" if garbler => cli.check = true,
+            "--sim" => cli.sim = Some(args.sim()?),
+            "--chaos" => cli.chaos = Some(args.chaos()?),
+            "--trace-out" => cli.trace_out = Some(args.value(flag)?),
+            other => return Err(args.unknown(other)),
         }
     }
-    if cli.addr.is_empty() && role != "lint" {
+    if cli.addr.is_empty() {
+        let role = cli.role();
         return Err(format!("{role} requires {addr_flag} HOST:PORT\n{USAGE}"));
     }
     Ok(cli)
@@ -202,7 +173,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let cli = parse(args)?;
     // Reject a bad sample index before paying for training/compilation.
     let samples = demo::dataset_size(&cli.model).map_err(|e| format!("{e}\n{USAGE}"))?;
-    if cli.role == "garbler" && cli.input >= samples {
+    if cli.garbler && cli.input >= samples {
         return Err(format!(
             "--input {} out of range (the {} dataset has {samples} samples)",
             cli.input, cli.model
@@ -211,47 +182,51 @@ fn run(args: &[String]) -> Result<(), String> {
     // The deterministic model zoo (training, compilation, fingerprint) is
     // shared with the serving stack via `deepsecure::serve::demo`.
     let model = demo::load(&cli.model).map_err(|e| format!("{e}\n{USAGE}"))?;
-    match cli.role.as_str() {
-        "garbler" => run_garbler(&cli, &model),
-        "evaluator" => run_evaluator(&cli, &model),
-        _ => run_lint(&cli, &model),
-    }
-}
-
-/// The `lint` subcommand: static analysis of the exact circuit a
-/// `garbler`/`evaluator` pair would run, with the peak-resident-table
-/// prediction at the requested `--chunk-gates`.
-fn run_lint(cli: &Cli, model: &DemoModel) -> Result<(), String> {
-    let a = analyze::analyze(&model.compiled.circuit);
-    let chunks = if cli.chunk_gates > 0 {
-        vec![0, cli.chunk_gates]
+    let (chan, chunk_gates) = if cli.garbler {
+        (connect(&cli, &model)?, cli.chunk_gates)
     } else {
-        analyze::report::DEFAULT_CHUNK_SIZES.to_vec()
+        accept(&cli, &model)?
     };
-    print!("{}", analyze::report::render_text(&cli.model, &a, &chunks));
-    if a.is_clean() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{}: {} error(s), {} warning(s)",
-            cli.model,
-            a.error_count(),
-            a.warning_count()
-        ))
-    }
-}
-
-fn run_garbler(cli: &Cli, model: &DemoModel) -> Result<(), String> {
     let cfg = InferenceConfig {
-        chunk_gates: cli.chunk_gates,
+        chunk_gates,
         threads: cli.threads,
         ..demo::inference_config()
     };
-    let compiled = Arc::clone(&model.compiled);
-    let fingerprint = model.fingerprint;
-    let sample = &model.dataset.inputs[cli.input]; // bounds-checked in `run`
-    let input_bits = compiled.input_bits(sample);
+    let mut chan = wrap_chaos(chan, cli.chaos, cli.role());
+    match cli.sim {
+        Some(net) => {
+            let mut sim = SimChannel::new(chan, net);
+            drive(&cli, &model, &cfg, &mut sim)?;
+            eprintln!(
+                "{}: simulated link paid latency on {} turnaround(s)",
+                cli.role(),
+                sim.turnarounds()
+            );
+            Ok(())
+        }
+        None => drive(&cli, &model, &cfg, &mut chan),
+    }
+}
 
+/// One party's protocol run and report over its post-handshake channel —
+/// generic over the transport, so `--sim` wraps it in exactly one place.
+fn drive<C: Channel>(
+    cli: &Cli,
+    model: &DemoModel,
+    cfg: &InferenceConfig,
+    chan: &mut C,
+) -> Result<(), String> {
+    if cli.garbler {
+        garble(cli, model, cfg, chan)
+    } else {
+        evaluate(cli, model, cfg, chan)
+    }
+}
+
+/// The garbler's half of the `DSEC/2` handshake: connect, present model,
+/// fingerprint and the chosen chunking, require the evaluator's `OK`.
+fn connect(cli: &Cli, model: &DemoModel) -> Result<TcpChannel, String> {
+    let fingerprint = model.fingerprint;
     let chan = TcpChannel::connect_retry(cli.addr.as_str(), Duration::from_secs(15))
         .map_err(|e| format!("connecting to evaluator at {}: {e}", cli.addr))?;
     eprintln!("garbler: connected to evaluator at {}", chan.peer_addr());
@@ -272,26 +247,23 @@ fn run_garbler(cli: &Cli, model: &DemoModel) -> Result<(), String> {
     if reply != format!("OK {fingerprint:016x}") {
         return Err(format!("evaluator rejected the handshake: {reply}"));
     }
-    let mut chan = wrap_chaos(framed.into_inner(), cli.chaos, "garbler");
+    Ok(framed.into_inner())
+}
 
-    let client = ClientSession::new(Arc::clone(&compiled), &cfg);
+fn garble<C: Channel>(
+    cli: &Cli,
+    model: &DemoModel,
+    cfg: &InferenceConfig,
+    chan: &mut C,
+) -> Result<(), String> {
+    let compiled = Arc::clone(&model.compiled);
+    let sample = &model.dataset.inputs[cli.input]; // bounds-checked in `run`
+    let input_bits = compiled.input_bits(sample);
+    let client = ClientSession::new(Arc::clone(&compiled), cfg);
     let (epoch, trace_offset_us) = protocol_epoch(cli.trace_out.is_some());
-    let out = match cli.sim {
-        Some(model) => {
-            let mut sim = SimChannel::new(chan, model);
-            let out = client
-                .run(&mut sim, std::slice::from_ref(&input_bits), epoch)
-                .map_err(|e| format!("protocol: {e}"))?;
-            eprintln!(
-                "garbler: simulated link paid latency on {} turnaround(s)",
-                sim.turnarounds()
-            );
-            out
-        }
-        None => client
-            .run(&mut chan, std::slice::from_ref(&input_bits), epoch)
-            .map_err(|e| format!("protocol: {e}"))?,
-    };
+    let out = client
+        .run(chan, std::slice::from_ref(&input_bits), epoch)
+        .map_err(|e| format!("protocol: {e}"))?;
     let total_s = epoch.elapsed().as_secs_f64();
     if let Some(path) = &cli.trace_out {
         write_garbler_trace(path, trace_offset_us, &out)?;
@@ -322,7 +294,7 @@ fn run_garbler(cli: &Cli, model: &DemoModel) -> Result<(), String> {
             Arc::clone(&compiled),
             vec![input_bits.clone()],
             vec![weight_bits.clone()],
-            &cfg,
+            cfg,
         )
         .map_err(|e| format!("in-memory replay: {e}"))?;
         let oracle = plain_label(&compiled, &model.net, sample);
@@ -405,8 +377,9 @@ fn run_garbler(cli: &Cli, model: &DemoModel) -> Result<(), String> {
     Ok(())
 }
 
-fn run_evaluator(cli: &Cli, model: &DemoModel) -> Result<(), String> {
-    let compiled = Arc::clone(&model.compiled);
+/// The evaluator's half of the handshake: accept one garbler, require
+/// this process's model and fingerprint, adopt the garbler's chunking.
+fn accept(cli: &Cli, model: &DemoModel) -> Result<(TcpChannel, usize), String> {
     let fingerprint = model.fingerprint;
     let listener = std::net::TcpListener::bind(cli.addr.as_str())
         .map_err(|e| format!("binding {}: {e}", cli.addr))?;
@@ -440,35 +413,24 @@ fn run_evaluator(cli: &Cli, model: &DemoModel) -> Result<(), String> {
     framed
         .send_frame(format!("OK {fingerprint:016x}").as_bytes())
         .map_err(|e| format!("handshake ack: {e}"))?;
-    let mut chan = wrap_chaos(framed.into_inner(), cli.chaos, "evaluator");
     if chunk_gates > 0 {
         eprintln!("evaluator: streaming tables in chunks of {chunk_gates} non-free gates");
     }
+    Ok((framed.into_inner(), chunk_gates))
+}
 
-    let cfg = InferenceConfig {
-        chunk_gates,
-        threads: cli.threads,
-        ..demo::inference_config()
-    };
-    let weight_bits = compiled.weight_bits(&model.net);
-    let server = ServerSession::new(compiled, &cfg);
+fn evaluate<C: Channel>(
+    cli: &Cli,
+    model: &DemoModel,
+    cfg: &InferenceConfig,
+    chan: &mut C,
+) -> Result<(), String> {
+    let weight_bits = model.compiled.weight_bits(&model.net);
+    let server = ServerSession::new(Arc::clone(&model.compiled), cfg);
     let (epoch, trace_offset_us) = protocol_epoch(cli.trace_out.is_some());
-    let out = match cli.sim {
-        Some(model) => {
-            let mut sim = SimChannel::new(chan, model);
-            let out = server
-                .run(&mut sim, std::slice::from_ref(&weight_bits), epoch)
-                .map_err(|e| format!("protocol: {e}"))?;
-            eprintln!(
-                "evaluator: simulated link paid latency on {} turnaround(s)",
-                sim.turnarounds()
-            );
-            out
-        }
-        None => server
-            .run(&mut chan, std::slice::from_ref(&weight_bits), epoch)
-            .map_err(|e| format!("protocol: {e}"))?,
-    };
+    let out = server
+        .run(chan, std::slice::from_ref(&weight_bits), epoch)
+        .map_err(|e| format!("protocol: {e}"))?;
     if let Some(path) = &cli.trace_out {
         write_evaluator_trace(path, trace_offset_us, &out)?;
         eprintln!("evaluator: wrote trace to {path}");

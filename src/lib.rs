@@ -20,6 +20,7 @@
 //! | [`serve`] | `deepsecure-serve` | concurrent inference server + precompute pool |
 //! | [`analyze`] | `deepsecure-analyze` | circuit verifier, cost analyzer, protocol-path lint |
 //! | [`trace`] | (this crate) | Chrome trace-event export shared by the binaries |
+//! | [`cli`] | (this crate) | typed argument cursor + shared flag parsers of the binaries |
 //!
 //! # Quickstart
 //!
@@ -36,6 +37,7 @@
 //! # }
 //! ```
 
+pub mod cli;
 pub mod trace;
 
 pub use deepsecure_analyze as analyze;
