@@ -425,14 +425,14 @@ impl Builder {
             })
             .collect();
 
-        let circuit = Circuit {
-            wire_count: next_id,
-            garbler_inputs: new_garbler,
-            evaluator_inputs: new_evaluator,
-            outputs: new_outputs,
-            gates: new_gates,
-            registers: new_registers,
-        };
+        let circuit = Circuit::from_raw_parts(
+            next_id,
+            new_garbler,
+            new_evaluator,
+            new_outputs,
+            new_gates,
+            new_registers,
+        );
         debug_assert_eq!(circuit.validate(), Ok(()));
         circuit
     }

@@ -204,15 +204,14 @@ pub fn parse_raw(text: &str) -> Result<Circuit, ParseNetlistError> {
         }
     }
 
-    let circuit = Circuit {
-        wire_count: wire_count.ok_or_else(|| err(0, "missing `wires` directive"))?,
+    Ok(Circuit::from_raw_parts(
+        wire_count.ok_or_else(|| err(0, "missing `wires` directive"))?,
         garbler_inputs,
         evaluator_inputs,
         outputs,
         gates,
         registers,
-    };
-    Ok(circuit)
+    ))
 }
 
 #[cfg(test)]
@@ -341,6 +340,32 @@ mod proptests {
                 let e: Vec<bool> = (0..3).map(|i| (bits >> (3 + i)) & 1 == 1).collect();
                 prop_assert_eq!(opt.eval(&g, &e), c.eval(&g, &e));
             }
+        }
+
+        #[test]
+        fn stored_nonfree_count_matches_stats_on_every_construction_route(
+            ops in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..40),
+        ) {
+            let built = build_random(&ops, 3, 3);
+            let parsed = netlist::parse(&netlist::serialize(&built)).expect("roundtrip parses");
+            let raw = Circuit::from_raw_parts(
+                built.wire_count() as u32,
+                built.garbler_inputs().to_vec(),
+                built.evaluator_inputs().to_vec(),
+                built.outputs().to_vec(),
+                built.gates().to_vec(),
+                built.registers().to_vec(),
+            );
+            let optimized = passes::optimize(&built);
+            for c in [&built, &parsed, &raw, &optimized, &optimized.clone()] {
+                prop_assert_eq!(c.nonfree_gate_count() as u64, c.stats().non_xor);
+            }
+            // The count is derived state: `Debug` shows the six structural
+            // fields it showed before the count was stored.
+            let shown = format!("{built:?}");
+            prop_assert!(shown.starts_with("Circuit { wire_count: "));
+            prop_assert!(shown.ends_with(&format!("registers: {:?} }}", built.registers())));
+            prop_assert!(!shown.contains("nonfree"));
         }
 
         #[test]

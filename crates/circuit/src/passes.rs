@@ -258,14 +258,14 @@ mod tests {
                 out: Wire(7),
             },
         ];
-        Circuit {
-            wire_count: 8,
-            garbler_inputs: vec![Wire(2), Wire(3)],
-            evaluator_inputs: vec![],
-            outputs: vec![Wire(7)],
+        Circuit::from_raw_parts(
+            8,
+            vec![Wire(2), Wire(3)],
+            vec![],
+            vec![Wire(7)],
             gates,
-            registers: vec![],
-        }
+            vec![],
+        )
     }
 
     #[test]

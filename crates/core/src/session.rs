@@ -28,6 +28,18 @@
 //! [`ClientSession::run`] / [`ServerSession::run`] compose the pieces
 //! back into the original single-shot behaviour.
 //!
+//! The setups carry more than OT state across requests: everything
+//! O(circuit) a query needs *outside* its gate walk is paid once per
+//! connection. Each party's `wire_count × 16`-byte wire-label array moves
+//! from the setup into the query's [`Garbler`] / [`Evaluator`] and back
+//! (`with_labels` / `into_labels`), and [`ServerSetup`] also keeps the
+//! table receive buffer — so from the second query on, `run_online`
+//! allocates and faults in nothing of that size (332 MB per party on
+//! `mnist_mlp`, where doing it per query cost more than the garbling). A
+//! fresh setup holds empty buffers and a failed query drops the ones it
+//! had taken; the next query then allocates, exactly as a first one does.
+//! The price is residency: see [`ClientSetup::resident_bytes`].
+//!
 //! # One cycle driver per party, two wire orders
 //!
 //! The online protocol is one loop (Fig. 3; §3.5 for sequential circuits),
@@ -310,23 +322,34 @@ impl GarbledMaterial {
         n_cycles: usize,
         rng: &mut R,
     ) -> GarbledMaterial {
-        GarbledMaterial::garble_with(compiled, n_cycles, rng, ThreadPool::sequential())
+        let pool = ThreadPool::sequential();
+        GarbledMaterial::garble_with(compiled, n_cycles, rng, pool, &mut Vec::new())
     }
 
     /// [`GarbledMaterial::garble`] with the per-level gate work fanned out
     /// across `pool`. Tables and labels are bit-identical to the
     /// sequential path's for the same RNG stream.
+    ///
+    /// `labels` is the garbler's wire-label array, taken on entry and left
+    /// behind on return: a caller that garbles one material after another
+    /// (a pool refill worker) passes the same `Vec` every time and pays
+    /// for `wire_count × 16` bytes of fresh pages once, whatever mix of
+    /// circuits it garbles; an empty `Vec` is the one-shot case.
     pub fn garble_with<R: Rng + ?Sized>(
         compiled: &Compiled,
         n_cycles: usize,
         rng: &mut R,
         pool: ThreadPool,
+        labels: &mut Vec<Block>,
     ) -> GarbledMaterial {
-        let mut garbler = Garbler::new(&compiled.circuit, rng).with_pool(pool);
+        let mut garbler = Garbler::new(&compiled.circuit, rng)
+            .with_pool(pool)
+            .with_labels(std::mem::take(labels));
         // Must be read before the first garble_cycle: garbling latches the
         // register labels forward to the next cycle.
         let initial_registers = garbler.initial_register_labels();
         let cycles = (0..n_cycles).map(|_| garbler.garble_cycle(rng)).collect();
+        *labels = garbler.into_labels();
         GarbledMaterial {
             cycles,
             initial_registers,
@@ -387,10 +410,15 @@ impl MaterialSource {
 
 /// A client session's completed base-OT setup: the live IKNP sender plus
 /// the setup's traffic and timeline. Reused across every
-/// [`ClientSession::run_online`] call on the same connection.
+/// [`ClientSession::run_online`] call on the same connection — and with it
+/// the garbler's wire-label array, so only the first live-garbled query on
+/// a connection allocates one (see [`ClientSetup::resident_bytes`]).
 #[derive(Debug)]
 pub struct ClientSetup {
     ot: ExtSender,
+    /// The live garbler's wire-label array between queries; empty until a
+    /// query garbles live, and again after one that failed mid-cycle.
+    labels: Vec<Block>,
     /// Bytes this endpoint sent during setup.
     pub sent: u64,
     /// Bytes this endpoint received during setup.
@@ -413,12 +441,37 @@ impl ClientSetup {
     pub fn resumable(&self) -> bool {
         !self.ot.is_in_flight()
     }
+
+    /// Bytes this setup keeps allocated between queries so the next one
+    /// need not allocate, zero and fault them in again: `wire_count × 16`
+    /// once a query has garbled live (332 MB on `mnist_mlp`), nothing
+    /// while every query ran on precomputed material.
+    #[must_use]
+    pub fn resident_bytes(&self) -> u64 {
+        (self.labels.capacity() * 16) as u64
+    }
+
+    /// Frees what [`ClientSetup::resident_bytes`] counts. The next query
+    /// allocates afresh — reuse is a saving, never a correctness
+    /// condition — so a setup that is parked rather than queried (the
+    /// serving layer's resume stash) should not sit on O(circuit) memory.
+    pub fn release_buffers(&mut self) {
+        self.labels = Vec::new();
+    }
 }
 
-/// A server session's completed base-OT setup (IKNP receiver side).
+/// A server session's completed base-OT setup (IKNP receiver side), plus
+/// the evaluator's buffers recycled across [`ServerSession::run_online`]
+/// calls (see [`ServerSetup::resident_bytes`]).
 #[derive(Debug)]
 pub struct ServerSetup {
     ot: ExtReceiver,
+    /// The evaluator's wire-label array between queries; empty until the
+    /// first query, and again after one that failed.
+    labels: Vec<Block>,
+    /// The table receive buffer between queries: one chunk, which in
+    /// single-chunk mode is a whole cycle's tables.
+    tables: Vec<Block>,
     /// Bytes this endpoint sent during setup.
     pub sent: u64,
     /// Bytes this endpoint received during setup.
@@ -436,6 +489,16 @@ impl ServerSetup {
     #[must_use]
     pub fn resumable(&self) -> bool {
         !self.ot.is_in_flight()
+    }
+
+    /// Bytes this setup keeps allocated between queries so the next one
+    /// need not allocate and fault them in again: the evaluator's
+    /// wire-label array (`wire_count × 16`, 332 MB on `mnist_mlp`) plus
+    /// the table receive buffer (one chunk; a whole cycle's tables when
+    /// `chunk_gates == 0`). Zero before the first query.
+    #[must_use]
+    pub fn resident_bytes(&self) -> u64 {
+        ((self.labels.capacity() + self.tables.capacity()) * 16) as u64
     }
 }
 
@@ -630,6 +693,7 @@ impl ClientSession {
         wire_metrics::RECEIVED.add(received);
         Ok(ClientSetup {
             ot,
+            labels: Vec::new(),
             sent,
             received,
             span: PhaseSpan {
@@ -691,8 +755,9 @@ impl ClientSession {
             }
             MaterialSource::Live { seed, .. } => {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let garbler =
-                    Garbler::new(&self.compiled.circuit, &mut rng).with_pool(self.cfg.pool());
+                let garbler = Garbler::new(&self.compiled.circuit, &mut rng)
+                    .with_pool(self.cfg.pool())
+                    .with_labels(std::mem::take(&mut setup.labels));
                 // Must be read before the first cycle garbles: garbling
                 // latches the register labels forward to the next cycle.
                 let registers = garbler.initial_register_labels();
@@ -778,6 +843,11 @@ impl ClientSession {
             if let Some(shipped) = stored.get_mut(i) {
                 shipped.tables = Vec::new();
             }
+        }
+        if let Some((garbler, _)) = live {
+            // Only a completed run hands the array on; a failed one drops
+            // it with the garbler and the next query allocates again.
+            setup.labels = garbler.into_labels();
         }
         let (sent, received, wire, peak_material_bytes) = run.close()?;
         Ok(ClientOutcome {
@@ -875,7 +945,13 @@ impl ServerSession {
         wire_metrics::BASE_OT.add(sent + received);
         wire_metrics::SENT.add(sent);
         wire_metrics::RECEIVED.add(received);
-        Ok(ServerSetup { ot, sent, received })
+        Ok(ServerSetup {
+            ot,
+            labels: Vec::new(),
+            tables: Vec::new(),
+            sent,
+            received,
+        })
     }
 
     /// Runs one **online** inference over an established setup. With
@@ -921,11 +997,18 @@ impl ServerSession {
                 let (const0, const1) = (chan.recv_block()?, chan.recv_block()?);
                 Ok::<_, ProtocolError>((const0, const1, chan.recv_blocks(c.registers().len())?))
             })?;
-        let mut evaluator = Evaluator::new(c).with_pool(self.cfg.pool());
+        let mut evaluator = Evaluator::new(c)
+            .with_pool(self.cfg.pool())
+            .with_labels(std::mem::take(&mut setup.labels));
         evaluator.set_constant_labels(const0, const1);
         evaluator.set_initial_registers(init_regs);
         let nonfree = c.nonfree_gate_count();
         let no_decode = vec![false; c.outputs().len()];
+        // One receive buffer for every chunk of every cycle — and, through
+        // the setup, of every later query — sized for the widest chunk.
+        let mut chunk = std::mem::take(&mut setup.tables);
+        chunk.clear();
+        chunk.reserve(2 * chunk_sizes(nonfree, chunk_gates).max().unwrap_or(0));
         // The table step, in either position: receives the cycle's chunks
         // through one buffer, handing each to the gate walk if it is
         // already under way (else the single chunk stays in `chunk`).
@@ -949,7 +1032,6 @@ impl ServerSession {
         };
         let mut evals = Vec::with_capacity(evaluator_bits_per_cycle.len());
         for choice_bits in evaluator_bits_per_cycle {
-            let mut chunk: Vec<Block> = Vec::with_capacity(2 * nonfree.min(chunk_gates));
             if tables_first {
                 recv_tables(&mut run, &mut chunk, None)?;
             }
@@ -976,6 +1058,10 @@ impl ServerSession {
             evals.push(PhaseSpan { start_s, end_s });
             run.metered(Phase::OutputBits, |chan| chan.send_bits(&colors))?;
         }
+        // Only a completed run hands its buffers on; a failed one drops
+        // them and the next query allocates again.
+        setup.labels = evaluator.into_labels();
+        setup.tables = chunk;
         let (sent, received, wire, peak_material_bytes) = run.close()?;
         Ok(ServerOutcome {
             sent,
@@ -1512,6 +1598,177 @@ mod tests {
             fnv1a(cc.bytes, &cs.bytes.to_le_bytes()),
             fnv1a(cc.ops, &cs.ops.to_le_bytes()),
         )
+    }
+
+    /// Where a buffer lives and how much it holds: reuse means neither
+    /// moves from one query to the next.
+    fn place(buf: &Vec<Block>) -> (usize, usize) {
+        (buf.as_ptr() as usize, buf.capacity())
+    }
+
+    /// The input bits of query `q`, one party's `inputs` wires per cycle.
+    fn query_bits(inputs: usize, n_cycles: usize, q: usize) -> Vec<Vec<bool>> {
+        let cycle = |k: usize| (0..inputs).map(|i| (i + k + q).is_multiple_of(3)).collect();
+        (0..n_cycles).map(cycle).collect()
+    }
+
+    /// What query `q` must decode to, cycle by cycle: the plaintext circuit.
+    fn plain_labels(compiled: &Compiled, n_cycles: usize, q: usize) -> Vec<usize> {
+        let c = &compiled.circuit;
+        let g_bits = query_bits(c.garbler_inputs().len(), n_cycles, q);
+        let e_bits = query_bits(c.evaluator_inputs().len(), n_cycles, q);
+        let mut sim = deepsecure_circuit::Simulator::new(c);
+        let cycles = g_bits.iter().zip(&e_bits);
+        cycles
+            .map(|(g, e)| compiled.decode_label(&sim.step(g, e)))
+            .collect()
+    }
+
+    /// Queries `queries` (an index picks the inputs and the garbling seed)
+    /// back to back on one connection and one setup pair: the decoded
+    /// labels per query, then after each query the garbler's label array
+    /// and the evaluator's label array and receive buffer.
+    #[allow(clippy::type_complexity)]
+    fn queries_on_one_setup(
+        compiled: &Arc<Compiled>,
+        n_cycles: usize,
+        cfg: &InferenceConfig,
+        live: bool,
+        queries: std::ops::Range<usize>,
+    ) -> (
+        Vec<Vec<usize>>,
+        Vec<(usize, usize)>,
+        Vec<[(usize, usize); 2]>,
+    ) {
+        let bits = move |inputs, q| query_bits(inputs, n_cycles, q);
+        let (mut cc, mut cs) = mem_pair();
+        let epoch = Instant::now();
+        let server = ServerSession::new(Arc::clone(compiled), cfg);
+        let e_inputs = compiled.circuit.evaluator_inputs().len();
+        let server_queries = queries.clone();
+        let handle = std::thread::spawn(move || {
+            let mut setup = server.setup(&mut cs).unwrap();
+            assert_eq!(setup.resident_bytes(), 0, "a fresh setup holds nothing");
+            server_queries
+                .map(|q| {
+                    server
+                        .run_online(&mut cs, &mut setup, &bits(e_inputs, q), epoch)
+                        .unwrap();
+                    [place(&setup.labels), place(&setup.tables)]
+                })
+                .collect()
+        });
+        let client = ClientSession::new(Arc::clone(compiled), cfg);
+        let mut setup = client.setup(&mut cc, epoch).unwrap();
+        assert_eq!(setup.resident_bytes(), 0, "a fresh setup holds nothing");
+        let mut labels = Vec::new();
+        let mut garbler_side = Vec::new();
+        for q in queries {
+            let seed = 500 + q as u64;
+            let source = if live {
+                MaterialSource::Live { n_cycles, seed }
+            } else {
+                GarbledMaterial::garble(compiled, n_cycles, &mut StdRng::seed_from_u64(seed)).into()
+            };
+            let g_bits = bits(compiled.circuit.garbler_inputs().len(), q);
+            let out = client
+                .run_online(&mut cc, &mut setup, source, &g_bits, epoch)
+                .unwrap();
+            labels.push(out.cycle_labels);
+            garbler_side.push(place(&setup.labels));
+        }
+        (labels, garbler_side, handle.join().unwrap())
+    }
+
+    #[test]
+    fn setups_carry_their_buffers_from_query_to_query() {
+        // Three queries on one setup pair: the first sizes the label arrays
+        // and the receive buffer, the next two find them where they were —
+        // and decode what the plaintext circuit computes.
+        for (compiled, n_cycles) in [(mac_compiled(), 3), (and_grid_compiled(), 1)] {
+            let c = &compiled.circuit;
+            for (live, chunk_gates, threads) in [
+                (true, 0, 1),
+                (true, 64, 1),
+                (true, 64, 4),
+                (false, 0, 1),
+                (false, 64, 1),
+            ] {
+                let cfg = InferenceConfig {
+                    chunk_gates,
+                    threads,
+                    ..InferenceConfig::default()
+                };
+                let what = format!("live {live}, chunk {chunk_gates}, {threads} threads");
+                let (labels, garbler_side, evaluator_side) =
+                    queries_on_one_setup(&compiled, n_cycles, &cfg, live, 0..3);
+                for (q, got) in labels.iter().enumerate() {
+                    assert_eq!(
+                        got,
+                        &plain_labels(&compiled, n_cycles, q),
+                        "query {q}, {what}"
+                    );
+                }
+                let widest = match chunk_gates {
+                    0 => c.nonfree_gate_count(),
+                    n => n.min(c.nonfree_gate_count()),
+                };
+                let [e_labels, e_tables] = evaluator_side[0];
+                assert!(e_labels.1 >= c.wire_count(), "{what}");
+                assert!(e_tables.1 >= 2 * widest, "{what}");
+                // Precomputed material was garbled elsewhere: the garbling
+                // party's setup never grows an array of its own.
+                let g_capacity = if live { c.wire_count() } else { 0 };
+                assert!(garbler_side[0].1 >= g_capacity, "{what}");
+                assert!(live || garbler_side[0].1 == 0, "{what}");
+                for q in 1..3 {
+                    assert_eq!(garbler_side[q], garbler_side[0], "query {q}, {what}");
+                    assert_eq!(evaluator_side[q], evaluator_side[0], "query {q}, {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_released_setup_simply_allocates_again() {
+        // Reuse is a saving, never a correctness condition: a setup whose
+        // array was released (the resume stash does this) — or dropped by
+        // a run that failed after taking it — is a fresh setup again.
+        let compiled = mac_compiled();
+        let cfg = InferenceConfig {
+            chunk_gates: 64,
+            ..InferenceConfig::default()
+        };
+        let (want, _, _) = queries_on_one_setup(&compiled, 1, &cfg, true, 0..1);
+        let g_bits = vec![(0..17).map(|i| i % 3 == 0).collect::<Vec<bool>>()];
+        let e_bits = vec![(0..16).map(|i| i % 3 == 0).collect::<Vec<bool>>()];
+        let (mut cc, mut cs) = mem_pair();
+        let epoch = Instant::now();
+        let server = ServerSession::new(Arc::clone(&compiled), &cfg);
+        let handle = std::thread::spawn(move || {
+            let mut setup = server.setup(&mut cs).unwrap();
+            for _ in 0..2 {
+                server
+                    .run_online(&mut cs, &mut setup, &e_bits, epoch)
+                    .unwrap();
+            }
+        });
+        let client = ClientSession::new(Arc::clone(&compiled), &cfg);
+        let mut setup = client.setup(&mut cc, epoch).unwrap();
+        for q in 0..2 {
+            let source = MaterialSource::Live {
+                n_cycles: 1,
+                seed: 500,
+            };
+            let out = client
+                .run_online(&mut cc, &mut setup, source, &g_bits, epoch)
+                .unwrap();
+            assert_eq!(out.cycle_labels, want[0], "query {q}");
+            assert!(setup.resident_bytes() >= 16 * compiled.circuit.wire_count() as u64);
+            setup.release_buffers();
+            assert_eq!(setup.resident_bytes(), 0);
+        }
+        handle.join().unwrap();
     }
 
     #[test]

@@ -28,6 +28,11 @@ pub struct Evaluator<'c> {
     const_labels: Option<[Block; 2]>,
     /// Level-parallel scheduling state; `None` evaluates sequentially.
     par: Option<Par>,
+    /// The wire-label array, recycled across cycles: lent to each
+    /// [`CycleEval`] and handed back by its `finish`. Empty until the first
+    /// cycle (or [`Evaluator::with_labels`]), and after a cycle that was
+    /// dropped unfinished.
+    labels: Vec<Block>,
 }
 
 impl std::fmt::Debug for Evaluator<'_> {
@@ -50,7 +55,23 @@ impl<'c> Evaluator<'c> {
             tweak: 0,
             const_labels: None,
             par: None,
+            labels: Vec::new(),
         }
+    }
+
+    /// Adopts `labels` as the wire-label array — the allocation a previous
+    /// evaluator gave up through [`Evaluator::into_labels`], whatever
+    /// circuit it served and whatever it still holds (see
+    /// [`Evaluator::begin_cycle`] for why stale contents are harmless).
+    pub fn with_labels(mut self, labels: Vec<Block>) -> Self {
+        self.labels = labels;
+        self
+    }
+
+    /// Gives up the wire-label array for the next evaluator's
+    /// [`Evaluator::with_labels`].
+    pub fn into_labels(self) -> Vec<Block> {
+        self.labels
     }
 
     /// Attaches a thread pool: each feed's unblocked gates are evaluated
@@ -114,6 +135,15 @@ impl<'c> Evaluator<'c> {
     /// progress is bounded only by how much material has been fed, so the
     /// evaluator works while later chunks are still in flight.
     ///
+    /// The wire-label array is **recycled**, exactly as on the garbling
+    /// side ([`crate::Garbler::begin_cycle`]): sized on first use, then
+    /// only the source wires are overwritten per cycle. Stale labels on
+    /// the other wires are never read — def-before-use gate order means
+    /// this cycle's walk writes every gate output first — and the two
+    /// sources the caller could forget (constants, initial registers) are
+    /// still rejected below rather than left holding a previous cycle's
+    /// labels.
+    ///
     /// # Panics
     ///
     /// Panics on arity mismatch, missing constant labels (when the circuit
@@ -141,7 +171,9 @@ impl<'c> Evaluator<'c> {
             "register labels never provided for a sequential circuit: call \
              Evaluator::set_initial_registers before eval_cycle"
         );
-        let mut labels: Vec<Block> = vec![Block::ZERO; c.wire_count()];
+        let mut labels = std::mem::take(&mut self.labels);
+        // A no-op on every cycle after the first.
+        labels.resize(c.wire_count(), Block::ZERO);
         match self.const_labels {
             Some([c0, c1]) => {
                 labels[CONST_0.index()] = c0;
@@ -184,10 +216,11 @@ impl<'c> Evaluator<'c> {
 /// feeds (a feed may split a gate's two rows across calls).
 pub struct CycleEval<'e, 'c> {
     evaluator: &'e mut Evaluator<'c>,
-    /// Active labels of this cycle's wires (grows gate by gate). Behind a
-    /// lock only for the level-parallel path (workers read settled labels,
-    /// the caller commits a level's outputs between barriers); the
-    /// sequential walk goes through `get_mut` and never locks.
+    /// Active labels of this cycle's wires (settled gate by gate) — the
+    /// evaluator's recycled array, on loan until `finish`. Behind a lock
+    /// only for the level-parallel path (workers read settled labels, the
+    /// caller commits a level's outputs between barriers); the sequential
+    /// walk goes through `get_mut` and never locks.
     labels: RwLock<Vec<Block>>,
     /// Next gate to evaluate.
     next_gate: usize,
@@ -404,11 +437,14 @@ impl CycleEval<'_, '_> {
         for (slot, r) in ev.reg_labels.iter_mut().zip(c.registers()) {
             *slot = labels[r.d.index()];
         }
-        c.outputs()
+        let outputs = c
+            .outputs()
             .iter()
             .zip(output_decode)
             .map(|(w, &d)| labels[w.index()].color() ^ d)
-            .collect()
+            .collect();
+        ev.labels = labels;
+        outputs
     }
 }
 

@@ -80,6 +80,11 @@ pub struct Garbler<'c> {
     nonfree: usize,
     /// Level-parallel scheduling state; `None` garbles sequentially.
     par: Option<Par>,
+    /// The wire-label array, recycled across cycles: lent to each
+    /// [`CycleGarbling`] and handed back by its `finish`. Empty until the
+    /// first cycle (or [`Garbler::with_labels`]), and after a cycle that
+    /// was dropped unfinished.
+    labels: Vec<Block>,
 }
 
 impl std::fmt::Debug for Garbler<'_> {
@@ -105,7 +110,26 @@ impl<'c> Garbler<'c> {
             tweak: 0,
             nonfree: circuit.nonfree_gate_count(),
             par: None,
+            labels: Vec::new(),
         }
+    }
+
+    /// Adopts `labels` as the wire-label array — the allocation a previous
+    /// garbler gave up through [`Garbler::into_labels`], whatever circuit it
+    /// served and whatever it still holds (see [`Garbler::begin_cycle`] for
+    /// why stale contents are harmless). A caller that garbles query after
+    /// query threads one array through all of them, so only the first pays
+    /// for `wire_count × 16` bytes of fresh pages.
+    pub fn with_labels(mut self, labels: Vec<Block>) -> Self {
+        self.labels = labels;
+        self
+    }
+
+    /// Gives up the wire-label array for the next garbler's
+    /// [`Garbler::with_labels`]. It holds this garbler's false labels:
+    /// keep it inside the garbling party.
+    pub fn into_labels(self) -> Vec<Block> {
+        self.labels
     }
 
     /// Attaches a thread pool: non-free gates within a dependency level are
@@ -168,9 +192,21 @@ impl<'c> Garbler<'c> {
     ///
     /// The returned handle borrows the garbler; it must be driven to
     /// completion ([`CycleGarbling::finish`]) before the next cycle starts.
+    ///
+    /// The wire-label array is **recycled**: it is sized to the circuit on
+    /// first use and from then on only the source wires (constants,
+    /// inputs, register outputs) are overwritten here — never the whole
+    /// array, which on a paper-size circuit is hundreds of MB to allocate,
+    /// zero and fault in per cycle. Whatever the previous cycle (or a
+    /// previous owner, see [`Garbler::with_labels`]) left on the other
+    /// wires is never observed: the gate list is in def-before-use order
+    /// ([`Circuit::validate`]), so every gate output is written by this
+    /// cycle's walk before any gate, output or register reads it.
     pub fn begin_cycle<R: Rng + ?Sized>(&mut self, rng: &mut R) -> CycleGarbling<'_, 'c> {
         let c = self.circuit;
-        let mut labels: Vec<Block> = vec![Block::ZERO; c.wire_count()];
+        let mut labels = std::mem::take(&mut self.labels);
+        // A no-op on every cycle after the first.
+        labels.resize(c.wire_count(), Block::ZERO);
         labels[CONST_0.index()] = self.const_labels[0];
         // The evaluator's label for const-1 *encodes true*: its false label
         // is offset by Δ.
@@ -267,11 +303,11 @@ fn and_halfgates(
 /// for the same RNG stream, whatever the chunk sizes.
 pub struct CycleGarbling<'g, 'c> {
     garbler: &'g mut Garbler<'c>,
-    /// Wire labels of this cycle (false labels; grows gate by gate). Behind
-    /// a lock only for the level-parallel path, where pool workers read
-    /// settled labels while the caller thread commits a level's outputs
-    /// between barriers; the sequential walk goes through `get_mut` and
-    /// never locks.
+    /// Wire labels of this cycle (false labels; settled gate by gate) — the
+    /// garbler's recycled array, on loan until `finish`. Behind a lock only
+    /// for the level-parallel path, where pool workers read settled labels
+    /// while the caller thread commits a level's outputs between barriers;
+    /// the sequential walk goes through `get_mut` and never locks.
     labels: RwLock<Vec<Block>>,
     /// Next gate to garble (netlist is topologically sorted).
     next_gate: usize,
@@ -502,10 +538,13 @@ impl CycleGarbling<'_, '_> {
         for (slot, r) in g.reg_labels.iter_mut().zip(c.registers()) {
             *slot = labels[r.d.index()];
         }
-        c.outputs()
+        let output_decode = c
+            .outputs()
             .iter()
             .map(|w| labels[w.index()].color())
-            .collect()
+            .collect();
+        g.labels = labels;
+        output_decode
     }
 }
 

@@ -527,6 +527,151 @@ mod streaming_tests {
         }
     }
 
+    /// Everything one party pair produces over `cycles` clock cycles of
+    /// `c`, garbled in `chunk`-gate chunks on `threads` workers, starting
+    /// from the given wire-label arrays — plus the arrays handed back.
+    #[allow(clippy::type_complexity)]
+    fn run_on_arrays(
+        c: &Circuit,
+        cycles: usize,
+        threads: usize,
+        chunk: usize,
+        arrays: (Vec<Block>, Vec<Block>),
+    ) -> (
+        Vec<(
+            Vec<Vec<Block>>,
+            Vec<(Block, Block)>,
+            Vec<(Block, Block)>,
+            [Block; 2],
+            Vec<bool>,
+            Vec<bool>,
+        )>,
+        (Vec<Block>, Vec<Block>),
+    ) {
+        let pool = workpool::ThreadPool::new(threads);
+        let mut rng = StdRng::seed_from_u64(0xd1e7);
+        let mut garbler = Garbler::new(c, &mut rng)
+            .with_pool(pool)
+            .with_labels(arrays.0);
+        let mut ev = Evaluator::new(c).with_pool(pool).with_labels(arrays.1);
+        ev.set_initial_registers(garbler.initial_register_labels());
+        let g_bits: Vec<bool> = (0..c.garbler_inputs().len()).map(|i| i % 3 == 0).collect();
+        let e_bits: Vec<bool> = (0..c.evaluator_inputs().len())
+            .map(|i| i % 2 == 0)
+            .collect();
+        let mut sim = deepsecure_circuit::Simulator::new(c);
+        let mut seen = Vec::new();
+        for _ in 0..cycles {
+            let (chunks, cy) = garble_chunked(&mut garbler, &mut rng, chunk);
+            ev.set_constant_labels(cy.constant_labels[0], cy.constant_labels[1]);
+            let mut cyc =
+                ev.begin_cycle(&cy.garbler_active(&g_bits), &cy.evaluator_active(&e_bits));
+            for part in &chunks {
+                cyc.feed(part);
+            }
+            let outputs = cyc.finish(&cy.output_decode);
+            assert_eq!(outputs, sim.step(&g_bits, &e_bits));
+            seen.push((
+                chunks,
+                cy.garbler_input_labels,
+                cy.evaluator_input_labels,
+                cy.constant_labels,
+                cy.output_decode,
+                outputs,
+            ));
+        }
+        (seen, (garbler.into_labels(), ev.into_labels()))
+    }
+
+    #[test]
+    fn dirty_label_arrays_garble_and_evaluate_bit_identically_to_fresh_ones() {
+        // The recycled array is never cleared, so whatever a previous
+        // owner left in it — another circuit's labels, larger or smaller,
+        // or plain junk — must be unobservable: tables, label pairs, decode
+        // bits and outputs equal a fresh state machine's bit for bit.
+        let tiny = {
+            let mut b = Builder::new();
+            let (x, y) = (b.garbler_input(), b.evaluator_input());
+            let z = b.and(x, y);
+            b.output(z);
+            b.finish()
+        };
+        let comb = random_circuit(0xc0b);
+        let mac = deepsecure_synth::matvec::mac_circuit(16, 12);
+        let big_mac = deepsecure_synth::matvec::mac_circuit(24, 12);
+        assert!(mac.is_sequential());
+        let sizes = [&tiny, &comb, &mac, &big_mac].map(Circuit::wire_count);
+        assert!(sizes.windows(2).all(|w| w[0] < w[1]), "sizes {sizes:?}");
+        let used_by = |a: &Circuit| run_on_arrays(a, 1, 1, usize::MAX, (Vec::new(), Vec::new())).1;
+        for (b, cycles) in [(&comb, 1), (&mac, 3)] {
+            for threads in [1, 4] {
+                for chunk in [1, 64, usize::MAX] {
+                    let (fresh, _) =
+                        run_on_arrays(b, cycles, threads, chunk, (Vec::new(), Vec::new()));
+                    let junk = vec![Block::ONES; b.wire_count() + 7];
+                    let junk_at = (junk.as_ptr(), junk.capacity());
+                    for (what, arrays) in [
+                        ("larger circuit's", used_by(&big_mac)),
+                        ("smaller circuit's", used_by(&tiny)),
+                        ("all-ones", (junk.clone(), junk)),
+                    ] {
+                        let (got, back) = run_on_arrays(b, cycles, threads, chunk, arrays);
+                        assert_eq!(got, fresh, "{what} array, {threads} threads, chunk {chunk}");
+                        assert_eq!(back.0.len(), b.wire_count());
+                        assert_eq!(back.1.len(), b.wire_count());
+                        if what == "all-ones" {
+                            // Handed back, not replaced: same allocation
+                            // (the garbler's clone differs only in address).
+                            assert_eq!((back.1.as_ptr(), back.1.capacity()), junk_at);
+                            assert_eq!(back.0.capacity(), junk_at.1);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "constant labels never provided")]
+    fn dirty_array_does_not_stand_in_for_missing_constant_labels() {
+        // The array comes back from a cycle of the same circuit holding
+        // valid constant labels in slots 0 and 1; a new evaluator that was
+        // never given its own must still refuse to start.
+        let mut b = Builder::new();
+        let x = b.garbler_input();
+        let one = b.const1();
+        let z = b.and(x, one);
+        b.output(z);
+        b.output(one);
+        let c = b.finish();
+        assert!(c.references_constants());
+        let (_, (_, used)) = run_on_arrays(&c, 1, 1, usize::MAX, (Vec::new(), Vec::new()));
+        let mut rng = StdRng::seed_from_u64(21);
+        let cy = Garbler::new(&c, &mut rng).garble_cycle(&mut rng);
+        let mut ev = Evaluator::new(&c).with_labels(used);
+        let _ = ev.eval_cycle(
+            &cy.tables,
+            &cy.garbler_active(&[true]),
+            &[],
+            &cy.output_decode,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "register labels never provided")]
+    fn dirty_array_does_not_stand_in_for_missing_register_labels() {
+        let c = deepsecure_synth::matvec::mac_circuit(16, 12);
+        let (_, (_, used)) = run_on_arrays(&c, 1, 1, usize::MAX, (Vec::new(), Vec::new()));
+        let mut rng = StdRng::seed_from_u64(23);
+        let cy = Garbler::new(&c, &mut rng).garble_cycle(&mut rng);
+        let mut ev = Evaluator::new(&c).with_labels(used);
+        ev.set_constant_labels(cy.constant_labels[0], cy.constant_labels[1]);
+        // Deliberately skip set_initial_registers.
+        let g = cy.garbler_active(&vec![false; c.garbler_inputs().len()]);
+        let e = cy.evaluator_active(&vec![false; c.evaluator_inputs().len()]);
+        let _ = ev.eval_cycle(&cy.tables, &g, &e, &cy.output_decode);
+    }
+
     #[test]
     fn parallel_feed_handles_row_misaligned_chunks() {
         // Single-row feeds against a 7-worker evaluator: the orphan-row

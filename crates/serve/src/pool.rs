@@ -282,11 +282,14 @@ impl PrecomputePool {
             st.stats.material_misses += 1;
             pair
         };
+        // A miss garbles on whichever session thread hit it: there is no
+        // array to carry over, so this one is allocated and dropped.
         Some(MaterialSource::Precomputed(GarbledMaterial::garble_with(
             &compiled,
             cycles,
             &mut self.shared.next_rng(),
             self.shared.garble_pool,
+            &mut Vec::new(),
         )))
     }
 
@@ -376,6 +379,10 @@ impl Drop for PrecomputePool {
 }
 
 fn worker_loop(shared: &Shared) {
+    // This worker's wire-label array, recycled across every material it
+    // garbles (of any hosted model): resident cost is `wire_count × 16`
+    // bytes of the largest pooled circuit, per fill worker.
+    let mut labels = Vec::new();
     loop {
         // Claim one deficit under the lock (bumping the queue's in-flight
         // count so concurrent workers see the claim)…
@@ -421,7 +428,13 @@ fn worker_loop(shared: &Shared) {
                 compiled,
                 cycles,
             } => {
-                let material = GarbledMaterial::garble(&compiled, cycles, &mut shared.next_rng());
+                let material = GarbledMaterial::garble_with(
+                    &compiled,
+                    cycles,
+                    &mut shared.next_rng(),
+                    ThreadPool::sequential(),
+                    &mut labels,
+                );
                 let mut st = lock(&shared.state);
                 if let Some(slot) = st.models.get_mut(&model) {
                     slot.in_flight -= 1;

@@ -432,9 +432,17 @@ fn is_timeout(e: &ServeError) -> bool {
 }
 
 /// Parks a dead session's OT-extension state for a later `RESUME`,
-/// evicting the oldest stash beyond [`RESUME_STASH_CAP`].
-fn stash_for_resume(shared: &Shared, sid: u64, stash: StashedSession) {
-    let mut resume = lock(&shared.resume);
+/// evicting the oldest stash beyond [`RESUME_STASH_CAP`]. Only the
+/// extension state is parked: the setup's recycled garbling buffers
+/// (O(circuit) on a live-garbled model) are freed first, so a full stash
+/// pins kilobytes per entry, not hundreds of megabytes.
+fn stash_for_resume(
+    resume: &Mutex<BTreeMap<u64, StashedSession>>,
+    sid: u64,
+    mut stash: StashedSession,
+) {
+    stash.setup.release_buffers();
+    let mut resume = lock(resume);
     resume.insert(sid, stash);
     while resume.len() > RESUME_STASH_CAP {
         let Some((&oldest, _)) = resume.iter().next() else {
@@ -798,7 +806,7 @@ fn serve_session(
         // Mid-batch deaths are not resumable — the streams have diverged.
         if setup.resumable() {
             stash_for_resume(
-                shared,
+                &shared.resume,
                 sid,
                 StashedSession {
                     token,
@@ -865,7 +873,68 @@ fn session_request_loop(
 
 #[cfg(test)]
 mod tests {
+    use deepsecure_core::compile::{folded_mac, CompileOptions, Compiled};
+    use deepsecure_core::session::{MaterialSource, ServerSession};
+    use deepsecure_ot::mem_pair;
+
     use super::*;
+
+    #[test]
+    fn a_stashed_setup_holds_no_buffers_and_still_answers_when_resumed() {
+        // A live-garbling session carries its wire-label array from query
+        // to query; parked in the resume stash it must not — 256 parked
+        // `mnist_mlp` sessions would pin 85 GB. The resumed setup simply
+        // allocates again and decodes the same label.
+        let compiled = Arc::new(Compiled {
+            circuit: folded_mac(&CompileOptions::default()),
+            weight_order: Vec::new(),
+            format: deepsecure_fixed::Format::Q3_12,
+        });
+        let cfg = InferenceConfig {
+            chunk_gates: 64,
+            ..InferenceConfig::default()
+        };
+        let (mut garbler_end, mut evaluator_end) = mem_pair();
+        let epoch = Instant::now();
+        let evaluator = ServerSession::new(Arc::clone(&compiled), &cfg);
+        let peer = std::thread::spawn(move || {
+            let mut setup = evaluator.setup(&mut evaluator_end).unwrap();
+            for _ in 0..2 {
+                evaluator
+                    .run_online(&mut evaluator_end, &mut setup, &[vec![true; 16]], epoch)
+                    .unwrap();
+            }
+        });
+        let session = ClientSession::new(Arc::clone(&compiled), &cfg);
+        let mut setup = session.setup(&mut garbler_end, epoch).unwrap();
+        let mut query = |setup: &mut ClientSetup| {
+            let live = MaterialSource::Live {
+                n_cycles: 1,
+                seed: 9,
+            };
+            let g_bits = [vec![true; 17]];
+            session
+                .run_online(&mut garbler_end, setup, live, &g_bits, epoch)
+                .unwrap()
+                .label
+        };
+        let label = query(&mut setup);
+        assert!(setup.resident_bytes() >= 16 * compiled.circuit.wire_count() as u64);
+
+        let resume = Mutex::new(BTreeMap::new());
+        let stash = StashedSession {
+            token: 1,
+            model: "mac".to_string(),
+            requests: 1,
+            setup,
+            epoch,
+        };
+        stash_for_resume(&resume, 5, stash);
+        let mut resumed = lock(&resume).remove(&5).expect("stashed");
+        assert_eq!(resumed.setup.resident_bytes(), 0, "the stash pins no array");
+        assert_eq!(query(&mut resumed.setup), label);
+        peer.join().unwrap();
+    }
 
     #[test]
     fn shard_affinity_ignores_the_port_and_covers_every_shard() {

@@ -4,10 +4,15 @@
 # pairs per workload, alternating which side runs first (the host drifts
 # 10-15 % over minutes), each side built into its own checkout, the
 # command line taken from BENCHMARK.json. Prints, per workload and
-# end-to-end metric, each side's median and quartiles and how many pairs
-# the change won.
+# metric, each side's median and quartiles and how many pairs the change
+# won.
 #
-#   scripts/bench_pairs.sh PARENT [WORKLOAD...]
+#   scripts/bench_pairs.sh [--trace] PARENT [WORKLOAD...]
+#
+# --trace runs every pair traced (`--trace 1`) and reports BENCHMARK.json's
+# per-layer rows instead of the end-to-end ones — the same alternating
+# protocol, so a claim about *where* a saving sits is read off paired runs
+# too. End-to-end claims are made on untraced pairs only.
 #
 # PARENT is a git ref, checked out into a temporary `git worktree` that is
 # removed on exit, or a directory that already holds a checkout of it.
@@ -17,7 +22,9 @@
 # (git-ignored) are written in both checkouts.
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,18p' "$0" >&2; exit 2; }
+trace=0
+if [ "${1:-}" = --trace ]; then trace=1; shift; fi
+[ $# -ge 1 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
 here=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 parent=$1
 shift
@@ -42,7 +49,7 @@ else
 fi
 
 # One run: the result object is the last line of standard output.
-run() { (cd "$1" && "${command[@]}" --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1); }
+run() { (cd "$1" && "${command[@]}" --workload "$2" --seed "$3" --seconds "$seconds" --trace "$trace" 2>/dev/null | tail -n 1); }
 
 for dir in "$parent_dir" "$here"; do
   echo "building dsbench in $dir" >&2
@@ -61,7 +68,7 @@ for workload in "${workloads[@]}"; do
   done
 done
 
-python3 - "$here/BENCHMARK.json" "$results" <<'EOF'
+python3 - "$here/BENCHMARK.json" "$results" "$trace" <<'EOF'
 import json, statistics, sys
 bench = json.load(open(sys.argv[1]))
 runs = {}
@@ -74,14 +81,15 @@ for workload, sides in runs.items():
         failed = sum(r["failed"] for r in sides[side].values())
         attempted = sum(r["attempted"] for r in sides[side].values())
         print(f"  {side:6} failed {failed} of {attempted} ops")
-    for metric in bench["end_to_end"]:
+    for metric in bench["per_layer" if sys.argv[3] == "1" else "end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
+        bound = f", bound {metric['bound']:.1%}" if "bound" in metric else ""
         value = lambda side, seed: sides[side][seed]["metrics"][name]["value"]
         seeds = sorted(sides["parent"])
         wins = sum((value("change", s) < value("parent", s)) == lower
                    for s in seeds if value("change", s) != value("parent", s))
         ties = sum(value("change", s) == value("parent", s) for s in seeds)
-        print(f"  {name} [{metric['unit']}, {metric['better']} is better, bound {metric['bound']:.1%}]"
+        print(f"  {name} [{metric['unit']}, {metric['better']} is better{bound}]"
               f": change wins {wins}, ties {ties}")
         med = {}
         for side in ("parent", "change"):
