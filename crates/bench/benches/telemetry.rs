@@ -10,8 +10,8 @@
 //!   * the full instrumented protocol (tiny_mlp over `mem_pair`, whose
 //!     sessions emit per-phase and per-chunk spans) off vs. on.
 //!
-//! The off-vs-on deltas land in BENCH_RESULTS.json under
-//! `telemetry_overhead`.
+//! End to end, `dsbench --trace 1` reports the same off-vs-on delta as
+//! `trace.overhead_pct` (see `benchmark/README.md`).
 
 use std::sync::Arc;
 

@@ -3,9 +3,7 @@
 //! benchmark 1, including the 58.96× / 527.88× headline improvements.
 //!
 //! DeepSecure numbers come from our cost model on the benchmark-1 CNN;
-//! CryptoNets numbers are the paper's published figures (the functional
-//! BFV baseline in `deepsecure-he` demonstrates the batching structure;
-//! its absolute speed is not comparable to the authors' testbed).
+//! CryptoNets numbers are the paper's published figures.
 
 use deepsecure_bench::{mb, row};
 use deepsecure_core::compile::CompileOptions;
@@ -93,6 +91,5 @@ fn main() {
     );
     println!();
     println!("Note: CryptoNets' 74 KB communication reflects HE's compactness —");
-    println!("the trade is its 570 s batched compute and 5-10 bit precision;");
-    println!("see `cargo test -p deepsecure-he` for the functional BFV baseline.");
+    println!("the trade is its 570 s batched compute and 5-10 bit precision.");
 }

@@ -20,7 +20,6 @@
 //!   the pruning pipeline, the paper's two pre-processing innovations.
 //! * [`cost`] — the Table 2 cost model with measured β coefficients
 //!   (§4.3) used to regenerate Tables 4–6 and Figure 6.
-//! * [`security`] — executable checks of Propositions 3.1 and 3.2.
 //!
 //! [`Network`]: deepsecure_nn::Network
 //! [`Circuit`]: deepsecure_circuit::Circuit
@@ -30,5 +29,4 @@ pub mod cost;
 pub mod outsource;
 pub mod preprocess;
 pub mod protocol;
-pub mod security;
 pub mod session;

@@ -181,6 +181,59 @@ mod tests {
     }
 
     #[test]
+    fn shares_of_every_sample_reconstruct_it() {
+        // Prop. 3.2: pad ⊕ masked is the quantized sample, for each of
+        // several samples and pads.
+        let compiled = compile_outsourced(&zoo::tiny_mlp(4), &fast_cfg().options);
+        for (seed, x) in data::digits_small(8, 5).inputs.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let (pad, masked) = share_input(&compiled, x, &mut rng);
+            let back: Vec<bool> = pad.iter().zip(&masked).map(|(p, m)| p ^ m).collect();
+            assert_eq!(back, compiled.input_bits(x));
+        }
+    }
+
+    #[test]
+    fn shares_of_an_all_zero_sample_are_balanced() {
+        // Prop. 3.2's worst case: with a fixed all-zero input both shares
+        // must still look uniform, since the pad is fresh randomness and
+        // the masked share is a one-time-pad ciphertext of zero.
+        let compiled = compile_outsourced(&zoo::tiny_mlp(4), &fast_cfg().options);
+        let x = data::digits_small(1, 43).inputs.remove(0);
+        let zero = Tensor::zeros(x.shape());
+        assert!(compiled.input_bits(&zero).iter().all(|&b| !b));
+        let mut rng = StdRng::seed_from_u64(6);
+        let (pad, masked) = share_input(&compiled, &zero, &mut rng);
+        for (name, share) in [("pad", &pad), ("masked", &masked)] {
+            let ones = share.iter().filter(|&&b| b).count();
+            assert!(
+                (share.len() / 3..2 * share.len() / 3).contains(&ones),
+                "{name} ones = {ones} out of {}",
+                share.len()
+            );
+        }
+        assert_eq!(pad, masked, "x = 0 ⇒ masked == pad (OTP of zero)");
+    }
+
+    #[test]
+    fn a_fixed_pad_masks_samples_one_to_one() {
+        // Under one pad the masked shares of two samples differ exactly
+        // where the samples' bits differ: sharing is a bijection for a
+        // fixed pad, losing and leaking nothing asymmetrically.
+        let compiled = compile_outsourced(&zoo::tiny_mlp(4), &fast_cfg().options);
+        let set = data::digits_small(2, 7);
+        let (x1, x2) = (&set.inputs[0], &set.inputs[1]);
+        let (pad1, m1) = share_input(&compiled, x1, &mut StdRng::seed_from_u64(7));
+        let (pad2, m2) = share_input(&compiled, x2, &mut StdRng::seed_from_u64(7));
+        assert_eq!(pad1, pad2, "same seed, same pad");
+        let (b1, b2) = (compiled.input_bits(x1), compiled.input_bits(x2));
+        assert_ne!(b1, b2, "the two samples differ");
+        for i in 0..b1.len() {
+            assert_eq!(m1[i] ^ m2[i], b1[i] ^ b2[i], "bit {i}");
+        }
+    }
+
+    #[test]
     fn client_cost_is_tiny() {
         let set = data::digits_small(4, 47);
         let net = zoo::tiny_mlp(set.num_classes);

@@ -1,10 +1,10 @@
 //! Dense `f64` linear algebra for DeepSecure's data pre-processing.
 //!
-//! Algorithm 1 (streaming dictionary projection) and the security analysis
-//! of Proposition 3.1 need: matrix products, Cholesky solves for
-//! `(DᵀD)⁻¹`, a thin QR / orthonormal basis for the projector
-//! `W = D(DᵀD)⁻¹Dᵀ = UUᵀ`, and a symmetric eigensolver for the SVD
-//! argument. All of it is implemented here from scratch; no BLAS.
+//! Algorithm 1 (streaming dictionary projection) needs matrix products and
+//! vector kernels; [`Matrix::projector`] computes `W = D(DᵀD)⁻¹Dᵀ = UUᵀ`
+//! through a thin QR basis, the independent reference Algorithm 1's
+//! streamed `W` is tested against (and the object of Proposition 3.1: `W`
+//! depends only on the column space of `D`). No BLAS.
 //!
 //! # Example
 //!
@@ -22,9 +22,7 @@
 //! assert!(w.sub(&w2).frobenius_norm() < 1e-10);
 //! ```
 
-mod decomp;
 mod matrix;
 pub mod vec_ops;
 
-pub use decomp::{cholesky, jacobi_eigen_sym, qr_thin, solve_spd, svd};
 pub use matrix::Matrix;

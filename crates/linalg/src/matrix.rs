@@ -147,22 +147,6 @@ impl Matrix {
             .collect()
     }
 
-    /// Element-wise sum.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Element-wise difference.
     pub fn sub(&self, other: &Matrix) -> Matrix {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
@@ -179,15 +163,6 @@ impl Matrix {
         }
     }
 
-    /// Scalar multiple.
-    pub fn scale(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| v * s).collect(),
-        }
-    }
-
     /// Frobenius norm `‖A‖_F`.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -196,9 +171,39 @@ impl Matrix {
     /// The orthogonal projector onto the column space:
     /// `W = Q Qᵀ` where `Q` is an orthonormal basis (Prop 3.1's `UUᵀ`).
     pub fn projector(&self) -> Matrix {
-        let q = crate::qr_thin(self).0;
+        let q = qr_thin(self).0;
         q.matmul(&q.transpose())
     }
+}
+
+/// Thin QR by modified Gram-Schmidt: `A = Q·R` with `Q` having orthonormal
+/// columns. Rank-deficient columns are dropped from `Q` (and their `R` rows
+/// zeroed), so `Q` spans exactly the column space.
+fn qr_thin(a: &Matrix) -> (Matrix, Matrix) {
+    let m = a.rows();
+    let n = a.cols();
+    let mut q_cols: Vec<Vec<f64>> = Vec::new();
+    let mut r = Matrix::zeros(n, n);
+    let tol = 1e-10 * a.frobenius_norm().max(1.0);
+    for j in 0..n {
+        let mut v = a.col(j);
+        for (qi, qcol) in q_cols.iter().enumerate() {
+            let dot: f64 = qcol.iter().zip(&v).map(|(x, y)| x * y).sum();
+            r[(qi, j)] = dot;
+            for (vk, qk) in v.iter_mut().zip(qcol) {
+                *vk -= dot * qk;
+            }
+        }
+        let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm > tol && q_cols.len() < n.min(m) {
+            r[(q_cols.len(), j)] = norm;
+            q_cols.push(v.iter().map(|x| x / norm).collect());
+        }
+    }
+    if q_cols.is_empty() {
+        return (Matrix::zeros(m, 0), r);
+    }
+    (Matrix::from_columns(&q_cols), r)
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -236,6 +241,19 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+        // xorshift-based deterministic fill.
+        let state = std::cell::Cell::new(seed | 1);
+        Matrix::from_fn(rows, cols, |_, _| {
+            let mut s = state.get();
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            state.set(s);
+            (s % 1000) as f64 / 500.0 - 1.0
+        })
+    }
 
     #[test]
     fn construction_and_indexing() {
@@ -294,6 +312,55 @@ mod tests {
         // W fixes columns of D.
         let wd = w.matmul(&d);
         assert!(wd.sub(&d).frobenius_norm() < 1e-10, "fixes range");
+    }
+
+    #[test]
+    fn projector_depends_only_on_column_space() {
+        // Prop. 3.1: mixing D's columns with an invertible M gives a very
+        // different dictionary with the same W, so the public W cannot
+        // determine D.
+        let d = random_matrix(12, 4, 1);
+        let mix = Matrix::from_rows(&[
+            vec![2.0, 1.0, 0.0, 0.0],
+            vec![0.0, 1.0, 3.0, 0.0],
+            vec![1.0, 0.0, 1.0, 1.0],
+            vec![0.0, 0.0, 0.0, 5.0],
+        ]);
+        let d_mixed = d.matmul(&mix);
+        assert!(d.sub(&d_mixed).frobenius_norm() > 1.0, "D ≠ D·M");
+        let w = d.projector();
+        assert!(w.sub(&d_mixed.projector()).frobenius_norm() < 1e-8, "one W");
+    }
+
+    #[test]
+    fn different_column_spaces_have_different_projectors() {
+        let w1 = random_matrix(10, 3, 3).projector();
+        let w2 = random_matrix(10, 3, 4).projector();
+        assert!(w1.sub(&w2).frobenius_norm() > 1e-3, "new span, new W");
+    }
+
+    #[test]
+    fn qr_orthonormal_and_reconstructs() {
+        let a = random_matrix(6, 4, 11);
+        let (q, r) = qr_thin(&a);
+        let qtq = q.transpose().matmul(&q);
+        assert!(
+            qtq.sub(&Matrix::identity(q.cols())).frobenius_norm() < 1e-9,
+            "QᵀQ = I"
+        );
+        let qr = q.matmul(&r);
+        assert!(a.sub(&qr).frobenius_norm() < 1e-9, "A = QR");
+    }
+
+    #[test]
+    fn qr_handles_rank_deficiency() {
+        // Third column is the sum of the first two.
+        let mut a = random_matrix(5, 3, 13);
+        for i in 0..5 {
+            a[(i, 2)] = a[(i, 0)] + a[(i, 1)];
+        }
+        let (q, _) = qr_thin(&a);
+        assert_eq!(q.cols(), 2, "rank-2 input yields 2 basis vectors");
     }
 
     #[test]

@@ -128,11 +128,10 @@ pub trait Channel {
     /// per fill, so a 224 MB table never exists a second time as bytes.
     ///
     /// On a plain byte stream that moves the same bytes as one big `send`.
-    /// A wrapper whose `send` means more than "these bytes next" — a frame
-    /// header per call ([`crate::FramedChannel`]), a slot on a fault
-    /// schedule ([`crate::FaultChannel`], which also overrides
+    /// A wrapper whose `send` means more than "these bytes next" — a slot
+    /// on a fault schedule ([`crate::FaultChannel`], which also overrides
     /// [`Channel::recv_blocks_into`]) — must override this so a block
-    /// transfer stays one message, as those two do.
+    /// transfer stays one message, as that one does.
     fn send_blocks(&mut self, blocks: &[Block]) -> Result<(), ChannelError> {
         let mut stage = Vec::with_capacity(blocks.len().min(STAGE_BLOCKS) * 16);
         for part in blocks.chunks(STAGE_BLOCKS) {

@@ -13,11 +13,11 @@
 //!   outsourcing mode) parties talk over; the counters are what the
 //!   communication columns of Tables 4–6 measure. [`channel::MemChannel`]
 //!   joins in-process threads; [`tcp::TcpChannel`] joins real processes
-//!   over sockets; [`framed::FramedChannel`] adds length-prefixed message
-//!   framing over either; [`sim::SimChannel`] models LAN/WAN latency and
-//!   bandwidth in-process; [`fault::FaultChannel`] injects a seeded,
-//!   deterministic schedule of delays, short reads/writes, and connection
-//!   drops for resilience testing.
+//!   over sockets; [`framed::FramedChannel`] frames the handshake lines
+//!   that precede the protocol; [`sim::SimChannel`] models LAN/WAN
+//!   latency and bandwidth in-process; [`fault::FaultChannel`] injects a
+//!   seeded, deterministic schedule of delays, short reads/writes, and
+//!   connection drops for resilience testing.
 //!
 //! # Example
 //!

@@ -21,8 +21,8 @@ const WRITE_BUF: usize = 1 << 16;
 ///
 /// The counters count protocol payload bytes exactly as [`super::channel::MemChannel`]
 /// does — a loopback run and an in-memory run of the same protocol report
-/// identical totals (TCP/IP header overhead is not modelled; framing, if
-/// any, is accounted by [`crate::FramedChannel`]).
+/// identical totals (TCP/IP header overhead is not modelled; the 4-byte
+/// headers of [`crate::FramedChannel`] handshake frames count as payload).
 pub struct TcpChannel {
     /// The socket's two handles; `None` once [`TcpChannel::close`] has
     /// dropped them.

@@ -24,6 +24,8 @@
 //!    run the online phase, server answers with the decoded label as a
 //!    `u64`. [`DONE`] instead of an index ends the session cleanly.
 
+use deepsecure_ot::framed::MAX_FRAME_LEN;
+
 /// Handshake protocol tag; bump on any wire-format change (v2: the OK
 /// reply carries chunk-gates and a resumption token; hellos may carry a
 /// RESUME claim; BUSY is a valid shed reply).
@@ -123,9 +125,20 @@ pub fn busy(retry_after_ms: u64) -> String {
     format!("{HELLO_PREFIX} BUSY {retry_after_ms}")
 }
 
-/// Builds the server's rejection reply.
+/// Builds the server's rejection reply, cut to fit one frame: `reason` may
+/// echo a rejected hello, which can itself fill a frame.
 pub fn err(reason: &str) -> String {
-    format!("ERR {reason}")
+    let mut line = format!("ERR {reason}");
+    let cap = MAX_FRAME_LEN as usize;
+    if line.len() > cap {
+        let mut end = cap - '…'.len_utf8();
+        while !line.is_char_boundary(end) {
+            end -= 1;
+        }
+        line.truncate(end);
+        line.push('…');
+    }
+    line
 }
 
 /// Parses the server reply, distinguishing acceptance from a `BUSY` shed.
@@ -211,6 +224,11 @@ mod tests {
         );
         let e = parse_reply(err("fingerprint mismatch").as_bytes()).unwrap_err();
         assert!(e.contains("fingerprint mismatch"), "{e}");
+        // Echoing a frame-filling hello still fits one frame.
+        let hello = "é".repeat(MAX_FRAME_LEN as usize / 2);
+        let line = err(&format!("malformed hello {hello:?}"));
+        assert!(line.len() <= MAX_FRAME_LEN as usize && line.ends_with('…'));
+        assert!(parse_reply(line.as_bytes()).is_err());
     }
 
     #[test]

@@ -314,6 +314,22 @@ fn mid_handshake_disconnects_leave_the_server_serving_others() {
     {
         let _ = std::net::TcpStream::connect(&addr).expect("connect");
     }
+    // …and one that claims a ~1 GiB hello and sends nothing more: the
+    // server must refuse the header outright, not allocate and await the
+    // body until its idle timeout.
+    {
+        use std::io::Read;
+        let mut s = std::net::TcpStream::connect(&addr).expect("connect");
+        s.write_all(&0x3fff_ffffu32.to_le_bytes()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let timed_out = s.read(&mut [0u8; 64]).is_err_and(|e| {
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            )
+        });
+        assert!(!timed_out, "oversized header left hanging");
+    }
     // …and one that handshakes a model the server does not host (raw
     // frames: a 4-byte LE length prefix, as FramedChannel writes them).
     {
@@ -347,8 +363,8 @@ fn mid_handshake_disconnects_leave_the_server_serving_others() {
     let stats = join.join().unwrap();
     assert_eq!(stats.sessions_completed, 1);
     assert!(
-        stats.sessions_failed >= 3,
-        "expected the three broken sessions to be counted: {stats:?}"
+        stats.sessions_failed >= 4,
+        "expected the four broken sessions to be counted: {stats:?}"
     );
     assert_eq!(stats.requests, 1);
 }

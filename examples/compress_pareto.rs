@@ -1,5 +1,4 @@
-//! Pareto sweep behind the README's "Compressed inference" section and the
-//! `compressed_inference` block in `BENCH_RESULTS.json`.
+//! Pareto sweep behind the README's "Compressed inference" section.
 //!
 //! Two arms:
 //!
@@ -9,8 +8,7 @@
 //!   [`CompileOptions::compressed`] operating point and run through
 //!   circuit pre-processing, then *measured* end-to-end over the
 //!   simulated 40 Mbps / 40 ms WAN (streamed, chunk 8192 — the same
-//!   configuration as the 4.64 s dense tiny_mlp floor in
-//!   `BENCH_RESULTS.json`).
+//!   configuration as the 4.64 s dense tiny_mlp floor the README quotes).
 //! * **Activation menu** — a small 64-16FC-Tanh-`classes`FC network
 //!   compiled against each Tanh realization from the paper's Table 3
 //!   menu, showing the LUT ⇄ piecewise-linear table-byte trade the

@@ -29,6 +29,7 @@ use deepsecure::ot::{
     Channel, ChaosSpec, FaultChannel, FramedChannel, NetModel, SimChannel, TcpChannel,
 };
 use deepsecure::serve::demo::{self, DemoModel};
+use deepsecure::serve::proto;
 use deepsecure::trace;
 
 const USAGE: &str = "\
@@ -403,7 +404,8 @@ fn accept(cli: &Cli, model: &DemoModel) -> Result<(TcpChannel, usize), String> {
         _ => None,
     };
     let Some(chunk_gates) = chunk_gates else {
-        let _ = framed.send_frame(format!("ERR expected {want:?} CHUNK, got {hello:?}").as_bytes());
+        let reply = proto::err(&format!("expected {want:?} CHUNK, got {hello:?}"));
+        let _ = framed.send_frame(reply.as_bytes());
         let _ = framed.flush();
         return Err(format!(
             "garbler handshake mismatch: expected {want:?} CHUNK, got {hello:?} \

@@ -11,11 +11,10 @@
 //! | [`circuit`] | `deepsecure-circuit` | Boolean netlists, builder, passes |
 //! | [`synth`] | `deepsecure-synth` | GC-optimized DL component library |
 //! | [`fixed`] | `deepsecure-fixed` | Q1.3.12 fixed-point semantics |
-//! | [`linalg`] | `deepsecure-linalg` | dense linear algebra for projection |
+//! | [`linalg`] | `deepsecure-linalg` | matrix + projector for Algorithm 1 |
 //! | [`nn`] | `deepsecure-nn` | training, pruning, synthetic datasets |
 //! | [`ot`] | `deepsecure-ot` | base OT + IKNP extension, channels |
 //! | [`garble`] | `deepsecure-garble` | half-gates garbler/evaluator |
-//! | [`he`] | `deepsecure-he` | CryptoNets (BFV) baseline |
 //! | [`core`] | `deepsecure-core` | compiler, protocol, pre-processing, cost model |
 //! | [`serve`] | `deepsecure-serve` | concurrent inference server + precompute pool |
 //! | [`analyze`] | `deepsecure-analyze` | circuit verifier, cost analyzer, protocol-path lint |
@@ -47,7 +46,6 @@ pub use deepsecure_core as core;
 pub use deepsecure_crypto as crypto;
 pub use deepsecure_fixed as fixed;
 pub use deepsecure_garble as garble;
-pub use deepsecure_he as he;
 pub use deepsecure_linalg as linalg;
 pub use deepsecure_nn as nn;
 pub use deepsecure_ot as ot;

@@ -1,13 +1,10 @@
 //! Cross-crate integration over the substrates: netlist serialization →
-//! optimization → garbling; component circuits through the real protocol;
-//! the HE baseline against its plaintext oracle.
+//! optimization → garbling; component circuits through the real protocol.
 
 use deepsecure::circuit::{netlist, passes, Builder};
 use deepsecure::core::protocol::{run_circuit, InferenceConfig};
 use deepsecure::fixed::{Fixed, Format};
 use deepsecure::garble::execute_locally;
-use deepsecure::he::cryptonets::{decrypt_predictions, encrypt_batch, evaluate, SquareNet};
-use deepsecure::he::{Bfv, Params};
 use deepsecure::synth::{arith, word};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,48 +52,4 @@ fn fixed_point_multiplier_through_real_protocol() {
     let (bits, report) = run_circuit(&circuit, &a.to_bits(), &c.to_bits(), &cfg).expect("run");
     assert_eq!(Fixed::from_bits(&bits, q), a.mul(c));
     assert_eq!(report.material_bytes, circuit.stats().non_xor * 32);
-}
-
-#[test]
-fn he_baseline_matches_its_plaintext_oracle() {
-    let bfv = Bfv::new(Params::toy());
-    let mut rng = StdRng::seed_from_u64(5);
-    let sk = bfv.keygen(&mut rng);
-    let evk = bfv.eval_keygen(&sk, &mut rng);
-    let net = SquareNet {
-        w1: vec![vec![2, -1, 1, 0], vec![1, 1, -1, 1]],
-        b1: vec![0, 1],
-        w2: vec![vec![1, 1], vec![1, -2], vec![-1, 1]],
-        b2: vec![0, 2, -1],
-    };
-    let samples: Vec<Vec<i64>> = (0..8)
-        .map(|i| vec![i % 3, (i + 1) % 4 - 1, 2 - i % 2, i % 2])
-        .collect();
-    let cts = encrypt_batch(&bfv, &sk, &samples, &mut rng);
-    let logits = evaluate(&bfv, &net, &cts, &evk);
-    let preds = decrypt_predictions(&bfv, &sk, &logits, samples.len());
-    for (s, p) in samples.iter().zip(&preds) {
-        assert_eq!(*p, net.predict_plain(s), "sample {s:?}");
-    }
-}
-
-#[test]
-fn gc_and_he_answer_the_same_classification_shape() {
-    // Not an apples-to-apples accuracy comparison (different nets), but
-    // both stacks must deliver argmax labels in range for same-shaped
-    // data — the structural contract of Table 6.
-    let bfv = Bfv::new(Params::toy());
-    let mut rng = StdRng::seed_from_u64(6);
-    let sk = bfv.keygen(&mut rng);
-    let evk = bfv.eval_keygen(&sk, &mut rng);
-    let he_net = SquareNet {
-        w1: vec![vec![1, 0, -1, 2]],
-        b1: vec![1],
-        w2: vec![vec![1], vec![-1]],
-        b2: vec![0, 5],
-    };
-    let samples = vec![vec![1i64, 2, 0, -1]];
-    let cts = encrypt_batch(&bfv, &sk, &samples, &mut rng);
-    let preds = decrypt_predictions(&bfv, &sk, &evaluate(&bfv, &he_net, &cts, &evk), 1);
-    assert!(preds[0] < 2);
 }
