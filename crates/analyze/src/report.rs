@@ -1,7 +1,7 @@
 //! Human- and machine-readable rendering of [`Analysis`] results.
 //!
-//! Shared by the `circuit_lint`, `two_party` and `deepsecure_serve`
-//! binaries so every surface prints identical numbers. The JSON emitter is
+//! Shared by the `circuit_lint` and `deepsecure_serve` binaries so every
+//! surface prints identical numbers. The JSON emitter is
 //! hand-rolled (the workspace is offline and carries no serde); the schema
 //! is flat and stable so shell pipelines can `grep`/`jq` the output and
 //! `BENCH_RESULTS.json` can track the perf trajectory across PRs.

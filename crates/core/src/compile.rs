@@ -20,8 +20,9 @@ use deepsecure_synth::{arith, matvec, mul, pool, word, Word};
 /// [`deepsecure_fixed::Fixed::mul`] (floor semantics) — every secure
 /// execution can be checked against the plaintext oracle bit-for-bit.
 /// [`Multiplier::Truncated`] discards low partial-product columns, the
-/// cheaper regime whose gate count matches the paper's Table 3 MULT row
-/// (error below `2^-(frac-guard-1)`).
+/// cheaper regime (error below `2^-(frac-guard-1)`): at 16 bits it costs
+/// 444 non-free gates at guard 3 against the exact multiplier's 552. The
+/// paper's Table 3 MULT row reports 212 (see ROADMAP.md item 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Multiplier {
     /// Exact floor-truncating multiply.
@@ -64,7 +65,8 @@ impl Default for CompileOptions {
 
 impl CompileOptions {
     /// The paper's operating point: CORDIC nonlinearities with the
-    /// truncated multiplier (whose gate count Table 3 reports).
+    /// truncated multiplier at guard 3 (444 non-free gates per 16-bit
+    /// multiply; Table 3 reports 212).
     pub fn paper() -> CompileOptions {
         CompileOptions {
             multiplier: Multiplier::Truncated { guard: 3 },

@@ -319,11 +319,14 @@ mod tests {
     fn component_stats_are_sane() {
         let f = Format::Q3_12;
         assert_eq!(add_stats(f).non_xor, 15);
-        let m = mult_stats(f);
-        assert!(m.non_xor > 200 && m.non_xor < 800, "MULT = {}", m.non_xor);
+        // The counts `table3` prints (and ROADMAP item 2 ratchets down).
+        assert_eq!(mult_stats(f).non_xor, 552);
+        for (guard, non_xor) in [(0, 381), (3, 444), (6, 489)] {
+            let m = mult_stats_with(f, crate::compile::Multiplier::Truncated { guard });
+            assert_eq!(m.non_xor, non_xor, "truncated MULT at guard {guard}");
+        }
         assert_eq!(activation_stats(Activation::Relu, f).non_xor, 15);
-        let mx = max_stats(f);
-        assert!(mx.non_xor >= 31 && mx.non_xor <= 35, "Max = {}", mx.non_xor);
+        assert_eq!(max_stats(f).non_xor, 32);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! channel-generic state machines; this module provides the in-process
 //! runners that join them — over `mem_pair` ([`run_compiled`]) or over
 //! any caller-supplied channel pair ([`run_compiled_over`], which the
-//! TCP-loopback tests and network benches use). Separate processes skip
+//! TCP-loopback and simulated-link tests use). Separate processes skip
 //! the runners entirely and drive the sessions directly (see the
-//! `two_party` binary).
+//! `deepsecure_serve` and `loadgen` binaries).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,8 +93,10 @@ impl From<ChannelError> for ProtocolError {
 pub struct InferenceConfig {
     /// Compiler options (nonlinearity realizations, format).
     pub options: CompileOptions,
-    /// DH group for the base OTs. The 768-bit test group keeps unit tests
-    /// fast; production should use [`DhGroup::modp_2048`].
+    /// DH group for the base OTs. Every binary and benchmark runs this
+    /// 768-bit default, which keeps the base OTs fast but is below
+    /// production strength; [`DhGroup::modp_2048`] is the safe choice
+    /// (see ROADMAP.md item 1).
     pub group: DhGroup,
     /// Garbler randomness seed.
     pub seed: u64,
@@ -269,7 +271,7 @@ pub fn run_compiled(
 ///
 /// Both halves are [`ClientSession`] / [`ServerSession`] — exactly the
 /// code separate processes run, so reports from this runner and from the
-/// `two_party` binary are directly comparable.
+/// `deepsecure_serve` + `loadgen` pair are directly comparable.
 ///
 /// # Errors
 ///

@@ -75,7 +75,7 @@
 //! the value (binaries pin it in their handshakes).
 //!
 //! Sessions measure their own traffic as *deltas* of the channel's byte
-//! counters, so pre-protocol traffic (e.g. the `two_party` handshake) is
+//! counters, so pre-protocol traffic (e.g. the `DSRV/2` serving handshake) is
 //! never attributed to the protocol, and both parties' [`WireBreakdown`]s
 //! describe the same wire regardless of transport.
 //!

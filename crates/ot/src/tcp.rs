@@ -1,7 +1,7 @@
 //! Real socket transport: the byte-counted [`Channel`] over TCP.
 //!
 //! This is what separates the two parties into genuinely distinct
-//! processes (the `two_party` binary) while running the *same* session
+//! processes (`deepsecure_serve` and `loadgen`) while running the *same* session
 //! code as the in-memory tests. Writes go through a [`BufWriter`] so the
 //! per-gate sends of the garbling stream coalesce into few syscalls; the
 //! buffer is flushed automatically before any blocking read, which is what

@@ -168,16 +168,6 @@ fn spec(name: &str) -> Result<(Network, data::Dataset, TrainConfig), String> {
     }
 }
 
-/// Sample count of the model's dataset — lets CLIs validate an `--input`
-/// index before paying for [`load`]'s training and circuit compilation.
-///
-/// # Errors
-///
-/// Returns a message listing the known names when `name` is unknown.
-pub fn dataset_size(name: &str) -> Result<usize, String> {
-    spec(name).map(|(_, set, _)| set.len())
-}
-
 /// Builds (trains + compiles) the named demo model.
 ///
 /// Compressed models run the full §3.2 pipeline: train dense on the
@@ -310,7 +300,7 @@ mod tests {
             nonfree <= 7_020_901 * 6 / 10,
             "compressed mnist_mlp has {nonfree} non-free gates"
         );
-        // Both two_party processes must derive bit-identical compressed
+        // Both serving processes must derive bit-identical compressed
         // models: same fingerprint, same weight stream.
         let b = load("mnist_mlp_c").unwrap();
         assert_eq!(a.fingerprint, b.fingerprint);

@@ -33,8 +33,8 @@
 //!   Each client is handled by the existing channel-generic
 //!   [`ServerSession`] state machine — serving changed who *listens*, not
 //!   the Fig. 3 roles.
-//! * [`demo`] — the deterministic demo models (shared with `two_party`):
-//!   both endpoints derive the same trained network from the same seed,
+//! * [`demo`] — the deterministic demo models (shared by `deepsecure_serve`
+//!   and `loadgen`): both endpoints derive the same trained network from the same seed,
 //!   standing in for pre-shared model parameters.
 //!
 //! [`GarbledMaterial`]: deepsecure_core::session::GarbledMaterial

@@ -3,8 +3,8 @@
 //!
 //! One connection is one session:
 //!
-//! 1. client → `DSRV/2 <model> <fingerprint:016x>` (framed) — the same
-//!    model-plus-circuit-shape pinning scheme as the `two_party` binary.
+//! 1. client → `DSRV/2 <model> <fingerprint:016x>` (framed): the model
+//!    name plus the circuit-shape fingerprint of [`crate::demo`].
 //!    A reconnecting client appends ` RESUME <session-id> <token:016x>`
 //!    to claim the OT-extension state of a previous session instead of
 //!    paying for fresh base OTs.

@@ -6,8 +6,7 @@
 //! in-memory replay of the protocol (both parties as threads over
 //! `mem_pair`) **and** the plaintext oracle, and every request's online
 //! wire breakdown plus the session's base-OT bytes must match the replay
-//! bit for bit — the same discipline as `two_party --check`, across
-//! concurrent sessions.
+//! bit for bit, across concurrent sessions.
 //!
 //! Two load shapes:
 //!

@@ -1,8 +1,8 @@
 //! Summarizes a Chrome trace-event JSON file written by `--trace-out`
-//! (`two_party`, `deepsecure_serve`, `loadgen`): a per-phase table of
+//! (`deepsecure_serve`, `loadgen`): a per-phase table of
 //! span counts and wall time, and — with `--check` — a reconciliation of
-//! the span-derived phase totals against the `report.*` windows the
-//! binary embedded from its `InferenceReport`/outcome.
+//! the span-derived phase totals against the `report.*` windows a run
+//! embedded from its `InferenceReport` (see `deepsecure::trace`).
 //!
 //! The two timelines are measured independently (telemetry span guards
 //! vs. the sessions' own `Instant` phase windows), so agreement within
@@ -17,8 +17,8 @@ const USAGE: &str = "\
 usage:
   trace_view FILE [--check]
 
-  FILE      a Chrome trace-event JSON file (two_party/deepsecure_serve/
-            loadgen --trace-out FILE); viewable at https://ui.perfetto.dev
+  FILE      a Chrome trace-event JSON file (deepsecure_serve/loadgen
+            --trace-out FILE); viewable at https://ui.perfetto.dev
   --check   reconcile span-derived phase totals against the embedded
             report.* windows (5% + 2 ms tolerance) and fail on divergence
 

@@ -1,12 +1,12 @@
-//! Command-line parsing shared by the workspace binaries (`two_party`,
-//! `deepsecure_serve`, `loadgen`, `circuit_lint`, `table_budget`).
+//! Command-line parsing shared by the workspace binaries
+//! (`deepsecure_serve`, `loadgen`, `circuit_lint`, `table_budget`).
 //!
 //! [`Args`] is a typed cursor over the argument list. A binary's parser is
 //! a `while let Some(flag) = args.next_flag()?` loop whose arms pull each
 //! flag's value through [`Args::value`], [`Args::parsed`] or
 //! [`Args::positive`] — every error names the flag — or through the
 //! parsers of the typed flags several binaries share (`--threads`,
-//! `--chunk-gates`, `--seed`, `--sim`, `--chaos`), so those read and fail
+//! `--chunk-gates`, `--seed`, `--chaos`), so those read and fail
 //! the same way everywhere.
 //!
 //! The binary's usage text is the list of flags it accepts:
@@ -15,7 +15,7 @@
 
 use std::str::FromStr;
 
-use deepsecure_ot::{ChaosSpec, NetModel};
+use deepsecure_ot::ChaosSpec;
 
 /// A cursor over one binary's arguments.
 #[derive(Debug)]
@@ -139,15 +139,6 @@ impl Args<'_> {
         self.parsed("--seed", "a number")
     }
 
-    /// `--sim lan|wan`: the simulated link model.
-    pub fn sim(&mut self) -> Result<NetModel, String> {
-        match self.value("--sim")?.as_str() {
-            "lan" => Ok(NetModel::lan()),
-            "wan" => Ok(NetModel::wan()),
-            v => Err(format!("--sim takes lan or wan, got {v:?}")),
-        }
-    }
-
     /// `--chaos SEED:PROFILE`: the deterministic fault schedule.
     pub fn chaos(&mut self) -> Result<ChaosSpec, String> {
         ChaosSpec::parse(&self.value("--chaos")?)
@@ -159,7 +150,7 @@ mod tests {
     use super::*;
 
     const USAGE: &str = "usage: demo [--n N] [--rate R] [--sizes N[,N...]] [--threads N]\n\
-                         [--chunk-gates N] [--seed S] [--sim lan|wan] [--chaos SEED:PROFILE]";
+                         [--chunk-gates N] [--seed S] [--chaos SEED:PROFILE]";
 
     /// Parses the words of `line` with every typed accessor of the cursor.
     fn parse(line: &str) -> Result<(), String> {
@@ -173,7 +164,6 @@ mod tests {
                 "--threads" => drop(args.threads()?),
                 "--chunk-gates" => drop(args.chunk_gates()?),
                 "--seed" => drop(args.seed()?),
-                "--sim" => drop(args.sim()?),
                 "--chaos" => drop(args.chaos()?),
                 other => return Err(args.unknown(other)),
             }
@@ -185,7 +175,7 @@ mod tests {
     fn well_formed_lines_parse() {
         parse("").unwrap();
         parse("--n 3 --rate 0.5 --sizes 0,1024,8192 --threads 0 --chunk-gates 4096").unwrap();
-        parse("--seed 7 --sim wan --chaos 7:delays").unwrap();
+        parse("--seed 7 --chaos 7:delays").unwrap();
     }
 
     #[test]
@@ -193,7 +183,7 @@ mod tests {
         // (line, what the message must contain, whether it carries usage)
         let cases = [
             ("--n", "--n needs a value", true),
-            ("--sim", "--sim needs a value", true),
+            ("--chaos", "--chaos needs a value", true),
             ("--n x", "--n takes a positive count, got \"x\"", false),
             ("--n 0", "--n takes a positive count, got \"0\"", false),
             ("--n -2", "--n takes a positive count", false),
@@ -218,15 +208,10 @@ mod tests {
                 false,
             ),
             ("--seed -1", "--seed takes a number", false),
-            (
-                "--sim dialup",
-                "--sim takes lan or wan, got \"dialup\"",
-                false,
-            ),
             ("--chaos nonsense", "nonsense", false),
             ("--bogus", "unknown flag \"--bogus\"", true),
             // In the usage text, but not as a flag of its own.
-            ("lan", "unknown flag \"lan\"", true),
+            ("SEED", "unknown flag \"SEED\"", true),
             ("--chunk", "unknown flag \"--chunk\"", true),
         ];
         for (line, want, with_usage) in cases {

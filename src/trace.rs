@@ -1,5 +1,5 @@
 //! Chrome trace-event export shared by the workspace binaries
-//! (`two_party`, `deepsecure_serve`, `loadgen` — see `--trace-out`).
+//! (`deepsecure_serve`, `loadgen` — see `--trace-out`).
 //!
 //! The binaries enable the `telemetry` span sink via [`start`], run the
 //! protocol, and hand the drained spans to [`write_trace`], which writes
@@ -7,12 +7,13 @@
 //! `https://ui.perfetto.dev` or `chrome://tracing`).
 //!
 //! Besides the fine-grained protocol spans (per-chunk garbling, table
-//! transfer, OT extension, turnarounds), the binaries embed their
-//! `InferenceReport`/outcome phase windows as spans named `report.*` on a
-//! dedicated synthetic track. Those are recorded by independent
-//! `Instant` arithmetic in the session code, so a trace carries its own
-//! cross-check: `trace_view --check` reconciles the span-derived phase
-//! totals against the report-derived ones and fails on divergence.
+//! transfer, OT extension, turnarounds), a caller may embed its
+//! `InferenceReport` phase windows as spans named `report.*` on a
+//! dedicated synthetic track (`tests/telemetry.rs` does). Those are
+//! recorded by independent `Instant` arithmetic in the session code, so
+//! such a trace carries its own cross-check: `trace_view --check`
+//! reconciles the span-derived phase totals against the report-derived
+//! ones and fails on divergence.
 
 use std::time::Instant;
 

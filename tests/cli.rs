@@ -4,8 +4,8 @@
 //! socket opened, so each probe is one millisecond-scale process. A flag
 //! the usage text does not mention is rejected by construction
 //! (`Args::next_flag`); this file checks the other direction — everything
-//! the text mentions parses, for the role it is documented for — and that
-//! the entry points removed in favour of `circuit_lint --model` stay gone.
+//! the text mentions parses — and that the `--lint` entry point removed in
+//! favour of `circuit_lint --model` stays gone.
 
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -20,8 +20,8 @@ fn run(exe: &str, args: &[&str]) -> (bool, String) {
 }
 
 /// The usage text `exe` prints for a flag it does not know.
-fn usage_of(exe: &str, role: &[&str]) -> String {
-    let (ok, err) = run(exe, &[role, &["--no-such-flag"]].concat());
+fn usage_of(exe: &str) -> String {
+    let (ok, err) = run(exe, &["--no-such-flag"]);
     assert!(
         !ok && err.contains("unknown flag \"--no-such-flag\""),
         "{err}"
@@ -38,51 +38,40 @@ fn flags_in(usage: &str) -> BTreeSet<&str> {
         .collect()
 }
 
-/// Whether `exe role… flag`, with nothing after it, gets past the
-/// unknown-flag check. It then stops at the flag's missing value or at the
-/// binary's required-argument check — never at real work.
-fn recognised(exe: &str, role: &[&str], flag: &str) -> bool {
-    let (ok, err) = run(exe, &[role, &[flag]].concat());
-    assert!(!ok || flag == "--help", "{exe} {role:?} {flag} ran: {err}");
+/// Whether `exe flag`, with nothing after it, gets past the unknown-flag
+/// check. It then stops at the flag's missing value or at the binary's
+/// required-argument check — never at real work.
+fn recognised(exe: &str, flag: &str) -> bool {
+    let (ok, err) = run(exe, &[flag]);
+    assert!(!ok || flag == "--help", "{exe} {flag} ran: {err}");
     !err.contains(&format!("unknown flag {flag:?}"))
 }
 
 #[test]
 fn every_documented_flag_parses_for_its_role() {
-    // (binary, role, documented flags that role must reject)
-    let two_party = env!("CARGO_BIN_EXE_two_party");
-    let garbler_only = ["--connect", "--input", "--chunk-gates", "--check"];
-    let cases: [(&str, &[&str], &[&str]); 6] = [
-        (two_party, &["garbler"], &["--listen"]),
-        (two_party, &["evaluator"], &garbler_only),
-        (env!("CARGO_BIN_EXE_deepsecure_serve"), &[], &[]),
-        (env!("CARGO_BIN_EXE_loadgen"), &[], &[]),
-        (env!("CARGO_BIN_EXE_circuit_lint"), &[], &[]),
+    // (binary, flags its usage text mentions that it must reject)
+    let cases: [(&str, &[&str]); 4] = [
+        (env!("CARGO_BIN_EXE_deepsecure_serve"), &[]),
+        (env!("CARGO_BIN_EXE_loadgen"), &[]),
+        (env!("CARGO_BIN_EXE_circuit_lint"), &[]),
         // Its text quotes the `circuit_lint` command that feeds it.
-        (
-            env!("CARGO_BIN_EXE_table_budget"),
-            &[],
-            &["--model", "--json"],
-        ),
+        (env!("CARGO_BIN_EXE_table_budget"), &["--model", "--json"]),
     ];
-    for (exe, role, rejected) in cases {
-        let usage = usage_of(exe, role);
+    for (exe, rejected) in cases {
+        let usage = usage_of(exe);
         let flags = flags_in(&usage);
         assert!(flags.len() >= 2, "{exe}: no flags found in {usage}");
         for flag in flags {
             assert_eq!(
-                recognised(exe, role, flag),
+                recognised(exe, flag),
                 !rejected.contains(&flag),
-                "{exe} {role:?} {flag}"
+                "{exe} {flag}"
             );
         }
-        // The lint forks are gone from the parser (and, `--lint` not being
+        // The lint fork is gone from the parser (and, `--lint` not being
         // among `flags`, from the text).
-        assert!(!recognised(exe, role, "--lint"), "{exe} {role:?} --lint");
-        assert!(!usage.contains("two_party lint"), "{usage}");
+        assert!(!recognised(exe, "--lint"), "{exe} --lint");
     }
-    let (ok, err) = run(two_party, &["lint"]);
-    assert!(!ok && err.contains("expected a role subcommand"), "{err}");
 }
 
 #[test]
@@ -97,11 +86,7 @@ fn value_errors_name_the_flag() {
         ),
         (loadgen, &["--rate", "inf"], "--rate takes arrivals/s > 0"),
         (loadgen, &["--chaos", "7"], "7"),
-        (
-            env!("CARGO_BIN_EXE_two_party"),
-            &["garbler", "--sim", "dialup"],
-            "--sim takes lan or wan",
-        ),
+        (loadgen, &["--threads", "many"], "--threads takes a count"),
         (
             env!("CARGO_BIN_EXE_deepsecure_serve"),
             &["--queue-cap", "0"],
