@@ -226,7 +226,8 @@ struct Established {
 }
 
 /// Connects and handshakes, honoring `BUSY` backoff hints and retrying
-/// chaos-killed hellos, until accepted or out of budget. `resume` is the
+/// chaos-killed hellos, until accepted or out of budget. A connect that
+/// fails within `connect_timeout` ends the call at once. `resume` is the
 /// `(session_id, token)` claim of a reconnect.
 #[allow(clippy::too_many_arguments)]
 fn establish(
@@ -246,9 +247,12 @@ fn establish(
             Some(d) => opts.connect_timeout.min(d.saturating_sub(start.elapsed())),
             None => opts.connect_timeout,
         };
+        // `connect_retry` already spent the whole connect budget waiting
+        // for a listener; retrying it here would multiply that wait by the
+        // attempt cap on a dead server.
+        let mut tcp = TcpChannel::connect_retry(addr, connect_budget)?;
         let handshake =
             (|| -> Result<(FramedChannel<FaultChannel<TcpChannel>>, proto::Reply), ServeError> {
-                let mut tcp = TcpChannel::connect_retry(addr, connect_budget)?;
                 tcp.set_io_timeouts(opts.io_timeout, opts.io_timeout)?;
                 let chan = match opts.chaos {
                     // Re-key the fault schedule per connection (still fully

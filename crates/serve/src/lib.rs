@@ -6,6 +6,8 @@
 //! observation into a deployment shape:
 //!
 //! * [`server`] — a multi-threaded TCP server hosting the garbling party.
+//!   One accept loop gives every connection its own handler thread, up to
+//!   `queue_cap` open at once (the next arrival is shed with `BUSY`).
 //!   Every accepted connection is one session: a framed handshake pins the
 //!   model and circuit fingerprint, a one-time base-OT setup seeds IKNP,
 //!   and then each request runs only the online phase (OT extension +
@@ -19,12 +21,13 @@
 //!   live-garbling seeds instead — the session garbles chunk runs while
 //!   streaming, so paper-scale models don't pin O(circuit) bytes per
 //!   pooled slot.
-//! * [`registry`] — per-session IDs and the active-session table behind
-//!   graceful shutdown (stop accepting, drain the sessions in flight).
+//! * [`registry`] — per-session IDs and their models: the table behind
+//!   per-model admission, `RESUME` claims, and graceful shutdown (stop
+//!   accepting, drain the sessions in flight).
 //! * [`stats`] — per-request `WireBreakdown`/latency aggregation into
-//!   server-level counters and mergeable latency histograms.
+//!   one server-level accumulator of counters and latency histograms.
 //! * [`metrics`] — a scrapeable Prometheus `/metrics` endpoint over the
-//!   same [`stats`] snapshots, plus live pool/queue gauges and the
+//!   same [`stats`] snapshot, plus live pool/connection gauges and the
 //!   process-wide per-phase wire-byte counters.
 //! * [`proto`] — the framed request protocol shared by server and
 //!   clients.

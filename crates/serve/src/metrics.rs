@@ -5,12 +5,12 @@
 //! exposition format (version 0.0.4) rendered by [`render`]. The document
 //! combines three sources:
 //!
-//! * the merged [`ServeStats`] (every family the shutdown summary also
-//!   reduces — requests, sessions, latency histograms, wire bytes,
-//!   pool hit/miss counters), plus the same families per shard under a
-//!   `shard` label;
-//! * live gauges read at scrape time: active sessions, per-shard accept
-//!   queue depth, precompute-pool stock depths;
+//! * the server's one [`ServeStats`] snapshot (every family the shutdown
+//!   summary also reduces — requests, sessions, latency histograms, wire
+//!   bytes, pool hit/miss counters), each family declared once;
+//! * live gauges read at scrape time: active sessions, open connections
+//!   (what `--queue-cap` bounds), resume-stash and precompute-pool stock
+//!   depths;
 //! * the process-global per-phase wire-byte counters that the protocol
 //!   sessions feed in `deepsecure_core::session::wire_metrics` — the
 //!   `WireBreakdown` as a live metric family, covering setup traffic
@@ -42,12 +42,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[must_use]
 pub fn render(handle: &ServerHandle) -> String {
     let mut w = PromWriter::new();
-    // Merged totals (no labels), then the same families per shard.
-    handle.stats().write_prometheus(&mut w, &[]);
-    for (i, shard) in handle.shard_stats().iter().enumerate() {
-        let idx = i.to_string();
-        shard.write_prometheus(&mut w, &[("shard", idx.as_str())]);
-    }
+    handle.stats().write_prometheus(&mut w);
     w.family(
         "deepsecure_active_sessions",
         "gauge",
@@ -61,16 +56,13 @@ pub fn render(handle: &ServerHandle) -> String {
     w.family(
         "deepsecure_accept_queue_depth",
         "gauge",
-        "Connections accepted but not yet dispatched, per shard.",
+        "Open connections (handshakes included); --queue-cap bounds it.",
     );
-    for (i, depth) in handle.queue_depths().iter().enumerate() {
-        let idx = i.to_string();
-        w.sample(
-            "deepsecure_accept_queue_depth",
-            &[("shard", idx.as_str())],
-            *depth as f64,
-        );
-    }
+    w.sample(
+        "deepsecure_accept_queue_depth",
+        &[],
+        handle.open_connections() as f64,
+    );
     w.family(
         "deepsecure_resume_stash_depth",
         "gauge",

@@ -71,19 +71,6 @@ pub struct PoolStats {
     pub produced: u64,
 }
 
-impl PoolStats {
-    /// Sums another counter set into this one (all counters are
-    /// monotonic, so merging is plain addition).
-    pub fn merge(&mut self, other: &PoolStats) {
-        self.base_hits += other.base_hits;
-        self.base_misses += other.base_misses;
-        self.material_hits += other.material_hits;
-        self.material_misses += other.material_misses;
-        self.live_takes += other.live_takes;
-        self.produced += other.produced;
-    }
-}
-
 /// One hosted model's material queue.
 struct ModelSlot {
     compiled: Arc<Compiled>,

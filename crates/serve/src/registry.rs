@@ -1,13 +1,13 @@
-//! The session registry: per-session IDs and the active-session table.
+//! The session registry: per-session IDs and the models they pinned.
 //!
 //! Every accepted connection registers before its handshake reply (the
 //! ID is what the `OK` frame carries) and deregisters when its handler
-//! returns — on success *and* on failure, via a guard. Graceful shutdown
-//! reads `active()` to know when the drain is complete; operators read
-//! `snapshot()` to see who is connected.
+//! returns — on success *and* on failure, via a guard. Admission control
+//! counts sessions per model here, `RESUME` claims check an ID is no
+//! longer live, and graceful shutdown reads `active()` to know when the
+//! drain is complete.
 
 use std::collections::HashMap;
-use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -19,22 +19,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// What the server knows about one live session.
-#[derive(Clone, Debug)]
-pub struct SessionInfo {
-    /// Peer address of the evaluator client.
-    pub peer: SocketAddr,
-    /// Model the session pinned at handshake.
-    pub model: String,
-    /// Requests served so far on this session.
-    pub requests: u64,
-}
-
-/// Registry of live sessions keyed by server-assigned ID.
+/// Registry of live sessions: server-assigned ID → pinned model.
 #[derive(Debug, Default)]
 pub struct SessionRegistry {
     next_id: AtomicU64,
-    active: Mutex<HashMap<u64, SessionInfo>>,
+    active: Mutex<HashMap<u64, String>>,
 }
 
 impl SessionRegistry {
@@ -47,36 +36,22 @@ impl SessionRegistry {
     }
 
     /// Registers a new session and returns its ID.
-    pub fn register(&self, peer: SocketAddr, model: &str) -> u64 {
+    pub fn register(&self, model: &str) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        lock(&self.active).insert(
-            id,
-            SessionInfo {
-                peer,
-                model: model.to_string(),
-                requests: 0,
-            },
-        );
+        lock(&self.active).insert(id, model.to_string());
         id
     }
 
-    /// Re-registers a resumed session under its original ID, carrying the
-    /// served-request count forward across the reconnect. Returns `false`
-    /// (and registers nothing) if the ID is still live — a duplicate
-    /// resume claim must not hijack a session that never went away.
-    pub fn register_resumed(&self, id: u64, peer: SocketAddr, model: &str, requests: u64) -> bool {
+    /// Re-registers a resumed session under its original ID. Returns
+    /// `false` (and registers nothing) if the ID is still live — a
+    /// duplicate resume claim must not hijack a session that never went
+    /// away.
+    pub fn register_resumed(&self, id: u64, model: &str) -> bool {
         let mut active = lock(&self.active);
         if active.contains_key(&id) {
             return false;
         }
-        active.insert(
-            id,
-            SessionInfo {
-                peer,
-                model: model.to_string(),
-                requests,
-            },
-        );
+        active.insert(id, model.to_string());
         true
     }
 
@@ -88,21 +63,11 @@ impl SessionRegistry {
     /// Number of live sessions pinned to `model` — the admission-limit
     /// denominator.
     pub fn active_for_model(&self, model: &str) -> usize {
-        lock(&self.active)
-            .values()
-            .filter(|info| info.model == model)
-            .count()
+        lock(&self.active).values().filter(|m| *m == model).count()
     }
 
-    /// Bumps a session's served-request counter.
-    pub fn note_request(&self, id: u64) {
-        if let Some(info) = lock(&self.active).get_mut(&id) {
-            info.requests += 1;
-        }
-    }
-
-    /// Removes a session; returns its final info if it was registered.
-    pub fn deregister(&self, id: u64) -> Option<SessionInfo> {
+    /// Removes a session; returns its model if it was registered.
+    pub fn deregister(&self, id: u64) -> Option<String> {
         lock(&self.active).remove(&id)
     }
 
@@ -110,41 +75,22 @@ impl SessionRegistry {
     pub fn active(&self) -> usize {
         lock(&self.active).len()
     }
-
-    /// The live sessions, sorted by ID.
-    pub fn snapshot(&self) -> Vec<(u64, SessionInfo)> {
-        let mut out: Vec<(u64, SessionInfo)> = lock(&self.active)
-            .iter()
-            .map(|(&id, info)| (id, info.clone()))
-            .collect();
-        out.sort_by_key(|(id, _)| *id);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn addr(port: u16) -> SocketAddr {
-        format!("127.0.0.1:{port}").parse().unwrap()
-    }
-
     #[test]
     fn ids_are_unique_and_lifecycle_tracks() {
         let reg = SessionRegistry::new();
-        let a = reg.register(addr(1000), "tiny_mlp");
-        let b = reg.register(addr(1001), "tiny_cnn");
+        let a = reg.register("tiny_mlp");
+        let b = reg.register("tiny_cnn");
         assert_ne!(a, b);
         assert_eq!(reg.active(), 2);
-        reg.note_request(a);
-        reg.note_request(a);
-        let snap = reg.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].1.requests, 2);
-        let info = reg.deregister(a).unwrap();
-        assert_eq!(info.model, "tiny_mlp");
-        assert_eq!(info.requests, 2);
+        assert!(reg.is_live(a));
+        assert_eq!(reg.deregister(a).as_deref(), Some("tiny_mlp"));
+        assert!(!reg.is_live(a));
         assert_eq!(reg.active(), 1);
         assert!(reg.deregister(a).is_none(), "double deregister is a no-op");
     }
@@ -152,20 +98,18 @@ mod tests {
     #[test]
     fn resume_reuses_the_id_and_counts_per_model() {
         let reg = SessionRegistry::new();
-        let a = reg.register(addr(2000), "tiny_mlp");
-        let _b = reg.register(addr(2001), "tiny_mlp");
+        let a = reg.register("tiny_mlp");
+        let _b = reg.register("tiny_mlp");
         assert_eq!(reg.active_for_model("tiny_mlp"), 2);
         assert_eq!(reg.active_for_model("tiny_cnn"), 0);
         // A resume claim against a still-live id must be refused.
-        assert!(!reg.register_resumed(a, addr(2002), "tiny_mlp", 5));
-        let info = reg.deregister(a).unwrap();
-        assert!(reg.register_resumed(a, addr(2002), "tiny_mlp", info.requests + 3));
-        let snap = reg.snapshot();
-        assert_eq!(snap[0].0, a);
-        assert_eq!(snap[0].1.requests, 3);
+        assert!(!reg.register_resumed(a, "tiny_mlp"));
+        reg.deregister(a);
+        assert!(reg.register_resumed(a, "tiny_mlp"));
+        assert!(reg.is_live(a));
         assert_eq!(reg.active_for_model("tiny_mlp"), 2);
         // Fresh ids never collide with a resumed one.
-        let c = reg.register(addr(2003), "tiny_cnn");
+        let c = reg.register("tiny_cnn");
         assert!(c > a);
     }
 }

@@ -12,22 +12,18 @@
 //! protocol is blocking by design — a thread per session keeps the
 //! channel-generic session code untouched.
 //!
-//! # Sharding
-//!
-//! With `threads > 1` the server runs N **worker shards**: the accept
-//! loop hashes the peer's IP onto a shard (session affinity — one
-//! client's connections always land on the same shard) and enqueues the
-//! socket there; each shard's dispatcher thread spawns and later joins
-//! that shard's session handlers and owns a private [`ServeStats`]
-//! accumulator, so the per-request hot path never contends on a global
-//! stats lock. Shard stats are merged (see [`ServeStats::merge`]) into
-//! the totals that [`ServerHandle::stats`] and [`Server::run`] report.
+//! [`Server::run`] is the one accept loop. Each accepted connection gets
+//! its handler thread at once; the loop counts handlers while they live
+//! (handshakes included) and sheds the arrival that would exceed
+//! `queue_cap` with a `BUSY` frame. Every handler folds into one
+//! [`ServeStats`] accumulator — its lock is held for microseconds per
+//! request, against a request's tens of milliseconds — which both
+//! [`ServerHandle::stats`] and [`Server::run`] report.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use deepsecure_core::protocol::InferenceConfig;
@@ -37,7 +33,7 @@ use deepsecure_ot::{Channel, FramedChannel, TcpChannel};
 use crate::demo::{self, DemoModel};
 use crate::pool::{PoolStats, PrecomputePool};
 use crate::proto;
-use crate::registry::{SessionInfo, SessionRegistry};
+use crate::registry::SessionRegistry;
 use crate::stats::ServeStats;
 use crate::ServeError;
 
@@ -68,17 +64,17 @@ pub struct ServeConfig {
     /// O(chunk) and overlaps transfer with evaluation (and, for models
     /// above the pool's material cap, with garbling itself).
     pub chunk_gates: usize,
-    /// Worker threads: the shard count of the accept loop, the pool's
-    /// fill-worker count, and each session's garbling/modexp pool width.
-    /// `1` is the single-shard sequential server; `0` means auto (one
-    /// per available core). Defaults to the `DEEPSECURE_THREADS` env
-    /// var, else `1`.
+    /// Worker threads: the pool's fill-worker count and each session's
+    /// garbling/modexp pool width. `1` is the sequential path; `0` means
+    /// auto (one per available core). Defaults to the
+    /// `DEEPSECURE_THREADS` env var, else `1`.
     pub threads: usize,
-    /// Max connections waiting in one shard's dispatch queue. Arrivals
-    /// beyond the cap are shed immediately with a `DSRV/2 BUSY` frame
-    /// (plus `retry_after_ms`) instead of piling up behind a saturated
-    /// garbler — bounded queues are what keep the p99 of *accepted*
-    /// requests flat under overload.
+    /// Max open connections — live handler threads, handshakes and idle
+    /// sessions included. The arrival that would exceed the cap is shed
+    /// immediately with a `DSRV/2 BUSY` frame (plus `retry_after_ms`)
+    /// instead of adding one more thread behind a saturated garbler —
+    /// the bound that keeps the p99 of *accepted* requests flat under
+    /// overload.
     pub queue_cap: usize,
     /// Max live sessions per hosted model; arrivals beyond it are shed
     /// with `BUSY`. `None` = unlimited.
@@ -122,28 +118,9 @@ impl Default for ServeConfig {
 }
 
 /// Locks with poison recovery: a panicking session handler must not wedge
-/// a shard's queue or stats for every later connection.
+/// the stats for every later connection.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// One accept-loop shard: a connection queue drained by a dedicated
-/// dispatcher thread, plus that shard's private stats accumulator.
-struct Shard {
-    queue: Mutex<VecDeque<(TcpStream, SocketAddr)>>,
-    /// Signalled on enqueue and on shutdown.
-    cv: Condvar,
-    stats: Mutex<ServeStats>,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            stats: Mutex::new(ServeStats::default()),
-        }
-    }
 }
 
 /// One hosted model plus its precomputed per-sample garbler input bits.
@@ -157,7 +134,6 @@ struct HostedModel {
 struct StashedSession {
     token: u64,
     model: String,
-    requests: u64,
     setup: ClientSetup,
     epoch: Instant,
 }
@@ -179,12 +155,11 @@ struct Shared {
     models: HashMap<String, HostedModel>,
     pool: PrecomputePool,
     registry: SessionRegistry,
-    shards: Vec<Arc<Shard>>,
-    /// Sessions finished (completed + failed) across every shard — the
-    /// global counter behind `max_sessions` auto-shutdown, kept atomic so
-    /// shards never serialize on it. Admission-shed connections never
-    /// count here: a shed is advice to come back, not a finished session.
-    finished_sessions: AtomicU64,
+    /// The one serving accumulator; its `pool` field stays zero (the
+    /// pool keeps its own counters, folded in by [`ServerHandle::stats`]).
+    stats: Mutex<ServeStats>,
+    /// Connections with a live handler thread — what `queue_cap` bounds.
+    open_conns: AtomicUsize,
     shutdown: AtomicBool,
     max_sessions: Option<u64>,
     idle_timeout: Option<Duration>,
@@ -288,8 +263,8 @@ impl Server {
                 models,
                 pool,
                 registry: SessionRegistry::new(),
-                shards: (0..threads).map(|_| Arc::new(Shard::new())).collect(),
-                finished_sessions: AtomicU64::new(0),
+                stats: Mutex::new(ServeStats::default()),
+                open_conns: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
                 max_sessions: config.max_sessions,
                 idle_timeout: config.idle_timeout,
@@ -317,19 +292,11 @@ impl Server {
     }
 
     /// Accepts sessions until shutdown is requested, then drains: stops
-    /// accepting, joins every shard dispatcher (each joins its in-flight
-    /// session handlers), stops the pool, and returns the merged stats.
+    /// accepting, joins every in-flight session handler, stops the pool,
+    /// and returns the final stats.
     pub fn run(self) -> ServeStats {
         let Server { listener, shared } = self;
-        let dispatchers: Vec<_> = shared
-            .shards
-            .iter()
-            .map(|shard| {
-                let sh = Arc::clone(&shared);
-                let sd = Arc::clone(shard);
-                std::thread::spawn(move || shard_loop(&sh, &sd))
-            })
-            .collect();
+        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         loop {
             match listener.accept() {
                 Ok((stream, peer)) => {
@@ -338,21 +305,21 @@ impl Server {
                         drop(stream);
                         break;
                     }
-                    // Session affinity: one client IP always lands on the
-                    // same shard (its connections share that shard's
-                    // dispatcher and stats).
-                    let shard = &shared.shards[shard_index(&peer, shared.shards.len())];
-                    {
-                        let mut q = lock(&shard.queue);
-                        if q.len() >= shared.queue_cap {
-                            drop(q);
-                            lock(&shard.stats).shed_queue_full += 1;
-                            shed_busy(stream, shared.retry_after_ms);
-                            continue;
-                        }
-                        q.push_back((stream, peer));
+                    // Only this loop increments, so the check cannot race
+                    // past the cap.
+                    if shared.open_conns.load(Ordering::SeqCst) >= shared.queue_cap {
+                        lock(&shared.stats).shed_queue_full += 1;
+                        shed_busy(stream, shared.retry_after_ms);
+                        continue;
                     }
-                    shard.cv.notify_all();
+                    shared.open_conns.fetch_add(1, Ordering::SeqCst);
+                    // Long-lived servers must not accumulate one
+                    // JoinHandle per finished session.
+                    handlers.retain(|h| !h.is_finished());
+                    let sh = Arc::clone(&shared);
+                    handlers.push(std::thread::spawn(move || {
+                        handle_connection(&sh, stream, peer);
+                    }));
                 }
                 Err(e) => {
                     if shared.shutdown.load(Ordering::SeqCst) {
@@ -362,31 +329,14 @@ impl Server {
                 }
             }
         }
-        // Wake every dispatcher so it observes the shutdown flag, then
-        // join them — each drains its own handlers first.
-        for shard in &shared.shards {
-            shard.cv.notify_all();
+        for h in handlers {
+            let _ = h.join();
         }
-        for d in dispatchers {
-            let _ = d.join();
-        }
-        let pool_stats = shared.pool.stats();
-        shared.pool.stop();
-        let mut final_stats = ServeStats::default();
-        for shard in &shared.shards {
-            final_stats.merge(&lock(&shard.stats));
-        }
-        final_stats.pool.merge(&pool_stats);
-        final_stats
+        let handle = ServerHandle { shared };
+        let stats = handle.stats();
+        handle.shared.pool.stop();
+        stats
     }
-}
-
-/// Which shard a peer's connections land on: a hash of the IP (never the
-/// ephemeral port, which changes per connection) modulo the shard count.
-fn shard_index(peer: &SocketAddr, shards: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    peer.ip().hash(&mut h);
-    (h.finish() % shards as u64) as usize
 }
 
 /// Best-effort `BUSY` reply on a connection the server will not serve.
@@ -452,43 +402,6 @@ fn stash_for_resume(
     }
 }
 
-/// One shard's dispatcher: pops queued connections, spawns a handler
-/// thread per session (sessions are long-lived and blocking), and joins
-/// every handler before exiting on shutdown.
-fn shard_loop(shared: &Arc<Shared>, shard: &Arc<Shard>) {
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        let next = {
-            let mut q = lock(&shard.queue);
-            loop {
-                if let Some(conn) = q.pop_front() {
-                    break Some(conn);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                q = shard
-                    .cv
-                    .wait_timeout(q, Duration::from_millis(200))
-                    .unwrap_or_else(|p| p.into_inner())
-                    .0;
-            }
-        };
-        let Some((stream, peer)) = next else { break };
-        // Long-lived servers must not accumulate one JoinHandle per
-        // finished session.
-        handlers.retain(|h| !h.is_finished());
-        let sh = Arc::clone(shared);
-        let sd = Arc::clone(shard);
-        handlers.push(std::thread::spawn(move || {
-            handle_connection(&sh, &sd, stream, peer);
-        }));
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
-}
-
 impl ServerHandle {
     /// The bound listen address.
     pub fn local_addr(&self) -> SocketAddr {
@@ -500,36 +413,17 @@ impl ServerHandle {
         self.shared.request_shutdown();
     }
 
-    /// Snapshot of the aggregated serving stats (merged across shards,
-    /// with the process-global pool counters folded in).
+    /// Snapshot of the serving stats, with the pool's counters folded in.
     pub fn stats(&self) -> ServeStats {
-        let mut total = ServeStats::default();
-        for shard in &self.shared.shards {
-            total.merge(&lock(&shard.stats));
-        }
-        total.pool.merge(&self.shared.pool.stats());
-        total
+        let mut stats = lock(&self.shared.stats).clone();
+        stats.pool = self.shared.pool.stats();
+        stats
     }
 
-    /// Per-shard stats snapshots, in shard order (the `/metrics`
-    /// endpoint's `shard`-labeled series; pool counters stay zero here —
-    /// the pool is process-global, see [`ServerHandle::stats`]).
-    pub fn shard_stats(&self) -> Vec<ServeStats> {
-        self.shared
-            .shards
-            .iter()
-            .map(|shard| lock(&shard.stats).clone())
-            .collect()
-    }
-
-    /// Connections accepted but not yet picked up by each shard's
-    /// dispatcher, in shard order.
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.shared
-            .shards
-            .iter()
-            .map(|shard| lock(&shard.queue).len())
-            .collect()
+    /// Connections with a live handler thread, handshakes included — the
+    /// count `queue_cap` bounds.
+    pub fn open_connections(&self) -> usize {
+        self.shared.open_conns.load(Ordering::SeqCst)
     }
 
     /// Precompute-pool stock depths: `(base, per-model ready)`.
@@ -540,11 +434,6 @@ impl ServerHandle {
     /// Number of sessions currently being served.
     pub fn active_sessions(&self) -> usize {
         self.shared.registry.active()
-    }
-
-    /// The live sessions (ID, peer, model, requests so far).
-    pub fn sessions(&self) -> Vec<(u64, SessionInfo)> {
-        self.shared.registry.snapshot()
     }
 
     /// Sessions currently stashed for `RESUME` (OT-extension state kept
@@ -577,34 +466,38 @@ impl Drop for RegistryGuard<'_> {
     }
 }
 
-fn handle_connection(shared: &Shared, shard: &Shard, stream: TcpStream, peer: SocketAddr) {
-    match serve_session(shared, shard, stream, peer) {
-        Ok(()) => {
-            let mut st = lock(&shard.stats);
-            st.open_session();
-            st.complete_session();
-        }
-        // An admission shed never opened a session: the shed counter was
-        // bumped at the shed site, and a `BUSY` is advice to come back —
-        // it must not trip `max_sessions` auto-shutdown or the failure
-        // counters.
-        Err(ServeError::Busy { .. }) => return,
-        Err(e) => {
-            {
-                let mut st = lock(&shard.stats);
-                st.open_session();
-                if is_timeout(&e) {
-                    st.timeout_session();
-                } else {
-                    st.fail_session();
-                }
-            }
-            eprintln!("serve: session from {peer} failed: {e}");
-        }
+/// Releases a connection's slot under `queue_cap` on every exit path of
+/// its handler.
+struct OpenConn<'a>(&'a AtomicUsize);
+
+impl Drop for OpenConn<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
-    // The max_sessions count must be global across shards, so it rides a
-    // shared atomic rather than any shard's accumulator.
-    let finished = shared.finished_sessions.fetch_add(1, Ordering::SeqCst) + 1;
+}
+
+fn handle_connection(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
+    let _open = OpenConn(&shared.open_conns);
+    let result = serve_session(shared, stream);
+    // An admission shed never opened a session: the shed counter was
+    // bumped at the shed site, and a `BUSY` is advice to come back — it
+    // must not trip `max_sessions` auto-shutdown or the failure counters.
+    if let Err(ServeError::Busy { .. }) = result {
+        return;
+    }
+    let finished = {
+        let mut st = lock(&shared.stats);
+        st.open_session();
+        match &result {
+            Ok(()) => st.complete_session(),
+            Err(e) if is_timeout(e) => st.timeout_session(),
+            Err(_) => st.fail_session(),
+        }
+        st.sessions_opened
+    };
+    if let Err(e) = result {
+        eprintln!("serve: session from {peer} failed: {e}");
+    }
     if shared.max_sessions.is_some_and(|max| finished >= max) {
         shared.request_shutdown();
     }
@@ -620,12 +513,11 @@ enum ShedReason {
 /// the shed to the handler as [`ServeError::Busy`].
 fn shed(
     shared: &Shared,
-    shard: &Shard,
     framed: &mut FramedChannel<TcpChannel>,
     reason: &ShedReason,
 ) -> ServeError {
     {
-        let mut st = lock(&shard.stats);
+        let mut st = lock(&shared.stats);
         match reason {
             ShedReason::ModelLimit => st.shed_model_limit += 1,
             ShedReason::LiveCapacity => st.shed_live_capacity += 1,
@@ -638,12 +530,7 @@ fn shed(
     }
 }
 
-fn serve_session(
-    shared: &Shared,
-    shard: &Shard,
-    stream: TcpStream,
-    peer: SocketAddr,
-) -> Result<(), ServeError> {
+fn serve_session(shared: &Shared, stream: TcpStream) -> Result<(), ServeError> {
     // A wedged client must not pin this handler (and the eventual
     // graceful drain) forever.
     stream.set_read_timeout(shared.idle_timeout)?;
@@ -746,20 +633,16 @@ fn serve_session(
         } else {
             ShedReason::LiveCapacity
         };
-        return Err(shed(shared, shard, &mut framed, &reason));
+        return Err(shed(shared, &mut framed, &reason));
     }
     let (sid, resumed_state) = match claimed {
-        Some((sid, s))
-            if shared
-                .registry
-                .register_resumed(sid, peer, &hello.model, s.requests) =>
-        {
-            lock(&shard.stats).resume_session();
+        Some((sid, s)) if shared.registry.register_resumed(sid, &hello.model) => {
+            lock(&shared.stats).resume_session();
             (sid, Some(s))
         }
         // The claim's id re-entered the registry between the poll and
         // here (should not happen; ids are never reused) — serve fresh.
-        _ => (shared.registry.register(peer, &hello.model), None),
+        _ => (shared.registry.register(&hello.model), None),
     };
     drop(admission);
     let token = session_token(shared.token_seed, sid);
@@ -771,10 +654,10 @@ fn serve_session(
     let mut chan = framed.into_inner();
 
     let session = ClientSession::new(Arc::clone(&hosted.demo.compiled), &shared.cfg);
-    let (mut setup, epoch, mut served) = match resumed_state {
+    let (mut setup, epoch) = match resumed_state {
         // Resumed: the stashed extension state picks up exactly where it
         // left off — zero base-OT modexps, zero extra flights.
-        Some(s) => (s.setup, s.epoch, s.requests),
+        Some(s) => (s.setup, s.epoch),
         None => {
             // One-time setup: the precomputed keypairs keep the offline
             // modexp half off the wire path; only the three batched
@@ -783,22 +666,20 @@ fn serve_session(
             let pre = shared.pool.take_base();
             let t_setup = Instant::now();
             let setup = session.setup_with(&mut chan, pre, epoch)?;
-            lock(&shard.stats).record_setup(t_setup.elapsed().as_secs_f64(), setup.base_ot_bytes());
-            (setup, epoch, 0)
+            lock(&shared.stats)
+                .record_setup(t_setup.elapsed().as_secs_f64(), setup.base_ot_bytes());
+            (setup, epoch)
         }
     };
 
     let result = session_request_loop(
         shared,
-        shard,
         &mut chan,
         &session,
         &mut setup,
         hosted,
         &hello.model,
-        sid,
         epoch,
-        &mut served,
     );
     if let Err(e) = result {
         // A death at a batch boundary leaves the extension state intact;
@@ -811,7 +692,6 @@ fn serve_session(
                 StashedSession {
                     token,
                     model: hello.model.clone(),
-                    requests: served,
                     setup,
                     epoch,
                 },
@@ -823,18 +703,14 @@ fn serve_session(
 }
 
 /// The per-request loop of one session: every inference is online-only.
-#[allow(clippy::too_many_arguments)]
 fn session_request_loop(
     shared: &Shared,
-    shard: &Shard,
     chan: &mut TcpChannel,
     session: &ClientSession,
     setup: &mut ClientSetup,
     hosted: &HostedModel,
     model_name: &str,
-    sid: u64,
     epoch: Instant,
-    served: &mut u64,
 ) -> Result<(), ServeError> {
     loop {
         let req = chan.recv_u64()?;
@@ -860,9 +736,7 @@ fn session_request_loop(
         let out = session.run_online(chan, setup, material, std::slice::from_ref(g_bits), epoch)?;
         chan.send_u64(out.label as u64)?;
         chan.flush()?;
-        shared.registry.note_request(sid);
-        *served += 1;
-        lock(&shard.stats).record_request(
+        lock(&shared.stats).record_request(
             model_name,
             t_online.elapsed().as_secs_f64(),
             out.wire,
@@ -925,7 +799,6 @@ mod tests {
         let stash = StashedSession {
             token: 1,
             model: "mac".to_string(),
-            requests: 1,
             setup,
             epoch,
         };
@@ -934,24 +807,5 @@ mod tests {
         assert_eq!(resumed.setup.resident_bytes(), 0, "the stash pins no array");
         assert_eq!(query(&mut resumed.setup), label);
         peer.join().unwrap();
-    }
-
-    #[test]
-    fn shard_affinity_ignores_the_port_and_covers_every_shard() {
-        // Affinity keys on the IP: reconnects from new ephemeral ports
-        // land on the same shard…
-        let a: SocketAddr = "10.1.2.3:1111".parse().unwrap();
-        let b: SocketAddr = "10.1.2.3:2222".parse().unwrap();
-        for shards in [1usize, 2, 4, 7] {
-            assert_eq!(shard_index(&a, shards), shard_index(&b, shards));
-            assert!(shard_index(&a, shards) < shards);
-        }
-        // …while a population of client IPs spreads across all shards.
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..=255u8 {
-            let addr: SocketAddr = format!("10.0.0.{i}:443").parse().unwrap();
-            seen.insert(shard_index(&addr, 4));
-        }
-        assert_eq!(seen.len(), 4, "256 IPs must reach all 4 shards");
     }
 }

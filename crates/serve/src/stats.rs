@@ -4,11 +4,11 @@
 //! session's setup cost, fold into one [`ServeStats`] — the serving
 //! analogue of a single run's `InferenceReport`, summed across clients.
 //!
-//! Latencies are held as mergeable [`HistSnapshot`]s from the vendored
-//! `telemetry` crate rather than scalar sums: the same snapshot that the
-//! shutdown summary reduces to percentiles is what the `/metrics`
-//! endpoint renders as a Prometheus histogram, so shard merging and
-//! scraping share one code path ([`ServeStats::write_prometheus`]).
+//! Latencies are held as [`HistSnapshot`]s from the vendored `telemetry`
+//! crate rather than scalar sums: the same snapshot that the shutdown
+//! summary reduces to percentiles is what the `/metrics` endpoint renders
+//! as a Prometheus histogram ([`ServeStats::write_prometheus`]), so the
+//! report and the scrape read one accumulator.
 
 use std::collections::BTreeMap;
 
@@ -33,8 +33,8 @@ pub struct ServeStats {
     /// Sessions that died on an I/O timeout (idle client or blown
     /// per-phase deadline) — a subset of `sessions_failed`.
     pub sessions_timed_out: u64,
-    /// Connections shed with a `BUSY` frame because the shard's accept
-    /// queue was full.
+    /// Connections shed with a `BUSY` frame because `queue_cap`
+    /// connections were already open.
     pub shed_queue_full: u64,
     /// Connections shed with a `BUSY` frame because the model's admission
     /// limit was reached.
@@ -63,9 +63,9 @@ pub struct ServeStats {
     pub peak_material_bytes: u64,
     /// Requests per model.
     pub per_model: BTreeMap<String, u64>,
-    /// Precompute-pool counters. Shard accumulators leave this at zero
-    /// (the pool is process-global, not per-shard); the server folds the
-    /// pool's counters into the merged totals it reports and scrapes.
+    /// Precompute-pool counters. The server's live accumulator leaves
+    /// this at zero; the snapshots it reports and scrapes carry the
+    /// pool's own counters here.
     pub pool: PoolStats,
 }
 
@@ -126,32 +126,6 @@ impl ServeStats {
         self.wire += wire;
         self.peak_material_bytes = self.peak_material_bytes.max(peak_material_bytes);
         *self.per_model.entry(model.to_string()).or_insert(0) += 1;
-    }
-
-    /// Folds another stats accumulator into this one — how the sharded
-    /// server combines per-shard counters into the totals it reports.
-    /// Sums, histograms, pool counters, and per-model counts add;
-    /// `peak_material_bytes` is a max.
-    pub fn merge(&mut self, other: &ServeStats) {
-        self.sessions_opened += other.sessions_opened;
-        self.sessions_completed += other.sessions_completed;
-        self.sessions_failed += other.sessions_failed;
-        self.sessions_resumed += other.sessions_resumed;
-        self.sessions_timed_out += other.sessions_timed_out;
-        self.shed_queue_full += other.shed_queue_full;
-        self.shed_model_limit += other.shed_model_limit;
-        self.shed_live_capacity += other.shed_live_capacity;
-        self.requests += other.requests;
-        self.wire += other.wire;
-        self.setup_bytes += other.setup_bytes;
-        self.setups += other.setups;
-        self.online_us.merge(&other.online_us);
-        self.setup_us.merge(&other.setup_us);
-        self.peak_material_bytes = self.peak_material_bytes.max(other.peak_material_bytes);
-        for (model, n) in &other.per_model {
-            *self.per_model.entry(model.clone()).or_insert(0) += n;
-        }
-        self.pool.merge(&other.pool);
     }
 
     /// Mean online latency per request, seconds (0 with no requests).
@@ -235,11 +209,9 @@ impl ServeStats {
 
     /// Renders this accumulator's families into a Prometheus exposition
     /// document — the same snapshot the shutdown summary reduces, so the
-    /// scrape and the final report can never disagree. `labels` go on
-    /// every sample (the caller adds e.g. a `shard` label for per-shard
-    /// sections and none for the merged totals).
+    /// scrape and the final report can never disagree.
     #[allow(clippy::cast_precision_loss)]
-    pub fn write_prometheus(&self, w: &mut PromWriter, labels: &[(&str, &str)]) {
+    pub fn write_prometheus(&self, w: &mut PromWriter) {
         w.family(
             "deepsecure_sessions_total",
             "counter",
@@ -250,9 +222,7 @@ impl ServeStats {
             ("completed", self.sessions_completed),
             ("failed", self.sessions_failed),
         ] {
-            let mut l = labels.to_vec();
-            l.push(("state", state));
-            w.sample("deepsecure_sessions_total", &l, n as f64);
+            w.sample("deepsecure_sessions_total", &[("state", state)], n as f64);
         }
         w.family(
             "deepsecure_sessions_resumed_total",
@@ -261,7 +231,7 @@ impl ServeStats {
         );
         w.sample(
             "deepsecure_sessions_resumed_total",
-            labels,
+            &[],
             self.sessions_resumed as f64,
         );
         w.family(
@@ -271,7 +241,7 @@ impl ServeStats {
         );
         w.sample(
             "deepsecure_session_timeouts_total",
-            labels,
+            &[],
             self.sessions_timed_out as f64,
         );
         w.family(
@@ -284,36 +254,32 @@ impl ServeStats {
             ("model_limit", self.shed_model_limit),
             ("live_capacity", self.shed_live_capacity),
         ] {
-            let mut l = labels.to_vec();
-            l.push(("reason", reason));
-            w.sample("deepsecure_shed_total", &l, n as f64);
+            w.sample("deepsecure_shed_total", &[("reason", reason)], n as f64);
         }
         w.family(
             "deepsecure_requests_total",
             "counter",
             "Online inference requests served.",
         );
-        w.sample("deepsecure_requests_total", labels, self.requests as f64);
+        w.sample("deepsecure_requests_total", &[], self.requests as f64);
         w.family(
             "deepsecure_requests_by_model_total",
             "counter",
             "Online inference requests served, per hosted model.",
         );
         for (model, n) in &self.per_model {
-            let mut l = labels.to_vec();
-            l.push(("model", model));
-            w.sample("deepsecure_requests_by_model_total", &l, *n as f64);
+            w.sample(
+                "deepsecure_requests_by_model_total",
+                &[("model", model)],
+                *n as f64,
+            );
         }
         w.family(
             "deepsecure_setup_bytes_total",
             "counter",
             "Base-OT setup traffic, both directions, summed over sessions.",
         );
-        w.sample(
-            "deepsecure_setup_bytes_total",
-            labels,
-            self.setup_bytes as f64,
-        );
+        w.sample("deepsecure_setup_bytes_total", &[], self.setup_bytes as f64);
         w.family(
             "deepsecure_online_wire_bytes_total",
             "counter",
@@ -325,9 +291,11 @@ impl ServeStats {
             ("input_labels", self.wire.input_labels),
             ("output_bits", self.wire.output_bits),
         ] {
-            let mut l = labels.to_vec();
-            l.push(("phase", phase));
-            w.sample("deepsecure_online_wire_bytes_total", &l, n as f64);
+            w.sample(
+                "deepsecure_online_wire_bytes_total",
+                &[("phase", phase)],
+                n as f64,
+            );
         }
         w.family(
             "deepsecure_peak_material_bytes",
@@ -336,7 +304,7 @@ impl ServeStats {
         );
         w.sample(
             "deepsecure_peak_material_bytes",
-            labels,
+            &[],
             self.peak_material_bytes as f64,
         );
         w.family(
@@ -346,7 +314,7 @@ impl ServeStats {
         );
         w.histogram(
             "deepsecure_online_latency_seconds",
-            labels,
+            &[],
             &self.online_us,
             1.0 / US_PER_S,
         );
@@ -357,7 +325,7 @@ impl ServeStats {
         );
         w.histogram(
             "deepsecure_setup_latency_seconds",
-            labels,
+            &[],
             &self.setup_us,
             1.0 / US_PER_S,
         );
@@ -374,9 +342,7 @@ impl ServeStats {
             ("live_take", self.pool.live_takes),
             ("produced", self.pool.produced),
         ] {
-            let mut l = labels.to_vec();
-            l.push(("kind", kind));
-            w.sample("deepsecure_pool_events_total", &l, n as f64);
+            w.sample("deepsecure_pool_events_total", &[("kind", kind)], n as f64);
         }
     }
 }
@@ -397,95 +363,49 @@ mod tests {
         };
         stats.record_request("tiny_mlp", 0.2, wire, 640);
         stats.record_request("tiny_mlp", 0.4, wire, 96);
+        stats.record_request("mnist_mlp", 0.3, wire, 900);
         stats.complete_session();
         // A handshake-only failure must not dilute the setup mean.
         stats.open_session();
         stats.fail_session();
         assert!((stats.mean_setup_s() - 0.5).abs() < 0.05);
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.online_us.count(), 2);
-        assert_eq!(stats.wire.tables, 200);
-        assert_eq!(stats.wire.ot_ext, 20);
+        assert_eq!(stats.sessions_opened, 2);
+        assert_eq!(stats.sessions_completed, 1);
+        assert_eq!(stats.sessions_failed, 1);
+        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.online_us.count(), 3);
+        assert_eq!(stats.wire.tables, 300);
+        assert_eq!(stats.wire.ot_ext, 30);
         assert_eq!(stats.wire.base_ot, 0, "setup bytes live in setup_bytes");
         assert_eq!(stats.setup_bytes, 1000);
         assert!((stats.mean_online_s() - 0.3).abs() < 1e-6);
         // Nearest-rank on log-scale buckets: within the bucket width.
-        assert!((stats.online_quantile_s(0.5) - 0.2).abs() < 0.2 * 0.13);
+        assert!((stats.online_quantile_s(0.5) - 0.3).abs() < 0.3 * 0.13);
         assert!((stats.online_quantile_s(0.99) - 0.4).abs() < 0.4 * 0.13);
         assert_eq!(stats.per_model["tiny_mlp"], 2);
+        assert_eq!(stats.per_model["mnist_mlp"], 1);
         assert_eq!(
-            stats.peak_material_bytes, 640,
+            stats.peak_material_bytes, 900,
             "peak is a max, not a sum, across requests"
         );
+        // The pool's counters ride along in the snapshot the server reports.
+        stats.pool.base_hits = 1;
+        stats.pool.base_misses = 3;
+        stats.pool.material_hits = 6;
+        stats.pool.produced = 5;
         let text = stats.summary();
-        assert!(text.contains("2 total"), "{text}");
+        assert!(text.contains("3 total"), "{text}");
         assert!(text.contains("resilience   0 resumed"), "{text}");
         assert!(text.contains("tiny_mlp: 2 requests"), "{text}");
-        assert!(text.contains("peak tables  640 B"), "{text}");
+        assert!(text.contains("mnist_mlp: 1 requests"), "{text}");
+        assert!(text.contains("peak tables  900 B"), "{text}");
         assert!(text.contains("p95"), "{text}");
-        assert!(text.contains("pool         base 0 hits"), "{text}");
-    }
-
-    #[test]
-    fn merge_sums_counters_histograms_and_maxes_peaks() {
-        let mut a = ServeStats::default();
-        a.open_session();
-        a.record_setup(0.25, 500);
-        a.record_request(
-            "tiny_mlp",
-            0.1,
-            WireBreakdown {
-                tables: 40,
-                ..WireBreakdown::default()
-            },
-            100,
+        assert!(
+            text.contains("pool         base 1 hits / 3 misses"),
+            "{text}"
         );
-        a.complete_session();
-        a.pool.base_hits = 1;
-        a.pool.material_hits = 2;
-        let mut b = ServeStats::default();
-        b.open_session();
-        b.fail_session();
-        b.record_request(
-            "mnist_mlp",
-            0.3,
-            WireBreakdown {
-                tables: 60,
-                ..WireBreakdown::default()
-            },
-            900,
-        );
-        b.pool.base_misses = 3;
-        b.pool.material_hits = 4;
-        b.pool.produced = 5;
-        a.merge(&b);
-        assert_eq!(a.sessions_opened, 2);
-        assert_eq!(a.sessions_completed, 1);
-        assert_eq!(a.sessions_failed, 1);
-        assert_eq!(a.requests, 2);
-        assert_eq!(a.wire.tables, 100);
-        assert_eq!(a.setup_bytes, 500);
-        assert_eq!(a.peak_material_bytes, 900, "peak merges as a max");
-        // The merged latency histogram holds both shards' samples.
-        assert_eq!(a.online_us.count(), 2);
-        assert!((a.mean_online_s() - 0.2).abs() < 0.2 * 0.13);
-        assert!(a.online_quantile_s(0.99) >= a.online_quantile_s(0.5));
-        assert_eq!(a.per_model["tiny_mlp"], 1);
-        assert_eq!(a.per_model["mnist_mlp"], 1);
-        // Pool counters merge by summation.
-        assert_eq!(a.pool.base_hits, 1);
-        assert_eq!(a.pool.base_misses, 3);
-        assert_eq!(a.pool.material_hits, 6);
-        assert_eq!(a.pool.produced, 5);
-        let text = a.summary();
-        assert!(text.contains("base 1 hits / 3 misses"), "{text}");
         assert!(text.contains("material 6 hits / 0 misses"), "{text}");
-        // Merging an empty accumulator is the identity.
-        let snapshot = a.clone();
-        a.merge(&ServeStats::default());
-        assert_eq!(a.requests, snapshot.requests);
-        assert_eq!(a.wire, snapshot.wire);
-        assert_eq!(a.online_us, snapshot.online_us);
+        assert!(text.contains("5 produced"), "{text}");
     }
 
     #[test]
@@ -497,67 +417,46 @@ mod tests {
         stats.complete_session();
         stats.pool.base_hits = 1;
         let mut w = PromWriter::new();
-        stats.write_prometheus(&mut w, &[("shard", "0")]);
+        stats.write_prometheus(&mut w);
         let text = w.finish();
-        assert!(
-            text.contains("deepsecure_requests_total{shard=\"0\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("deepsecure_sessions_total{shard=\"0\",state=\"completed\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("deepsecure_requests_by_model_total{shard=\"0\",model=\"tiny_mlp\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("deepsecure_online_latency_seconds_count{shard=\"0\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("deepsecure_pool_events_total{shard=\"0\",kind=\"base_hit\"} 1"),
-            "{text}"
-        );
+        for line in [
+            "deepsecure_requests_total 1",
+            "deepsecure_sessions_total{state=\"completed\"} 1",
+            "deepsecure_requests_by_model_total{model=\"tiny_mlp\"} 1",
+            "deepsecure_online_latency_seconds_count 1",
+            "deepsecure_pool_events_total{kind=\"base_hit\"} 1",
+        ] {
+            assert!(text.contains(line), "{line} missing from:\n{text}");
+        }
     }
 
     #[test]
     fn resilience_counters_merge_and_render() {
-        let mut a = ServeStats::default();
-        a.open_session();
-        a.resume_session();
-        a.shed_queue_full += 1;
-        a.shed_live_capacity += 2;
-        let mut b = ServeStats::default();
-        b.open_session();
-        b.timeout_session();
-        b.shed_model_limit += 3;
-        a.merge(&b);
-        assert_eq!(a.sessions_resumed, 1);
-        assert_eq!(a.sessions_timed_out, 1);
-        assert_eq!(a.sessions_failed, 1, "a timeout is also a failure");
-        assert_eq!(a.sheds(), 6);
-        let text = a.summary();
+        let mut stats = ServeStats::default();
+        stats.open_session();
+        stats.resume_session();
+        stats.open_session();
+        stats.timeout_session();
+        stats.shed_queue_full += 1;
+        stats.shed_live_capacity += 2;
+        stats.shed_model_limit += 3;
+        assert_eq!(stats.sessions_resumed, 1);
+        assert_eq!(stats.sessions_timed_out, 1);
+        assert_eq!(stats.sessions_failed, 1, "a timeout is also a failure");
+        assert_eq!(stats.sheds(), 6);
+        let text = stats.summary();
         assert!(
             text.contains("resilience   1 resumed, 1 timed out, shed 6"),
             "{text}"
         );
         let mut w = PromWriter::new();
-        a.write_prometheus(&mut w, &[]);
+        stats.write_prometheus(&mut w);
         let doc = w.finish();
         assert!(doc.contains("deepsecure_sessions_resumed_total 1"), "{doc}");
         assert!(doc.contains("deepsecure_session_timeouts_total 1"), "{doc}");
-        assert!(
-            doc.contains("deepsecure_shed_total{reason=\"queue_full\"} 1"),
-            "{doc}"
-        );
-        assert!(
-            doc.contains("deepsecure_shed_total{reason=\"model_limit\"} 3"),
-            "{doc}"
-        );
-        assert!(
-            doc.contains("deepsecure_shed_total{reason=\"live_capacity\"} 2"),
-            "{doc}"
-        );
+        for (reason, n) in [("queue_full", 1), ("model_limit", 3), ("live_capacity", 2)] {
+            let line = format!("deepsecure_shed_total{{reason=\"{reason}\"}} {n}");
+            assert!(doc.contains(&line), "{line} missing from:\n{doc}");
+        }
     }
 }

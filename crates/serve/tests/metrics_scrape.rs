@@ -1,7 +1,8 @@
-//! Scrapes the Prometheus endpoint while a sharded server is serving:
-//! the exposition text must parse, carry every advertised family, and —
-//! once the clients are done — report exactly the request/session counts
-//! the clients observed on their side of the wire.
+//! Scrapes the Prometheus endpoint while a multi-threaded server is
+//! serving: the exposition text must parse, declare every advertised
+//! family exactly once, and — once the clients are done — report exactly
+//! the request/session counts the clients observed on their side of the
+//! wire.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -28,6 +29,16 @@ fn http_get(addr: &str, path: &str) -> (String, String) {
         .expect("response must have a header block");
     let status = head.lines().next().unwrap_or_default().to_string();
     (status, body.to_string())
+}
+
+/// Asserts the text format's one-`TYPE`-line-per-metric-name rule.
+fn assert_families_declared_once(body: &str) {
+    let mut seen = std::collections::HashSet::new();
+    for name in body.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+        let name = name.split_whitespace().next().unwrap_or_default();
+        assert!(seen.insert(name), "# TYPE {name} declared twice:\n{body}");
+    }
+    assert!(!seen.is_empty(), "no # TYPE lines:\n{body}");
 }
 
 /// Value of an unlabeled sample line, e.g. `deepsecure_requests_total 6`.
@@ -95,12 +106,13 @@ fn scraping_a_sharded_server_matches_the_clients_view() {
             "mid-run exposition misses {family}:\n{body}"
         );
     }
+    assert_families_declared_once(&body);
 
     for w in workers {
         w.join().expect("client thread");
     }
 
-    // Settled scrape: the merged counters must equal the client-side
+    // Settled scrape: the counters must equal the client-side
     // tally exactly — every request the clients made, no more, no less.
     // The clients' `finish()` returns before the server's handler folds
     // the session into its accumulator, so poll until the counters catch
@@ -112,6 +124,7 @@ fn scraping_a_sharded_server_matches_the_clients_view() {
             && sample(&scrape.1, "deepsecure_sessions_total{state=\"completed\"}")
                 == Some(CLIENTS as f64)
             && sample(&scrape.1, "deepsecure_active_sessions") == Some(0.0)
+            && sample(&scrape.1, "deepsecure_accept_queue_depth") == Some(0.0)
         {
             break;
         }
@@ -120,6 +133,7 @@ fn scraping_a_sharded_server_matches_the_clients_view() {
     }
     let (status, body) = scrape;
     assert_eq!(status, "HTTP/1.1 200 OK");
+    assert_families_declared_once(&body);
     assert_eq!(
         sample(&body, "deepsecure_requests_total"),
         Some(requests),
@@ -141,6 +155,7 @@ fn scraping_a_sharded_server_matches_the_clients_view() {
         Some(0.0)
     );
     assert_eq!(sample(&body, "deepsecure_active_sessions"), Some(0.0));
+    assert_eq!(sample(&body, "deepsecure_accept_queue_depth"), Some(0.0));
     // The latency histogram saw one observation per request, and its
     // +Inf bucket agrees with the count.
     assert_eq!(

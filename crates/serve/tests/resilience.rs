@@ -5,7 +5,7 @@
 
 use std::sync::{Arc, RwLock};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use deepsecure_core::compile::plain_label;
 use deepsecure_core::protocol::run_compiled;
@@ -227,6 +227,87 @@ fn model_session_cap_sheds_with_busy_and_clients_back_off() {
     assert_eq!(
         stats.sessions_opened,
         stats.sessions_completed + stats.sessions_failed
+    );
+}
+
+#[test]
+fn queue_cap_sheds_the_connection_past_the_open_handlers() {
+    let _shared = QUIET.read().unwrap_or_else(|p| p.into_inner());
+    let (handle, join) = start_server(ServeConfig {
+        queue_cap: 1,
+        retry_after_ms: 25,
+        ..base_config()
+    });
+    let addr = handle.local_addr().to_string();
+    let model = ClientModel::load("tiny_mlp").expect("model");
+
+    // A connection that never says hello holds the only handler slot.
+    let silent = std::net::TcpStream::connect(&addr).expect("connect");
+    let t = Instant::now();
+    while handle.open_connections() == 0 && t.elapsed() < Duration::from_secs(5) {
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(handle.open_connections(), 1);
+
+    // The next arrival is shed at accept time, before any handshake.
+    let err = ServeClient::connect_opts(
+        &addr,
+        &model,
+        ClientOptions {
+            seed: 34,
+            busy_attempt_cap: 0,
+            ..ClientOptions::default()
+        },
+    )
+    .expect_err("must be shed");
+    match err {
+        ServeError::Busy { retry_after_ms } => assert_eq!(retry_after_ms, 25),
+        other => panic!("expected Busy, got {other}"),
+    }
+
+    // Hanging up frees the slot for the next client once its handler
+    // has seen the disconnect.
+    drop(silent);
+    let t = Instant::now();
+    while handle.open_connections() > 0 && t.elapsed() < Duration::from_secs(5) {
+        thread::sleep(Duration::from_millis(5));
+    }
+    let mut client =
+        ServeClient::connect(&addr, &model, 35, Duration::from_secs(10)).expect("connect");
+    client.query(0).expect("query");
+    client.finish().expect("finish");
+
+    handle.shutdown();
+    let stats = join.join().unwrap();
+    assert_eq!(stats.shed_queue_full, 1, "stats: {stats:?}");
+    assert_eq!(stats.sheds(), 1);
+    assert_eq!(stats.sessions_completed, 1);
+    assert_eq!(handle.open_connections(), 0);
+}
+
+#[test]
+fn a_dead_server_fails_the_connect_within_one_budget() {
+    let _shared = QUIET.read().unwrap_or_else(|p| p.into_inner());
+    let model = ClientModel::load("tiny_mlp").expect("model");
+    // Reserve a port and free it: nothing listens there.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|probe| probe.local_addr())
+        .expect("probe")
+        .to_string();
+    let t = Instant::now();
+    let err = ServeClient::connect_opts(
+        &addr,
+        &model,
+        ClientOptions {
+            connect_timeout: Duration::from_millis(100),
+            ..ClientOptions::default()
+        },
+    )
+    .expect_err("nothing listens");
+    assert!(
+        t.elapsed() < Duration::from_secs(1),
+        "gave up after {:.2} s: {err}",
+        t.elapsed().as_secs_f64()
     );
 }
 

@@ -39,13 +39,14 @@ usage:
   --sessions     exit gracefully after N sessions have finished
                  (default: serve forever)
   --seed         pool randomness seed (default 7)
-  --threads      accept-loop shards, pool fill workers, and per-session
-                 garbling/modexp pool width (0 = one per core; default
-                 from DEEPSECURE_THREADS, else 1). A pure perf knob:
-                 wire bytes are identical at any width.
-  --queue-cap    per-shard accept-queue bound (default 64): connections
-                 beyond it are shed immediately with `DSRV/2 BUSY`
-                 instead of queuing into unbounded latency
+  --threads      pool fill workers and per-session garbling/modexp pool
+                 width (0 = one per core; default from
+                 DEEPSECURE_THREADS, else 1). A pure perf knob: wire
+                 bytes are identical at any width.
+  --queue-cap    most open connections, handshakes included (default
+                 64): the accept loop sheds the next arrival at once
+                 with `DSRV/2 BUSY` instead of adding one more handler
+                 thread
   --model-session-cap
                  at most N live sessions per hosted model; excess
                  handshakes are shed with BUSY (default: unlimited)
@@ -58,8 +59,8 @@ usage:
   --metrics-addr serve Prometheus text metrics over HTTP at this address
                  (GET /metrics; port 0 picks an ephemeral port): request
                  and session counters, online/setup latency histograms,
-                 precompute-pool depth and hit/miss counters, per-shard
-                 accept-queue depth, and live per-phase wire bytes
+                 precompute-pool depth and hit/miss counters, the open
+                 connection count, and live per-phase wire bytes
   --trace-out    record wall-time spans of every session's protocol
                  phases and write a Chrome trace-event JSON file at
                  shutdown (view at https://ui.perfetto.dev)
@@ -140,9 +141,9 @@ fn run(args: &[String]) -> Result<(), String> {
         server.local_addr(),
         config.pool_target,
         match config.threads {
-            0 => ", one shard per core".to_string(),
+            0 => ", one worker thread per core".to_string(),
             1 => String::new(),
-            n => format!(", {n} shards"),
+            n => format!(", {n} worker threads"),
         },
         if config.chunk_gates > 0 {
             format!(", streaming chunks of {} gates", config.chunk_gates)

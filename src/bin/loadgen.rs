@@ -184,6 +184,93 @@ struct ClientRun {
     resilience: [u64; 4],
 }
 
+/// The step a session stopped at.
+enum Step {
+    Connect,
+    Query(usize),
+    Finish,
+}
+
+impl Step {
+    /// The step's name in an error line; `indexed` says which query.
+    fn name(&self, indexed: bool) -> String {
+        match self {
+            Step::Connect => "connect".to_string(),
+            Step::Query(q) if indexed => format!("query {q}"),
+            Step::Query(_) => "query".to_string(),
+            Step::Finish => "finish".to_string(),
+        }
+    }
+}
+
+/// One session, the worker of both load shapes: connect (handshake +
+/// base-OT setup), one query per entry of `samples`, then finish.
+fn run_session(
+    addr: &str,
+    model: &ClientModel,
+    opts: ClientOptions,
+    samples: &[usize],
+) -> Result<ClientRun, (Step, ServeError)> {
+    let t0 = Instant::now();
+    let mut client =
+        ServeClient::connect_opts(addr, model, opts).map_err(|e| (Step::Connect, e))?;
+    let mut queries = Vec::with_capacity(samples.len());
+    for (q, &sample) in samples.iter().enumerate() {
+        let out = client.query(sample).map_err(|e| (Step::Query(q), e))?;
+        queries.push((sample, out));
+    }
+    let run = ClientRun {
+        offline_s: client.offline_s,
+        setup_bytes: client.setup_bytes(),
+        total_s: t0.elapsed().as_secs_f64(),
+        queries,
+        resilience: [
+            client.retries,
+            client.resumes,
+            client.fresh_reconnects,
+            client.busy_backoffs,
+        ],
+    };
+    client.finish().map_err(|e| (Step::Finish, e))?;
+    Ok(run)
+}
+
+/// What both load shapes report over their completed sessions.
+struct Tally {
+    /// Every query's online latency, microseconds. Latencies fold into
+    /// the same log-scale histogram the server scrapes: percentiles are
+    /// nearest-rank on bucket bounds (≤12.5% wide), not an exact order
+    /// statistic of a sorted Vec.
+    online_us: HistSnapshot,
+    /// Mean per-session offline cost, seconds (0 with no sessions).
+    offline_mean: f64,
+    /// Summed resilience counters, in `ClientRun::resilience` order.
+    resilience: [u64; 4],
+}
+
+fn tally(runs: &[ClientRun]) -> Tally {
+    let mut online_us = HistSnapshot::new();
+    let mut resilience = [0; 4];
+    for r in runs {
+        for (_, o) in &r.queries {
+            online_us.record(to_us(o.online_s));
+        }
+        for (a, b) in resilience.iter_mut().zip(r.resilience) {
+            *a += b;
+        }
+    }
+    let offline_mean = if runs.is_empty() {
+        0.0
+    } else {
+        runs.iter().map(|r| r.offline_s).sum::<f64>() / runs.len() as f64
+    };
+    Tally {
+        online_us,
+        offline_mean,
+        resilience,
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -226,34 +313,11 @@ fn closed_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
             let requests = cli.requests;
             let opts = client_options(cli, tid as u64);
             std::thread::spawn(move || -> Result<ClientRun, String> {
-                let t0 = Instant::now();
-                let mut client = ServeClient::connect_opts(&addr, &model, opts)
-                    .map_err(|e| format!("client {tid}: connect: {e}"))?;
-                let offline_s = client.offline_s;
-                let mut queries = Vec::with_capacity(requests);
-                for q in 0..requests {
-                    let sample = (tid * requests + q) % model.demo.dataset.len();
-                    let out = client
-                        .query(sample)
-                        .map_err(|e| format!("client {tid}: query {q}: {e}"))?;
-                    queries.push((sample, out));
-                }
-                let run = ClientRun {
-                    offline_s,
-                    setup_bytes: client.setup_bytes(),
-                    total_s: t0.elapsed().as_secs_f64(),
-                    queries,
-                    resilience: [
-                        client.retries,
-                        client.resumes,
-                        client.fresh_reconnects,
-                        client.busy_backoffs,
-                    ],
-                };
-                client
-                    .finish()
-                    .map_err(|e| format!("client {tid}: finish: {e}"))?;
-                Ok(run)
+                let samples: Vec<usize> = (0..requests)
+                    .map(|q| (tid * requests + q) % model.demo.dataset.len())
+                    .collect();
+                run_session(&addr, &model, opts, &samples)
+                    .map_err(|(step, e)| format!("client {tid}: {}: {e}", step.name(true)))
             })
         })
         .collect();
@@ -269,18 +333,13 @@ fn closed_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
     }
 
     let n_requests = (cli.clients * cli.requests) as f64;
-    // Latencies fold into the same mergeable log-scale histogram the
-    // server scrapes: percentiles are nearest-rank on bucket bounds
-    // (≤12.5% wide), not an exact order statistic of a sorted Vec.
-    let mut online_us = HistSnapshot::new();
-    for r in &runs {
-        for (_, o) in &r.queries {
-            online_us.record(to_us(o.online_s));
-        }
-    }
+    let Tally {
+        online_us,
+        offline_mean,
+        resilience: [retries, resumes, fresh, busy],
+    } = tally(&runs);
     let online_mean = online_us.mean() / 1e6;
     let online_max = online_us.quantile(1.0) as f64 / 1e6;
-    let offline_mean = runs.iter().map(|r| r.offline_s).sum::<f64>() / cli.clients as f64;
     let total_mean = runs.iter().map(|r| r.total_s).sum::<f64>() / cli.clients as f64;
     let peak_resident = runs
         .iter()
@@ -312,12 +371,6 @@ fn closed_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
         "  session end-to-end                                   mean {total_mean:.3} s ({:.0}% spent online)",
         100.0 * (cli.requests as f64 * online_mean) / total_mean
     );
-    let [retries, resumes, fresh, busy]: [u64; 4] = runs.iter().fold([0; 4], |mut acc, r| {
-        for (a, b) in acc.iter_mut().zip(r.resilience) {
-            *a += b;
-        }
-        acc
-    });
     if cli.chaos.is_some() || retries + resumes + fresh + busy > 0 {
         println!(
             "  resilience: {retries} query retries, {resumes} resumed reconnects, \
@@ -374,33 +427,13 @@ fn open_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
             ..client_options(cli, tid)
         };
         workers.push(std::thread::spawn(move || -> Arrival {
-            let t0 = Instant::now();
-            let mut client = match ServeClient::connect_opts(&addr, &model, opts) {
-                Ok(c) => c,
-                Err(ServeError::Busy { .. }) => return Arrival::Shed,
-                Err(e) => return Arrival::Failed(format!("arrival {tid}: connect: {e}")),
-            };
             let sample = usize::try_from(tid).unwrap_or(0) % model.demo.dataset.len();
-            let out = match client.query(sample) {
-                Ok(out) => out,
-                Err(ServeError::Busy { .. }) => return Arrival::Shed,
-                Err(e) => return Arrival::Failed(format!("arrival {tid}: query: {e}")),
-            };
-            let run = ClientRun {
-                offline_s: client.offline_s,
-                setup_bytes: client.setup_bytes(),
-                total_s: t0.elapsed().as_secs_f64(),
-                queries: vec![(sample, out)],
-                resilience: [
-                    client.retries,
-                    client.resumes,
-                    client.fresh_reconnects,
-                    client.busy_backoffs,
-                ],
-            };
-            match client.finish() {
-                Ok(()) => Arrival::Completed(Box::new(run)),
-                Err(e) => Arrival::Failed(format!("arrival {tid}: finish: {e}")),
+            match run_session(&addr, &model, opts, &[sample]) {
+                Ok(run) => Arrival::Completed(Box::new(run)),
+                Err((_, ServeError::Busy { .. })) => Arrival::Shed,
+                Err((step, e)) => {
+                    Arrival::Failed(format!("arrival {tid}: {}: {e}", step.name(false)))
+                }
             }
         }));
         next_arrival += exp_interval(&mut rng, cli.rate);
@@ -427,23 +460,11 @@ fn open_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
              {failed} failed"
         ));
     }
-    let mut online_us = HistSnapshot::new();
-    for r in &completed {
-        for (_, o) in &r.queries {
-            online_us.record(to_us(o.online_s));
-        }
-    }
-    let offline_mean = if completed.is_empty() {
-        0.0
-    } else {
-        completed.iter().map(|r| r.offline_s).sum::<f64>() / completed.len() as f64
-    };
-    let [retries, resumes, fresh, busy]: [u64; 4] = completed.iter().fold([0; 4], |mut acc, r| {
-        for (a, b) in acc.iter_mut().zip(r.resilience) {
-            *a += b;
-        }
-        acc
-    });
+    let Tally {
+        online_us,
+        offline_mean,
+        resilience: [retries, resumes, fresh, busy],
+    } = tally(&completed);
     println!(
         "loadgen: {arrivals} arrivals in {wall_s:.2} s -> {done} completed ({:.2} req/s), \
          {shed} shed, {failed} failed",
