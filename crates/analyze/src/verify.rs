@@ -12,6 +12,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use deepsecure_circuit::{
     Circuit, DiagCode, DiagLoc, Diagnostic, Gate, GateKind, Wire, CONST_0, CONST_1,
@@ -116,108 +117,13 @@ pub(crate) fn verify_full(circuit: &Circuit) -> VerifyOutcome {
     }
 }
 
-/// Mirrors [`Circuit::validate`] check-for-check but keeps going after the
-/// first violation so a broken import is diagnosed in one shot.
+/// Every structural violation [`Circuit::validate`] would stop at, not
+/// just the first, so a broken import is diagnosed in one shot.
 fn structural_pass(circuit: &Circuit, em: &mut Emitter) {
-    let n = circuit.wire_count();
-    let mut driven = vec![false; n.max(2)];
-    if CONST_1.index() >= n {
-        em.emit(
-            DiagCode::SourceOutOfBounds,
-            DiagLoc::Source(CONST_1),
-            format!("constant wires need wire_count >= 2, have {n}"),
-        );
-        return;
-    }
-    driven[CONST_0.index()] = true;
-    driven[CONST_1.index()] = true;
-
-    for w in circuit
-        .garbler_inputs()
-        .iter()
-        .chain(circuit.evaluator_inputs())
-        .chain(circuit.registers().iter().map(|r| &r.q))
-    {
-        if w.index() >= n {
-            em.emit(
-                DiagCode::SourceOutOfBounds,
-                DiagLoc::Source(*w),
-                format!("source {w:?} out of bounds (wire_count {n})"),
-            );
-        } else if driven[w.index()] {
-            em.emit(
-                DiagCode::DuplicateSource,
-                DiagLoc::Source(*w),
-                format!("source {w:?} declared twice"),
-            );
-        } else {
-            driven[w.index()] = true;
-        }
-    }
-
-    for (i, g) in circuit.gates().iter().enumerate() {
-        for w in [g.a, g.b] {
-            if w.index() >= n {
-                em.emit(
-                    DiagCode::InputOutOfBounds,
-                    DiagLoc::Gate(i),
-                    format!("input {w:?} out of bounds (wire_count {n})"),
-                );
-            } else if !driven[w.index()] {
-                em.emit(
-                    DiagCode::UseBeforeDef,
-                    DiagLoc::Gate(i),
-                    format!("input {w:?} not yet driven"),
-                );
-            }
-        }
-        if !g.kind.is_binary() && g.b != g.a {
-            em.emit(
-                DiagCode::UnaryArity,
-                DiagLoc::Gate(i),
-                format!(
-                    "unary {} gate has b = {:?} != a = {:?}",
-                    g.kind.name(),
-                    g.b,
-                    g.a
-                ),
-            );
-        }
-        if g.out.index() >= n {
-            em.emit(
-                DiagCode::OutputOutOfBounds,
-                DiagLoc::Gate(i),
-                format!("output {:?} out of bounds (wire_count {n})", g.out),
-            );
-        } else if driven[g.out.index()] {
-            em.emit(
-                DiagCode::DuplicateDriver,
-                DiagLoc::Gate(i),
-                format!("output {:?} already driven", g.out),
-            );
-        } else {
-            driven[g.out.index()] = true;
-        }
-    }
-
-    for (i, w) in circuit.outputs().iter().enumerate() {
-        if w.index() >= n || !driven[w.index()] {
-            em.emit(
-                DiagCode::UndrivenSink,
-                DiagLoc::Output(i),
-                format!("output {w:?} not driven"),
-            );
-        }
-    }
-    for (i, r) in circuit.registers().iter().enumerate() {
-        if r.d.index() >= n || !driven[r.d.index()] {
-            em.emit(
-                DiagCode::UndrivenSink,
-                DiagLoc::Register(i),
-                format!("register data input {:?} not driven", r.d),
-            );
-        }
-    }
+    let _ = circuit.check_structure(|d| {
+        em.emit(d.code, d.loc, d.message);
+        ControlFlow::<()>::Continue(())
+    });
 }
 
 /// Efficiency warnings over a structurally-sound circuit. Each check mirrors

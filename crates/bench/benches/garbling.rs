@@ -7,10 +7,9 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use deepsecure_circuit::Builder;
 use deepsecure_crypto::{Block, FixedKeyHash};
-use deepsecure_garble::{execute_locally, execute_locally_with_pool};
+use deepsecure_garble::execute_locally;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use workpool::ThreadPool;
 
 fn chain_circuit(and_heavy: bool, rounds: usize) -> deepsecure_circuit::Circuit {
     let mut b = Builder::new();
@@ -110,19 +109,6 @@ fn bench_garbling(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(1);
             bench.iter(|| execute_locally(&circuit, &g, &e, 1, &mut rng));
         });
-        // Core-scaling variants: same circuit, same seed, forced worker
-        // counts. On a multi-core host and_chain_w4 should run ≥2× the
-        // sequential and_chain; on a 1-vCPU host it measures the
-        // scheduling overhead instead (levelize + per-wave barriers), and
-        // the interesting assertion — identical tables at every width —
-        // lives in the proptests, not here.
-        for workers in [2usize, 4] {
-            let pool = ThreadPool::new(workers);
-            group.bench_function(format!("{name}_w{workers}"), |bench| {
-                let mut rng = StdRng::seed_from_u64(1);
-                bench.iter(|| execute_locally_with_pool(&circuit, &g, &e, 1, &mut rng, pool));
-            });
-        }
     }
     group.finish();
     report_clks_per_gate();

@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the compiler's main design choices:
 //!
 //! 1. **Multiplier realization** (exact floor vs truncated array) — the
 //!    single biggest lever on absolute GC cost.

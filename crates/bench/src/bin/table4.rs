@@ -3,8 +3,8 @@
 //!
 //! Counts come from the analytic Table-2 sum over our synthesized
 //! components; times from the cost model at the paper's operating point
-//! (3.4 GHz, 62/164 clk/gate, 102.8 MB/s effective link — see
-//! EXPERIMENTS.md).
+//! (3.4 GHz, 62/164 clk/gate, and the 102.8 MB/s effective link that the
+//! paper's own rows imply: comm / (execution − comp)).
 
 use deepsecure_bench::{mb, row, sci};
 use deepsecure_core::compile::CompileOptions;

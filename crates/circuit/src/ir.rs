@@ -1,4 +1,5 @@
 use std::fmt;
+use std::ops::ControlFlow;
 
 use crate::diag::{DiagCode, DiagLoc, Diagnostic};
 
@@ -351,8 +352,8 @@ impl Circuit {
     ///
     /// This is the cheap inline check used by [`crate::Builder`] and the
     /// netlist parser; it stops at the first violation. The
-    /// `deepsecure-analyze` crate runs the same checks exhaustively and adds
-    /// efficiency warnings on top.
+    /// `deepsecure-analyze` crate collects every violation through
+    /// [`Circuit::check_structure`] and adds efficiency warnings on top.
     ///
     /// # Errors
     ///
@@ -360,15 +361,33 @@ impl Circuit {
     /// detail) for the first violation; its [`fmt::Display`] is a one-line
     /// human-readable description.
     pub fn validate(&self) -> Result<(), Diagnostic> {
+        match self.check_structure(ControlFlow::Break) {
+            ControlFlow::Break(first) => Err(first),
+            ControlFlow::Continue(()) => Ok(()),
+        }
+    }
+
+    /// The structural walk behind [`Circuit::validate`]: hands every
+    /// violation, in netlist order, to `report`, and stops as soon as
+    /// `report` breaks. A violation never marks its wire driven, so later
+    /// checks see the circuit as far as it is well-formed; an out-of-range
+    /// constant wire ends the walk (nothing else can be checked).
+    pub fn check_structure<B>(
+        &self,
+        mut report: impl FnMut(Diagnostic) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
         let n = self.wire_count as usize;
-        let mut driven = vec![false; n.max(2)];
+        let mut emit = |code: DiagCode, loc: DiagLoc, message: String| {
+            report(Diagnostic::new(code, loc, message))
+        };
         if CONST_1.index() >= n {
-            return Err(Diagnostic::new(
+            return emit(
                 DiagCode::SourceOutOfBounds,
                 DiagLoc::Source(CONST_1),
                 format!("constant wires need wire_count >= 2, have {n}"),
-            ));
+            );
         }
+        let mut driven = vec![false; n];
         driven[CONST_0.index()] = true;
         driven[CONST_1.index()] = true;
         for w in self
@@ -378,40 +397,39 @@ impl Circuit {
             .chain(self.registers.iter().map(|r| &r.q))
         {
             if w.index() >= n {
-                return Err(Diagnostic::new(
+                emit(
                     DiagCode::SourceOutOfBounds,
                     DiagLoc::Source(*w),
                     format!("source {w:?} out of bounds (wire_count {n})"),
-                ));
-            }
-            if driven[w.index()] {
-                return Err(Diagnostic::new(
+                )?;
+            } else if driven[w.index()] {
+                emit(
                     DiagCode::DuplicateSource,
                     DiagLoc::Source(*w),
                     format!("source {w:?} declared twice"),
-                ));
+                )?;
+            } else {
+                driven[w.index()] = true;
             }
-            driven[w.index()] = true;
         }
         for (i, g) in self.gates.iter().enumerate() {
             for w in [g.a, g.b] {
                 if w.index() >= n {
-                    return Err(Diagnostic::new(
+                    emit(
                         DiagCode::InputOutOfBounds,
                         DiagLoc::Gate(i),
                         format!("input {w:?} out of bounds (wire_count {n})"),
-                    ));
-                }
-                if !driven[w.index()] {
-                    return Err(Diagnostic::new(
+                    )?;
+                } else if !driven[w.index()] {
+                    emit(
                         DiagCode::UseBeforeDef,
                         DiagLoc::Gate(i),
                         format!("input {w:?} not yet driven"),
-                    ));
+                    )?;
                 }
             }
             if !g.kind.is_binary() && g.b != g.a {
-                return Err(Diagnostic::new(
+                emit(
                     DiagCode::UnaryArity,
                     DiagLoc::Gate(i),
                     format!(
@@ -420,43 +438,43 @@ impl Circuit {
                         g.b,
                         g.a
                     ),
-                ));
+                )?;
             }
             if g.out.index() >= n {
-                return Err(Diagnostic::new(
+                emit(
                     DiagCode::OutputOutOfBounds,
                     DiagLoc::Gate(i),
                     format!("output {:?} out of bounds (wire_count {n})", g.out),
-                ));
-            }
-            if driven[g.out.index()] {
-                return Err(Diagnostic::new(
+                )?;
+            } else if driven[g.out.index()] {
+                emit(
                     DiagCode::DuplicateDriver,
                     DiagLoc::Gate(i),
                     format!("output {:?} already driven", g.out),
-                ));
+                )?;
+            } else {
+                driven[g.out.index()] = true;
             }
-            driven[g.out.index()] = true;
         }
         for (i, w) in self.outputs.iter().enumerate() {
             if w.index() >= n || !driven[w.index()] {
-                return Err(Diagnostic::new(
+                emit(
                     DiagCode::UndrivenSink,
                     DiagLoc::Output(i),
                     format!("output {w:?} not driven"),
-                ));
+                )?;
             }
         }
         for (i, r) in self.registers.iter().enumerate() {
             if r.d.index() >= n || !driven[r.d.index()] {
-                return Err(Diagnostic::new(
+                emit(
                     DiagCode::UndrivenSink,
                     DiagLoc::Register(i),
                     format!("register data input {:?} not driven", r.d),
-                ));
+                )?;
             }
         }
-        Ok(())
+        ControlFlow::Continue(())
     }
 }
 

@@ -72,17 +72,11 @@ pub fn optimize(circuit: &Circuit) -> Circuit {
 ///
 /// Wires that exist before any gate fires (constants, inputs, register
 /// outputs) sit at level 0; a gate's level is `max(level(a), level(b)) + 1`.
-/// Gates sharing a level are mutually independent, so a scheduler may hash
-/// them in any order — or in parallel — and still produce bit-identical
-/// tables, labels and decode bits, provided results are committed in gate
-/// order. The struct also records each gate's *non-free ordinal* (the count
-/// of non-free gates strictly before it), which pins both its garbling
-/// tweak and where its two table rows land in the streamed transcript.
+/// Gates sharing a level are mutually independent; the per-level widths
+/// feed the static cost report.
 #[derive(Debug, Clone)]
 pub struct Levels {
     gate_level: Vec<u32>,
-    nonfree_prefix: Vec<u32>,
-    nonfree_total: u32,
     max_level: u32,
 }
 
@@ -91,21 +85,15 @@ pub fn levelize(circuit: &Circuit) -> Levels {
     let gates = circuit.gates();
     let mut wire_level = vec![0u32; circuit.wire_count()];
     let mut gate_level = Vec::with_capacity(gates.len());
-    let mut nonfree_prefix = Vec::with_capacity(gates.len());
-    let mut nonfree = 0u32;
     let mut max_level = 0u32;
     for g in gates {
         let level = wire_level[g.a.index()].max(wire_level[g.b.index()]) + 1;
         wire_level[g.out.index()] = level;
         max_level = max_level.max(level);
         gate_level.push(level);
-        nonfree_prefix.push(nonfree);
-        nonfree += u32::from(!g.kind.is_free());
     }
     Levels {
         gate_level,
-        nonfree_prefix,
-        nonfree_total: nonfree,
         max_level,
     }
 }
@@ -124,75 +112,6 @@ impl Levels {
     /// Deepest gate level (equals [`depth`] of the circuit).
     pub fn max_level(&self) -> u32 {
         self.max_level
-    }
-
-    /// Non-free gates strictly before gate `i` (`i == gate_count()` gives
-    /// the circuit total). For a non-free gate this is its ordinal.
-    pub fn nonfree_before(&self, i: usize) -> u32 {
-        if i == self.nonfree_prefix.len() {
-            self.nonfree_total
-        } else {
-            self.nonfree_prefix[i]
-        }
-    }
-
-    /// Index of the `k`-th (1-based) non-free gate at or after `start`, or
-    /// `None` if fewer than `k` remain. The chunked garbler and evaluator
-    /// both phrase their stopping rules through this.
-    pub fn nth_nonfree_at(&self, start: usize, k: usize) -> Option<usize> {
-        let base = self.nonfree_before(start) as usize;
-        if self.nonfree_total as usize - base < k {
-            return None;
-        }
-        let target = (base + k) as u32;
-        // First index whose strictly-before count reaches `target` sits just
-        // past the k-th non-free gate (prefix counts are monotone).
-        let past = self.nonfree_prefix.partition_point(|&p| p < target);
-        Some(past - 1)
-    }
-
-    /// Stably orders the gate range `[range.start, range.end)` by level.
-    ///
-    /// Returns the gate indices grouped level-ascending (ties keep gate
-    /// order) plus one sub-range into that ordering per non-empty level.
-    /// Counting sort, O(range + levels) — a comparison sort would dominate
-    /// the garbling time itself on multi-million-gate buffered chunks.
-    pub fn order_range(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> (Vec<u32>, Vec<std::ops::Range<usize>>) {
-        let (start, end) = (range.start, range.end);
-        if start >= end {
-            return (Vec::new(), Vec::new());
-        }
-        let levels = &self.gate_level[start..end];
-        let mut lo = u32::MAX;
-        let mut hi = 0u32;
-        for &l in levels {
-            lo = lo.min(l);
-            hi = hi.max(l);
-        }
-        let mut counts = vec![0u32; (hi - lo + 1) as usize];
-        for &l in levels {
-            counts[(l - lo) as usize] += 1;
-        }
-        let mut spans = Vec::new();
-        let mut acc = 0u32;
-        for c in counts.iter_mut() {
-            let begin = acc;
-            acc += *c;
-            if *c > 0 {
-                spans.push(begin as usize..acc as usize);
-            }
-            *c = begin; // repurpose as the level's write cursor
-        }
-        let mut order = vec![0u32; end - start];
-        for (i, &l) in levels.iter().enumerate() {
-            let slot = &mut counts[(l - lo) as usize];
-            order[*slot as usize] = (start + i) as u32;
-            *slot += 1;
-        }
-        (order, spans)
     }
 }
 
@@ -317,57 +236,6 @@ mod tests {
                 }
             }
         }
-        // Full-range ordering covers every gate once, level-ascending with
-        // stable ties.
-        let (order, spans) = lv.order_range(0..lv.gate_count());
-        let mut seen: Vec<u32> = order.clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..lv.gate_count() as u32).collect::<Vec<_>>());
-        assert_eq!(spans.iter().map(|s| s.len()).sum::<usize>(), order.len());
-        for span in &spans {
-            let l = lv.gate_level(order[span.start] as usize);
-            for w in span.clone() {
-                assert_eq!(lv.gate_level(order[w] as usize), l);
-            }
-            assert!(order[span.clone()].windows(2).all(|p| p[0] < p[1]));
-        }
-        // Non-free ordinals count AND-family gates in topological order.
-        let mut nf = 0u32;
-        for (i, g) in c.gates().iter().enumerate() {
-            assert_eq!(lv.nonfree_before(i), nf);
-            nf += u32::from(!g.kind.is_free());
-        }
-        assert_eq!(lv.nonfree_before(lv.gate_count()), nf);
-        // nth_nonfree_at inverts the prefix counts.
-        let nonfree: Vec<usize> = c
-            .gates()
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| !g.kind.is_free())
-            .map(|(i, _)| i)
-            .collect();
-        for start in 0..=lv.gate_count() {
-            let remaining: Vec<usize> = nonfree.iter().copied().filter(|&i| i >= start).collect();
-            for k in 1..=remaining.len() + 1 {
-                assert_eq!(lv.nth_nonfree_at(start, k), remaining.get(k - 1).copied());
-            }
-            assert_eq!(lv.nth_nonfree_at(start, usize::MAX), None);
-        }
-    }
-
-    #[test]
-    fn order_range_of_empty_and_single() {
-        let mut b = Builder::new();
-        let x = b.garbler_input();
-        let y = b.evaluator_input();
-        let t = b.and(x, y);
-        b.output(t);
-        let c = b.finish();
-        let lv = levelize(&c);
-        assert_eq!(lv.order_range(0..0), (Vec::new(), Vec::new()));
-        let (order, spans) = lv.order_range(0..1);
-        assert_eq!(order, vec![0]);
-        assert_eq!(spans, vec![0..1]);
     }
 
     #[test]

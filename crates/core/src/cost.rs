@@ -7,8 +7,8 @@
 //!
 //! Defaults reproduce the paper's operating point: 62/164 clocks per
 //! XOR/non-XOR gate on a 3.4 GHz CPU, and the effective 102.8 MB/s link
-//! implied by Table 4's (comm, comp, execution) triples (see
-//! EXPERIMENTS.md for the derivation).
+//! implied by Table 4's (comm, comp, execution) triples: comm / (execution
+//! − comp) ≈ 102.8 MB/s on all four benchmarks.
 
 use std::time::Instant;
 
@@ -271,7 +271,7 @@ pub fn network_stats(net: &Network, opts: &CompileOptions) -> GateStats {
 /// Figure 6's CryptoNets constants. `COMPUTE_S` is Table 6's per-batch
 /// computation time; `BATCH_LATENCY_S` is the end-to-end batch latency the
 /// figure plots (≈ 4.9× compute; 2797/9.67 ≈ 289 and 2797/1.08 ≈ 2590
-/// match the figure's marked crossovers exactly — see EXPERIMENTS.md).
+/// match the figure's marked crossovers exactly).
 pub mod cryptonets {
     /// Table 6 computation time per ≤8192-sample batch.
     pub const COMPUTE_S: f64 = 570.11;

@@ -9,7 +9,7 @@
 //! publicly. Clients then compute their embedding locally (Algorithm 2)
 //! before garbling, so the GC input layer shrinks by the fold `m / l`.
 //!
-//! *Implementation notes* (also in DESIGN.md §5): `W = UUᵀ` where `U` is
+//! *Implementation notes*: `W = UUᵀ` where `U` is
 //! an orthonormal basis of `D`'s column space; releasing `U` leaks exactly
 //! the subspace that `W` leaks (Prop 3.1), and `y = Uᵀx ∈ R^l` is the
 //! embedding the re-trained `l`-input network consumes. Line 28 of

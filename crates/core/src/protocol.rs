@@ -112,8 +112,9 @@ pub struct InferenceConfig {
     /// docs). **Both parties must agree** — chunk boundaries are derived,
     /// not framed, which is what keeps every chunking byte-identical.
     pub chunk_gates: usize,
-    /// Worker threads for garbling, evaluation, and base-OT modexps. `1`
-    /// is the sequential path; `0` means auto (one per available core).
+    /// Worker threads for the base-OT modexps of the OT set-up; garbling
+    /// and evaluation are one sequential gate walk per party whatever the
+    /// value. `0` means auto (one per available core).
     ///
     /// A pure perf knob: every thread count moves **bit-identical** wire
     /// bytes, so the parties need not agree on it. Defaults to the
@@ -129,7 +130,7 @@ pub struct InferenceConfig {
 
 impl InferenceConfig {
     /// The worker pool `threads` selects (resolving `0` to the core
-    /// count). Copyable; every subsystem of one run shares this value.
+    /// count) for the run's base-OT modexps.
     pub fn pool(&self) -> workpool::ThreadPool {
         if self.threads == 0 {
             workpool::ThreadPool::new(workpool::auto_threads())
@@ -212,8 +213,8 @@ pub struct InferenceReport {
 ///
 /// Both parties run in-process over byte-counted channels; the `net` value
 /// stands for the public architecture on the client side and the private
-/// parameters on the server side (see DESIGN.md on this in-process
-/// convention).
+/// parameters on the server side: the in-process convention that one
+/// value carries both, where a deployment gives each party only its own.
 ///
 /// # Errors
 ///

@@ -91,7 +91,6 @@ use deepsecure_ot::channel::Channel;
 use deepsecure_ot::ext::{ExtReceiver, ExtSender, SenderPrecomp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use workpool::ThreadPool;
 
 use crate::compile::Compiled;
 use crate::protocol::{InferenceConfig, PhaseSpan, ProtocolError};
@@ -322,13 +321,10 @@ impl GarbledMaterial {
         n_cycles: usize,
         rng: &mut R,
     ) -> GarbledMaterial {
-        let pool = ThreadPool::sequential();
-        GarbledMaterial::garble_with(compiled, n_cycles, rng, pool, &mut Vec::new())
+        GarbledMaterial::garble_with(compiled, n_cycles, rng, &mut Vec::new())
     }
 
-    /// [`GarbledMaterial::garble`] with the per-level gate work fanned out
-    /// across `pool`. Tables and labels are bit-identical to the
-    /// sequential path's for the same RNG stream.
+    /// [`GarbledMaterial::garble`] on a recycled wire-label array.
     ///
     /// `labels` is the garbler's wire-label array, taken on entry and left
     /// behind on return: a caller that garbles one material after another
@@ -339,12 +335,9 @@ impl GarbledMaterial {
         compiled: &Compiled,
         n_cycles: usize,
         rng: &mut R,
-        pool: ThreadPool,
         labels: &mut Vec<Block>,
     ) -> GarbledMaterial {
-        let mut garbler = Garbler::new(&compiled.circuit, rng)
-            .with_pool(pool)
-            .with_labels(std::mem::take(labels));
+        let mut garbler = Garbler::new(&compiled.circuit, rng).with_labels(std::mem::take(labels));
         // Must be read before the first garble_cycle: garbling latches the
         // register labels forward to the next cycle.
         let initial_registers = garbler.initial_register_labels();
@@ -756,7 +749,6 @@ impl ClientSession {
             MaterialSource::Live { seed, .. } => {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let garbler = Garbler::new(&self.compiled.circuit, &mut rng)
-                    .with_pool(self.cfg.pool())
                     .with_labels(std::mem::take(&mut setup.labels));
                 // Must be read before the first cycle garbles: garbling
                 // latches the register labels forward to the next cycle.
@@ -997,9 +989,7 @@ impl ServerSession {
                 let (const0, const1) = (chan.recv_block()?, chan.recv_block()?);
                 Ok::<_, ProtocolError>((const0, const1, chan.recv_blocks(c.registers().len())?))
             })?;
-        let mut evaluator = Evaluator::new(c)
-            .with_pool(self.cfg.pool())
-            .with_labels(std::mem::take(&mut setup.labels));
+        let mut evaluator = Evaluator::new(c).with_labels(std::mem::take(&mut setup.labels));
         evaluator.set_constant_labels(const0, const1);
         evaluator.set_initial_registers(init_regs);
         let nonfree = c.nonfree_gate_count();

@@ -1,10 +1,5 @@
-use std::sync::RwLock;
-
 use deepsecure_circuit::{Circuit, GateKind, CONST_0, CONST_1};
 use deepsecure_crypto::{Block, FixedKeyHash};
-use workpool::ThreadPool;
-
-use crate::par::{Par, PAR_GRAIN};
 
 /// The evaluation state machine (the server/Bob role in DeepSecure).
 ///
@@ -26,8 +21,6 @@ pub struct Evaluator<'c> {
     /// Constant-wire active labels (learned from the first cycle's stream —
     /// they ride along with the garbler input labels).
     const_labels: Option<[Block; 2]>,
-    /// Level-parallel scheduling state; `None` evaluates sequentially.
-    par: Option<Par>,
     /// The wire-label array, recycled across cycles: lent to each
     /// [`CycleEval`] and handed back by its `finish`. Empty until the first
     /// cycle (or [`Evaluator::with_labels`]), and after a cycle that was
@@ -54,7 +47,6 @@ impl<'c> Evaluator<'c> {
             regs_initialized: !circuit.is_sequential(),
             tweak: 0,
             const_labels: None,
-            par: None,
             labels: Vec::new(),
         }
     }
@@ -72,17 +64,6 @@ impl<'c> Evaluator<'c> {
     /// [`Evaluator::with_labels`].
     pub fn into_labels(self) -> Vec<Block> {
         self.labels
-    }
-
-    /// Attaches a thread pool: each feed's unblocked gates are evaluated
-    /// level-parallel across the pool's workers, with labels committed in
-    /// gate order — the walk consumes exactly the same rows and produces
-    /// exactly the same labels as the sequential one (see
-    /// [`crate::Garbler::with_pool`]). A sequential pool keeps the plain
-    /// inline walk.
-    pub fn with_pool(mut self, pool: ThreadPool) -> Self {
-        self.par = Par::for_circuit(self.circuit, pool);
-        self
     }
 
     /// Installs the initial register labels (sent by the garbler before the
@@ -196,7 +177,7 @@ impl<'c> Evaluator<'c> {
         }
         CycleEval {
             evaluator: self,
-            labels: RwLock::new(labels),
+            labels,
             next_gate: 0,
             pending: Vec::new(),
         }
@@ -217,11 +198,8 @@ impl<'c> Evaluator<'c> {
 pub struct CycleEval<'e, 'c> {
     evaluator: &'e mut Evaluator<'c>,
     /// Active labels of this cycle's wires (settled gate by gate) — the
-    /// evaluator's recycled array, on loan until `finish`. Behind a lock
-    /// only for the level-parallel path (workers read settled labels, the
-    /// caller commits a level's outputs between barriers); the sequential
-    /// walk goes through `get_mut` and never locks.
-    labels: RwLock<Vec<Block>>,
+    /// evaluator's recycled array, on loan until `finish`.
+    labels: Vec<Block>,
     /// Next gate to evaluate.
     next_gate: usize,
     /// Fed-but-unconsumed table rows: at most one orphan row while gates
@@ -244,15 +222,10 @@ impl CycleEval<'_, '_> {
     /// the material allows: every free gate, plus each non-free gate whose
     /// two rows are available.
     pub fn feed(&mut self, tables: &[Block]) {
-        if let Some(par) = self.evaluator.par.clone() {
-            self.feed_parallel(tables, &par);
-            return;
-        }
         let mut pos = 0usize;
         let ev = &mut *self.evaluator;
-        let c = ev.circuit;
-        let gates = c.gates();
-        let labels = self.labels.get_mut().unwrap_or_else(|p| p.into_inner());
+        let gates = ev.circuit.gates();
+        let labels = &mut self.labels;
         while self.next_gate < gates.len() {
             let gate = &gates[self.next_gate];
             let a = labels[gate.a.index()];
@@ -302,106 +275,6 @@ impl CycleEval<'_, '_> {
         self.pending.extend_from_slice(&tables[pos..]);
     }
 
-    /// The level-parallel feed: works out how far the fed material lets the
-    /// gate walk advance (every free gate up to — but not past — the first
-    /// non-free gate whose two rows are missing), groups that range by
-    /// dependency level, and evaluates each level across the pool. Rows are
-    /// addressed by non-free ordinal straight out of `pending ++ tables`,
-    /// and the leftover stash is exactly what the sequential walk keeps.
-    fn feed_parallel(&mut self, tables: &[Block], par: &Par) {
-        let ev = &*self.evaluator;
-        let gates = ev.circuit.gates();
-        let lv = &*par.levels;
-        let start = self.next_gate;
-        if start == gates.len() {
-            // Gate walk already complete: any extra rows are an oversupply
-            // for finish() to report.
-            self.pending.extend_from_slice(tables);
-            return;
-        }
-        debug_assert!(self.pending.len() <= 1, "orphan invariant");
-        let avail = self.pending.len() + tables.len();
-        let funded = avail / 2;
-        let base_nf = lv.nonfree_before(start) as usize;
-        // Stop at the first non-free gate the material cannot fund (free
-        // gates before it still evaluate), or run to the end.
-        let end = lv.nth_nonfree_at(start, funded + 1).unwrap_or(gates.len());
-        let done_nf = lv.nonfree_before(end) as usize - base_nf;
-        let hash = ev.hash.clone();
-        let cycle_tweak_base = ev.tweak - 2 * base_nf as u64;
-        let (order, spans) = lv.order_range(start..end);
-        {
-            let labels = &self.labels;
-            let pending = &self.pending;
-            let (order, spans) = (&order, &spans);
-            par.pool.waves(
-                spans.len(),
-                PAR_GRAIN,
-                |w| spans[w].len(),
-                |w, range| {
-                    let span = &order[spans[w].clone()];
-                    let labels = labels.read().unwrap_or_else(|p| p.into_inner());
-                    span[range]
-                        .iter()
-                        .map(|&gi| {
-                            let gi = gi as usize;
-                            let gate = &gates[gi];
-                            let a = labels[gate.a.index()];
-                            let b = labels[gate.b.index()];
-                            match gate.kind {
-                                GateKind::Xor | GateKind::Xnor => a ^ b,
-                                GateKind::Not | GateKind::Buf => a,
-                                _ => {
-                                    let k = lv.nonfree_before(gi) as usize - base_nf;
-                                    let row = |j: usize| {
-                                        if j < pending.len() {
-                                            pending[j]
-                                        } else {
-                                            tables[j - pending.len()]
-                                        }
-                                    };
-                                    let (table_g, table_e) = (row(2 * k), row(2 * k + 1));
-                                    let t_g =
-                                        cycle_tweak_base + 2 * u64::from(lv.nonfree_before(gi));
-                                    let [mut w_g, mut w_e] = hash.hash2([a, b], [t_g, t_g + 1]);
-                                    if a.color() {
-                                        w_g ^= table_g;
-                                    }
-                                    if b.color() {
-                                        w_e ^= table_e ^ a;
-                                    }
-                                    w_g ^ w_e
-                                }
-                            }
-                        })
-                        .collect::<Vec<Block>>()
-                },
-                |w, parts| {
-                    let mut labels = labels.write().unwrap_or_else(|p| p.into_inner());
-                    let span_start = spans[w].start;
-                    for (task_start, outs) in parts {
-                        for (k, out) in outs.into_iter().enumerate() {
-                            let gi = order[span_start + task_start + k] as usize;
-                            labels[gates[gi].out.index()] = out;
-                        }
-                    }
-                },
-            );
-        }
-        let used_rows = 2 * done_nf;
-        self.next_gate = end;
-        self.evaluator.tweak += 2 * done_nf as u64;
-        if used_rows <= self.pending.len() {
-            // Nothing funded (used_rows == 0): keep the orphan, stash the
-            // fed tail — identical to the sequential blocked case.
-            self.pending.extend_from_slice(tables);
-        } else {
-            let from_tables = used_rows - self.pending.len();
-            self.pending.clear();
-            self.pending.extend_from_slice(&tables[from_tables..]);
-        }
-    }
-
     /// Whether every gate of the cycle has been evaluated.
     pub fn is_complete(&self) -> bool {
         self.next_gate == self.evaluator.circuit.gates().len()
@@ -433,7 +306,7 @@ impl CycleEval<'_, '_> {
             "table stream length mismatch: {} unconsumed rows",
             self.pending.len()
         );
-        let labels = self.labels.into_inner().unwrap_or_else(|p| p.into_inner());
+        let labels = self.labels;
         for (slot, r) in ev.reg_labels.iter_mut().zip(c.registers()) {
             *slot = labels[r.d.index()];
         }

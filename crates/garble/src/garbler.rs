@@ -1,11 +1,6 @@
-use std::sync::RwLock;
-
 use deepsecure_circuit::{Circuit, GateKind, CONST_0, CONST_1};
 use deepsecure_crypto::{Block, FixedKeyHash};
 use rand::Rng;
-use workpool::ThreadPool;
-
-use crate::par::{Par, PAR_GRAIN};
 
 /// The material and label metadata for one garbled clock cycle.
 #[derive(Debug, Clone)]
@@ -78,8 +73,6 @@ pub struct Garbler<'c> {
     /// Non-free gate count, fixed per circuit: every cycle's table stream
     /// has exactly `2 * nonfree` entries.
     nonfree: usize,
-    /// Level-parallel scheduling state; `None` garbles sequentially.
-    par: Option<Par>,
     /// The wire-label array, recycled across cycles: lent to each
     /// [`CycleGarbling`] and handed back by its `finish`. Empty until the
     /// first cycle (or [`Garbler::with_labels`]), and after a cycle that
@@ -109,7 +102,6 @@ impl<'c> Garbler<'c> {
                 .collect(),
             tweak: 0,
             nonfree: circuit.nonfree_gate_count(),
-            par: None,
             labels: Vec::new(),
         }
     }
@@ -130,17 +122,6 @@ impl<'c> Garbler<'c> {
     /// keep it inside the garbling party.
     pub fn into_labels(self) -> Vec<Block> {
         self.labels
-    }
-
-    /// Attaches a thread pool: non-free gates within a dependency level are
-    /// hashed across the pool's workers. The produced tables, labels and
-    /// decode bits are **bit-identical** to the sequential walk — each gate
-    /// is a pure function of its settled input labels, Δ and its fixed
-    /// per-gate tweak, so this is a scheduling change, not a crypto change.
-    /// A sequential pool (`workers == 1`) keeps the plain inline walk.
-    pub fn with_pool(mut self, pool: ThreadPool) -> Self {
-        self.par = Par::for_circuit(self.circuit, pool);
-        self
     }
 
     /// The global Free-XOR offset (exposed for invariant tests; a real
@@ -229,7 +210,7 @@ impl<'c> Garbler<'c> {
         }
         CycleGarbling {
             garbler: self,
-            labels: RwLock::new(labels),
+            labels,
             next_gate: 0,
             rows_emitted: 0,
             garbler_input_labels: garbler_inputs,
@@ -238,13 +219,36 @@ impl<'c> Garbler<'c> {
     }
 
     /// Half-gates AND garbling (Zahur–Rosulek–Evans): two ciphertexts,
-    /// returns the output false label.
+    /// returns the output false label. The four hashes an AND gate needs
+    /// (`hg0/hg1/he0/he1`) go through one batched AES pass.
     fn garble_and(&mut self, a0: Block, b0: Block, tables: &mut Vec<Block>) -> Block {
-        let (table_g, table_e, w) = and_halfgates(&self.hash, self.delta, a0, b0, self.tweak);
+        let delta = self.delta;
+        let t_g = self.tweak;
+        let t_e = t_g + 1;
         self.tweak += 2;
+        let p_a = a0.color();
+        let p_b = b0.color();
+        let a1 = a0 ^ delta;
+        let b1 = b0 ^ delta;
+        let [hg0, hg1, he0, he1] = self.hash.hash4([a0, a1, b0, b1], [t_g, t_g, t_e, t_e]);
+        // Generator half gate.
+        let mut table_g = hg0 ^ hg1;
+        if p_b {
+            table_g ^= delta;
+        }
+        let mut w_g = hg0;
+        if p_a {
+            w_g ^= table_g;
+        }
+        // Evaluator half gate.
+        let table_e = he0 ^ he1 ^ a0;
+        let mut w_e = he0;
+        if p_b {
+            w_e ^= table_e ^ a0;
+        }
         tables.push(table_g);
         tables.push(table_e);
-        w
+        w_g ^ w_e
     }
 
     /// Label sanity helper: every wire pair must differ by exactly Δ.
@@ -252,42 +256,6 @@ impl<'c> Garbler<'c> {
     pub fn labels_differ_by_delta(&self, l0: Block, l1: Block) -> bool {
         l0 ^ l1 == self.delta
     }
-}
-
-/// Half-gates AND as a pure function of the effective input false labels,
-/// Δ and the gate's generator tweak (`t_e = t_g + 1`): the two table rows
-/// plus the output false label. The four hashes an AND gate needs
-/// (`hg0/hg1/he0/he1`) go through one batched AES pass. Being stateless is
-/// what lets pool workers garble a level's gates in any order.
-fn and_halfgates(
-    hash: &FixedKeyHash,
-    delta: Block,
-    a0: Block,
-    b0: Block,
-    t_g: u64,
-) -> (Block, Block, Block) {
-    let t_e = t_g + 1;
-    let p_a = a0.color();
-    let p_b = b0.color();
-    let a1 = a0 ^ delta;
-    let b1 = b0 ^ delta;
-    let [hg0, hg1, he0, he1] = hash.hash4([a0, a1, b0, b1], [t_g, t_g, t_e, t_e]);
-    // Generator half gate.
-    let mut table_g = hg0 ^ hg1;
-    if p_b {
-        table_g ^= delta;
-    }
-    let mut w_g = hg0;
-    if p_a {
-        w_g ^= table_g;
-    }
-    // Evaluator half gate.
-    let table_e = he0 ^ he1 ^ a0;
-    let mut w_e = he0;
-    if p_b {
-        w_e ^= table_e ^ a0;
-    }
-    (table_g, table_e, w_g ^ w_e)
 }
 
 /// One clock cycle being garbled incrementally (the streaming producer).
@@ -304,11 +272,8 @@ fn and_halfgates(
 pub struct CycleGarbling<'g, 'c> {
     garbler: &'g mut Garbler<'c>,
     /// Wire labels of this cycle (false labels; settled gate by gate) — the
-    /// garbler's recycled array, on loan until `finish`. Behind a lock only
-    /// for the level-parallel path, where pool workers read settled labels
-    /// while the caller thread commits a level's outputs between barriers;
-    /// the sequential walk goes through `get_mut` and never locks.
-    labels: RwLock<Vec<Block>>,
+    /// garbler's recycled array, on loan until `finish`.
+    labels: Vec<Block>,
     /// Next gate to garble (netlist is topologically sorted).
     next_gate: usize,
     /// Table rows emitted so far (2 per non-free gate).
@@ -374,13 +339,9 @@ impl CycleGarbling<'_, '_> {
     /// of non-free gates garbled — `0` means the cycle's gate walk is
     /// complete and [`CycleGarbling::finish`] may be called.
     pub fn garble_chunk(&mut self, max_nonfree: usize, out: &mut Vec<Block>) -> usize {
-        if let Some(par) = self.garbler.par.clone() {
-            return self.garble_chunk_parallel(max_nonfree, out, &par);
-        }
         let g = &mut *self.garbler;
-        let c = g.circuit;
-        let gates = c.gates();
-        let labels = self.labels.get_mut().unwrap_or_else(|p| p.into_inner());
+        let gates = g.circuit.gates();
+        let labels = &mut self.labels;
         let mut done = 0usize;
         while self.next_gate < gates.len() && done < max_nonfree {
             let gate = &gates[self.next_gate];
@@ -411,102 +372,6 @@ impl CycleGarbling<'_, '_> {
         done
     }
 
-    /// The level-parallel chunk walk: groups the chunk's gate range by
-    /// dependency level, hashes each level's gates across the pool, and
-    /// commits output labels and table rows in gate order between levels —
-    /// bit-identical to the sequential walk because every non-free gate's
-    /// tweak (`cycle base + 2 × non-free ordinal`) and row slots
-    /// (`2 × in-chunk ordinal`) are fixed by the netlist, not the schedule.
-    fn garble_chunk_parallel(
-        &mut self,
-        max_nonfree: usize,
-        out: &mut Vec<Block>,
-        par: &Par,
-    ) -> usize {
-        let g = &*self.garbler;
-        let gates = g.circuit.gates();
-        let lv = &*par.levels;
-        let start = self.next_gate;
-        if start == gates.len() || max_nonfree == 0 {
-            return 0;
-        }
-        // Same stopping rule as the sequential loop: stop right after the
-        // `max_nonfree`-th non-free gate; trailing free gates belong to the
-        // next chunk.
-        let end = match lv.nth_nonfree_at(start, max_nonfree) {
-            Some(last) => last + 1,
-            None => gates.len(),
-        };
-        let base_nf = lv.nonfree_before(start) as usize;
-        let done = lv.nonfree_before(end) as usize - base_nf;
-        let delta = g.delta;
-        let hash = g.hash.clone();
-        let cycle_tweak_base = g.tweak - self.rows_emitted as u64;
-        let (order, spans) = lv.order_range(start..end);
-        let mut rows = vec![Block::ZERO; 2 * done];
-        {
-            let labels = &self.labels;
-            let (order, spans, rows) = (&order, &spans, &mut rows);
-            par.pool.waves(
-                spans.len(),
-                PAR_GRAIN,
-                |w| spans[w].len(),
-                |w, range| {
-                    let span = &order[spans[w].clone()];
-                    let labels = labels.read().unwrap_or_else(|p| p.into_inner());
-                    span[range]
-                        .iter()
-                        .map(|&gi| {
-                            let gi = gi as usize;
-                            let gate = &gates[gi];
-                            let a = labels[gate.a.index()];
-                            let b = labels[gate.b.index()];
-                            match gate.kind {
-                                GateKind::Xor => (a ^ b, None),
-                                GateKind::Xnor => (a ^ b ^ delta, None),
-                                GateKind::Not => (a ^ delta, None),
-                                GateKind::Buf => (a, None),
-                                kind => {
-                                    let (alpha, beta, gamma) = kind.and_form();
-                                    let a_eff = if alpha { a ^ delta } else { a };
-                                    let b_eff = if beta { b ^ delta } else { b };
-                                    let t_g =
-                                        cycle_tweak_base + 2 * u64::from(lv.nonfree_before(gi));
-                                    let (table_g, table_e, w0) =
-                                        and_halfgates(&hash, delta, a_eff, b_eff, t_g);
-                                    (
-                                        if gamma { w0 ^ delta } else { w0 },
-                                        Some((table_g, table_e)),
-                                    )
-                                }
-                            }
-                        })
-                        .collect::<Vec<(Block, Option<(Block, Block)>)>>()
-                },
-                |w, parts| {
-                    let mut labels = labels.write().unwrap_or_else(|p| p.into_inner());
-                    let span_start = spans[w].start;
-                    for (task_start, outs) in parts {
-                        for (k, (out_label, gate_rows)) in outs.into_iter().enumerate() {
-                            let gi = order[span_start + task_start + k] as usize;
-                            labels[gates[gi].out.index()] = out_label;
-                            if let Some((table_g, table_e)) = gate_rows {
-                                let off = 2 * (lv.nonfree_before(gi) as usize - base_nf);
-                                rows[off] = table_g;
-                                rows[off + 1] = table_e;
-                            }
-                        }
-                    }
-                },
-            );
-        }
-        out.extend_from_slice(&rows);
-        self.next_gate = end;
-        self.rows_emitted += 2 * done;
-        self.garbler.tweak += 2 * done as u64;
-        done
-    }
-
     /// Closes the cycle: latches register labels forward for the next
     /// cycle and returns the point-and-permute decode bit per output wire.
     ///
@@ -533,7 +398,7 @@ impl CycleGarbling<'_, '_> {
             self.rows_emitted,
             g.nonfree
         );
-        let labels = self.labels.into_inner().unwrap_or_else(|p| p.into_inner());
+        let labels = self.labels;
         // Latch: next cycle's q false labels are this cycle's d labels.
         for (slot, r) in g.reg_labels.iter_mut().zip(c.registers()) {
             *slot = labels[r.d.index()];

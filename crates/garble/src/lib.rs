@@ -45,7 +45,6 @@
 
 mod evaluator;
 mod garbler;
-mod par;
 
 pub use evaluator::{CycleEval, Evaluator};
 pub use garbler::{CycleGarbling, GarbledCycle, Garbler};
@@ -78,32 +77,8 @@ pub fn execute_locally<R: Rng + ?Sized>(
     cycles: usize,
     rng: &mut R,
 ) -> LocalRun {
-    execute_locally_with_pool(
-        circuit,
-        garbler_inputs,
-        evaluator_inputs,
-        cycles,
-        rng,
-        workpool::ThreadPool::sequential(),
-    )
-}
-
-/// [`execute_locally`] with both parties driven by `pool` — the
-/// level-parallel schedule, bit-identical to the sequential one.
-///
-/// # Panics
-///
-/// Panics if input lengths do not match the circuit.
-pub fn execute_locally_with_pool<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    garbler_inputs: &[bool],
-    evaluator_inputs: &[bool],
-    cycles: usize,
-    rng: &mut R,
-    pool: workpool::ThreadPool,
-) -> LocalRun {
-    let mut garbler = Garbler::new(circuit, rng).with_pool(pool);
-    let mut evaluator = Evaluator::new(circuit).with_pool(pool);
+    let mut garbler = Garbler::new(circuit, rng);
+    let mut evaluator = Evaluator::new(circuit);
     evaluator.set_initial_registers(garbler.initial_register_labels());
     let mut material = 0u64;
     let mut per_cycle = Vec::with_capacity(cycles);
@@ -449,92 +424,13 @@ mod streaming_tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        // The multi-core tentpole's contract: a pool-scheduled garbler and
-        // evaluator are bit-identical to the sequential walk — same tables
-        // (chunk by chunk, so the streamed wire bytes match too), same
-        // input labels, same decode bits, same decoded outputs — for every
-        // worker count and chunk size. Worker counts are forced, so this
-        // exercises real cross-thread interleaving even on a 1-vCPU CI
-        // host.
-        #[test]
-        fn parallel_garble_and_eval_are_bit_identical_to_sequential(
-            circuit_seed in 0u64..1u64 << 48,
-            rng_seed in 0u64..1u64 << 48,
-            workers_sel in 0usize..3,
-            chunk_sel in 0usize..3,
-        ) {
-            let workers = [1usize, 2, 7][workers_sel];
-            // 1 gate per chunk, a small handful, and far larger than any
-            // test circuit (one chunk ≡ buffered).
-            let chunk = [1usize, 5, 1 << 20][chunk_sel];
-            let c = random_circuit(circuit_seed);
-            let ng = c.garbler_inputs().len();
-            let ne = c.evaluator_inputs().len();
-            let mut bit_rng = StdRng::seed_from_u64(rng_seed ^ 0xb17);
-            let g_bits: Vec<bool> = (0..ng).map(|_| bit_rng.gen()).collect();
-            let e_bits: Vec<bool> = (0..ne).map(|_| bit_rng.gen()).collect();
-
-            // Sequential buffered reference.
-            let mut rng_a = StdRng::seed_from_u64(rng_seed);
-            let mut garbler_a = Garbler::new(&c, &mut rng_a);
-            let reference = garbler_a.garble_cycle(&mut rng_a);
-
-            // Pool-scheduled chunked producer on an identical RNG stream
-            // (the pool never touches the RNG: labels are drawn in
-            // begin_cycle, before any gate is garbled).
-            let pool = workpool::ThreadPool::new(workers);
-            let mut rng_b = StdRng::seed_from_u64(rng_seed);
-            let mut garbler_b = Garbler::new(&c, &mut rng_b).with_pool(pool);
-            let (chunks, parallel) = garble_chunked(&mut garbler_b, &mut rng_b, chunk);
-
-            prop_assert_eq!(&parallel.tables, &reference.tables);
-            prop_assert_eq!(
-                &parallel.garbler_input_labels,
-                &reference.garbler_input_labels
-            );
-            prop_assert_eq!(
-                &parallel.evaluator_input_labels,
-                &reference.evaluator_input_labels
-            );
-            prop_assert_eq!(parallel.constant_labels, reference.constant_labels);
-            prop_assert_eq!(&parallel.output_decode, &reference.output_decode);
-
-            // Pool-scheduled evaluator fed those same chunks decodes the
-            // same bits as the sequential buffered evaluation.
-            let g_labels = reference.garbler_active(&g_bits);
-            let e_labels = reference.evaluator_active(&e_bits);
-            let mut ev_seq = Evaluator::new(&c);
-            ev_seq.set_constant_labels(reference.constant_labels[0], reference.constant_labels[1]);
-            let want = ev_seq.eval_cycle(
-                &reference.tables,
-                &g_labels,
-                &e_labels,
-                &reference.output_decode,
-            );
-            let mut ev_par = Evaluator::new(&c).with_pool(pool);
-            ev_par.set_constant_labels(parallel.constant_labels[0], parallel.constant_labels[1]);
-            let mut cyc = ev_par.begin_cycle(&g_labels, &e_labels);
-            for part in &chunks {
-                cyc.feed(part);
-            }
-            cyc.feed(&[]);
-            prop_assert!(cyc.is_complete());
-            let got = cyc.finish(&parallel.output_decode);
-            prop_assert_eq!(&got, &want);
-            prop_assert_eq!(got, c.eval(&g_bits, &e_bits));
-        }
-    }
-
     /// Everything one party pair produces over `cycles` clock cycles of
-    /// `c`, garbled in `chunk`-gate chunks on `threads` workers, starting
-    /// from the given wire-label arrays — plus the arrays handed back.
+    /// `c`, garbled in `chunk`-gate chunks, starting from the given
+    /// wire-label arrays — plus the arrays handed back.
     #[allow(clippy::type_complexity)]
     fn run_on_arrays(
         c: &Circuit,
         cycles: usize,
-        threads: usize,
         chunk: usize,
         arrays: (Vec<Block>, Vec<Block>),
     ) -> (
@@ -548,12 +444,9 @@ mod streaming_tests {
         )>,
         (Vec<Block>, Vec<Block>),
     ) {
-        let pool = workpool::ThreadPool::new(threads);
         let mut rng = StdRng::seed_from_u64(0xd1e7);
-        let mut garbler = Garbler::new(c, &mut rng)
-            .with_pool(pool)
-            .with_labels(arrays.0);
-        let mut ev = Evaluator::new(c).with_pool(pool).with_labels(arrays.1);
+        let mut garbler = Garbler::new(c, &mut rng).with_labels(arrays.0);
+        let mut ev = Evaluator::new(c).with_labels(arrays.1);
         ev.set_initial_registers(garbler.initial_register_labels());
         let g_bits: Vec<bool> = (0..c.garbler_inputs().len()).map(|i| i % 3 == 0).collect();
         let e_bits: Vec<bool> = (0..c.evaluator_inputs().len())
@@ -602,29 +495,26 @@ mod streaming_tests {
         assert!(mac.is_sequential());
         let sizes = [&tiny, &comb, &mac, &big_mac].map(Circuit::wire_count);
         assert!(sizes.windows(2).all(|w| w[0] < w[1]), "sizes {sizes:?}");
-        let used_by = |a: &Circuit| run_on_arrays(a, 1, 1, usize::MAX, (Vec::new(), Vec::new())).1;
+        let used_by = |a: &Circuit| run_on_arrays(a, 1, usize::MAX, (Vec::new(), Vec::new())).1;
         for (b, cycles) in [(&comb, 1), (&mac, 3)] {
-            for threads in [1, 4] {
-                for chunk in [1, 64, usize::MAX] {
-                    let (fresh, _) =
-                        run_on_arrays(b, cycles, threads, chunk, (Vec::new(), Vec::new()));
-                    let junk = vec![Block::ONES; b.wire_count() + 7];
-                    let junk_at = (junk.as_ptr(), junk.capacity());
-                    for (what, arrays) in [
-                        ("larger circuit's", used_by(&big_mac)),
-                        ("smaller circuit's", used_by(&tiny)),
-                        ("all-ones", (junk.clone(), junk)),
-                    ] {
-                        let (got, back) = run_on_arrays(b, cycles, threads, chunk, arrays);
-                        assert_eq!(got, fresh, "{what} array, {threads} threads, chunk {chunk}");
-                        assert_eq!(back.0.len(), b.wire_count());
-                        assert_eq!(back.1.len(), b.wire_count());
-                        if what == "all-ones" {
-                            // Handed back, not replaced: same allocation
-                            // (the garbler's clone differs only in address).
-                            assert_eq!((back.1.as_ptr(), back.1.capacity()), junk_at);
-                            assert_eq!(back.0.capacity(), junk_at.1);
-                        }
+            for chunk in [1, 64, usize::MAX] {
+                let (fresh, _) = run_on_arrays(b, cycles, chunk, (Vec::new(), Vec::new()));
+                let junk = vec![Block::ONES; b.wire_count() + 7];
+                let junk_at = (junk.as_ptr(), junk.capacity());
+                for (what, arrays) in [
+                    ("larger circuit's", used_by(&big_mac)),
+                    ("smaller circuit's", used_by(&tiny)),
+                    ("all-ones", (junk.clone(), junk)),
+                ] {
+                    let (got, back) = run_on_arrays(b, cycles, chunk, arrays);
+                    assert_eq!(got, fresh, "{what} array, chunk {chunk}");
+                    assert_eq!(back.0.len(), b.wire_count());
+                    assert_eq!(back.1.len(), b.wire_count());
+                    if what == "all-ones" {
+                        // Handed back, not replaced: same allocation
+                        // (the garbler's clone differs only in address).
+                        assert_eq!((back.1.as_ptr(), back.1.capacity()), junk_at);
+                        assert_eq!(back.0.capacity(), junk_at.1);
                     }
                 }
             }
@@ -645,7 +535,7 @@ mod streaming_tests {
         b.output(one);
         let c = b.finish();
         assert!(c.references_constants());
-        let (_, (_, used)) = run_on_arrays(&c, 1, 1, usize::MAX, (Vec::new(), Vec::new()));
+        let (_, (_, used)) = run_on_arrays(&c, 1, usize::MAX, (Vec::new(), Vec::new()));
         let mut rng = StdRng::seed_from_u64(21);
         let cy = Garbler::new(&c, &mut rng).garble_cycle(&mut rng);
         let mut ev = Evaluator::new(&c).with_labels(used);
@@ -661,7 +551,7 @@ mod streaming_tests {
     #[should_panic(expected = "register labels never provided")]
     fn dirty_array_does_not_stand_in_for_missing_register_labels() {
         let c = deepsecure_synth::matvec::mac_circuit(16, 12);
-        let (_, (_, used)) = run_on_arrays(&c, 1, 1, usize::MAX, (Vec::new(), Vec::new()));
+        let (_, (_, used)) = run_on_arrays(&c, 1, usize::MAX, (Vec::new(), Vec::new()));
         let mut rng = StdRng::seed_from_u64(23);
         let cy = Garbler::new(&c, &mut rng).garble_cycle(&mut rng);
         let mut ev = Evaluator::new(&c).with_labels(used);
@@ -670,61 +560,6 @@ mod streaming_tests {
         let g = cy.garbler_active(&vec![false; c.garbler_inputs().len()]);
         let e = cy.evaluator_active(&vec![false; c.evaluator_inputs().len()]);
         let _ = ev.eval_cycle(&cy.tables, &g, &e, &cy.output_decode);
-    }
-
-    #[test]
-    fn parallel_feed_handles_row_misaligned_chunks() {
-        // Single-row feeds against a 7-worker evaluator: the orphan-row
-        // stash must behave exactly like the sequential walk's.
-        let mut b = Builder::new();
-        let x = b.garbler_input();
-        let y = b.evaluator_input();
-        let mut w = b.and(x, y);
-        for _ in 0..6 {
-            w = b.and(w, y);
-        }
-        b.output(w);
-        let c = b.finish();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut g = Garbler::new(&c, &mut rng);
-        let cy = g.garble_cycle(&mut rng);
-        let g_labels = cy.garbler_active(&[true]);
-        let e_labels = cy.evaluator_active(&[true]);
-        let mut ev = Evaluator::new(&c).with_pool(workpool::ThreadPool::new(7));
-        let mut cyc = ev.begin_cycle(&g_labels, &e_labels);
-        for row in &cy.tables {
-            cyc.feed(std::slice::from_ref(row));
-        }
-        assert!(cyc.is_complete());
-        assert_eq!(cyc.finish(&cy.output_decode), vec![true]);
-    }
-
-    #[test]
-    fn parallel_sequential_cycles_latch_registers_identically() {
-        // Register carry across cycles, parallel vs sequential, same RNG.
-        let mut b = Builder::new();
-        let x = b.evaluator_input();
-        let q0 = b.register(false);
-        let q1 = b.register(true);
-        let d0 = b.xor(q0, x);
-        let carry = b.and(q0, x);
-        let d1 = b.xor(q1, carry);
-        b.connect_register(q0, d0);
-        b.connect_register(q1, d1);
-        b.output(d0);
-        b.output(d1);
-        let c = b.finish();
-        let run = |workers: usize| {
-            let mut rng = StdRng::seed_from_u64(91);
-            let mut garbler =
-                Garbler::new(&c, &mut rng).with_pool(workpool::ThreadPool::new(workers));
-            (0..5)
-                .map(|_| garbler.garble_cycle(&mut rng).tables)
-                .collect::<Vec<_>>()
-        };
-        let sequential = run(1);
-        assert_eq!(run(2), sequential);
-        assert_eq!(run(7), sequential);
     }
 
     #[test]

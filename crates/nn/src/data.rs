@@ -5,7 +5,7 @@
 //! daily-sports smart-sensing corpus (paper refs 33/35/36); this offline
 //! reproduction
 //! substitutes generators that preserve what the experiments actually
-//! exercise (see DESIGN.md §6): input dimensionality, class count,
+//! exercise: input dimensionality, class count,
 //! learnability by the benchmark architectures, and — crucially for the
 //! projection experiments — a low-rank ensemble structure.
 

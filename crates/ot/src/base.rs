@@ -71,7 +71,7 @@ impl ReceiverKeys {
         pool: ThreadPool,
     ) -> ReceiverKeys {
         let exponents: Vec<Ubig> = (0..n).map(|_| group.random_exponent(rng)).collect();
-        let keys = pool.map(n, 1, |i| {
+        let keys = pool.map(n, |i| {
             let gx = group.pow(group.generator(), &exponents[i]);
             (exponents[i].clone(), gx)
         });
@@ -135,7 +135,7 @@ pub fn send_with_pool<C: Channel, R: Rng + ?Sized>(
     let mut pk0s = Vec::with_capacity(pairs.len());
     for i in 0..pairs.len() {
         let pk0 = group.element_from_bytes(&pk_flight[i * elem..(i + 1) * elem]);
-        if pk0.is_zero() || pk0 >= *group.prime() {
+        if !in_range(group, &pk0) {
             return Err(OtError::Protocol(format!("public key {i} out of range")));
         }
         pk0s.push(pk0);
@@ -148,7 +148,7 @@ pub fn send_with_pool<C: Channel, R: Rng + ?Sized>(
     // One flight carrying both ciphertexts of every transfer. Each
     // transfer's segment is independent, so the pool builds them in
     // parallel and we concatenate in order.
-    let segments = pool.map(pairs.len(), 1, |i| {
+    let segments = pool.map(pairs.len(), |i| {
         let (m0, m1) = &pairs[i];
         let pk0 = &pk0s[i];
         let pk1 = group.div(&big_c, pk0);
@@ -216,9 +216,12 @@ pub fn receive_with_pool<C: Channel>(
     let hash = FixedKeyHash::new();
     let elem = group.element_len();
     let big_c = group.element_from_bytes(&channel.recv(elem)?);
+    if !in_range(group, &big_c) {
+        return Err(OtError::Protocol("sender key C out of range".to_string()));
+    }
     // Every PK_0 in one flight. Chosen transfers invert g^k (one modexp
     // via Fermat); these are independent per transfer.
-    let pk0s = pool.map(choices.len(), 1, |i| {
+    let pk0s = pool.map(choices.len(), |i| {
         let gk = &keys.keys[i].1;
         if choices[i] {
             group.div(&big_c, gk)
@@ -235,14 +238,31 @@ pub fn receive_with_pool<C: Channel>(
     // chosen branch.
     let per_branch = elem + 16;
     let cts = channel.recv(choices.len() * 2 * per_branch)?;
-    let out = pool.map(choices.len(), 1, |i| {
+    // Range-check every g^r up front, both branches alike, so whether the
+    // receiver aborts never depends on its choice bits.
+    let mut grs = Vec::with_capacity(choices.len());
+    for (i, &sigma) in choices.iter().enumerate() {
+        for b in [false, true] {
+            let off = (2 * i + usize::from(b)) * per_branch;
+            let gr = group.element_from_bytes(&cts[off..off + elem]);
+            if !in_range(group, &gr) {
+                return Err(OtError::Protocol(format!(
+                    "ciphertext {i} randomness out of range"
+                )));
+            }
+            if b == sigma {
+                grs.push(gr);
+            }
+        }
+    }
+    let out = pool.map(choices.len(), |i| {
         let sigma = choices[i];
         let k = &keys.keys[i].0;
         let off = (2 * i + usize::from(sigma)) * per_branch;
-        let gr = group.element_from_bytes(&cts[off..off + elem]);
+        let gr = &grs[i];
         let mut ct_arr = [0u8; 16];
         ct_arr.copy_from_slice(&cts[off + elem..off + per_branch]);
-        let shared = group.pow(&gr, k);
+        let shared = group.pow(gr, k);
         let mask = hash.hash_bytes(
             &group.element_to_bytes(&shared),
             (i as u64) << 1 | u64::from(sigma),
@@ -250,6 +270,13 @@ pub fn receive_with_pool<C: Channel>(
         Block::from_bytes(ct_arr) ^ mask
     });
     Ok(out)
+}
+
+/// The cheap validity check on a peer's group element: in `[1, p)`.
+/// Membership in the prime-order subgroup is not checked (it would cost
+/// a modexp per element).
+fn in_range(group: &DhGroup, e: &Ubig) -> bool {
+    !e.is_zero() && e < group.prime()
 }
 
 /// Runs the receiver side, generating keypairs on the spot; returns the
@@ -474,6 +501,42 @@ mod tests {
             ciphertext_flight(ThreadPool::sequential()),
             ciphertext_flight(ThreadPool::new(4))
         );
+    }
+
+    #[test]
+    fn receiver_rejects_out_of_range_sender_elements() {
+        // A scripted sender: the receiver must return a typed protocol
+        // error, never panic, whether the bad element is C itself or a
+        // ciphertext's g^r.
+        let group = DhGroup::modp_768();
+        let elem = group.element_len();
+        let choices = [true, false];
+        let keys = |seed| ReceiverKeys::generate(&group, 2, &mut StdRng::seed_from_u64(seed));
+
+        let (mut ca, mut cb) = mem_pair();
+        ca.send(&group.element_to_bytes(group.prime())).unwrap();
+        let err = receive_with(&mut cb, &choices, keys(1)).unwrap_err();
+        assert!(matches!(err, OtError::Protocol(_)), "{err}");
+
+        let (mut ca, mut cb) = mem_pair();
+        let (_, big_c) = group.random_keypair(&mut StdRng::seed_from_u64(2));
+        ca.send(&group.element_to_bytes(&big_c)).unwrap();
+        // Both ciphertexts of every transfer well-formed except one zero
+        // g^r on an unchosen branch.
+        let mut cts = Vec::new();
+        for i in 0..2 * choices.len() {
+            let gr = if i == 3 {
+                Ubig::from(0u64)
+            } else {
+                group.pow(group.generator(), &Ubig::from(i as u64 + 3))
+            };
+            cts.extend_from_slice(&group.element_to_bytes(&gr));
+            cts.extend_from_slice(&[0u8; 16]);
+        }
+        ca.send(&cts).unwrap();
+        let err = receive_with(&mut cb, &choices, keys(3)).unwrap_err();
+        assert!(matches!(err, OtError::Protocol(_)), "{err}");
+        assert!(ca.recv(2 * elem).is_ok(), "the PK_0 flight went out first");
     }
 
     #[test]

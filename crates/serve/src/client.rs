@@ -75,8 +75,9 @@ pub struct ClientOptions {
     /// Budget for each TCP connect (with the channel's own jittered
     /// backoff inside it).
     pub connect_timeout: Duration,
-    /// Evaluator worker threads (`0` = one per core). A pure client-side
-    /// perf knob — wire bytes are identical at any width.
+    /// Worker threads for the base-OT modexps of each fresh set-up (`0` =
+    /// one per core); evaluation itself is one sequential gate walk. A
+    /// pure client-side perf knob — wire bytes are identical at any width.
     pub threads: usize,
     /// Deterministic fault injection on this client's sockets.
     pub chaos: Option<ChaosSpec>,

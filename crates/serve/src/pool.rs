@@ -100,9 +100,9 @@ struct Shared {
     work: Condvar,
     group: DhGroup,
     target: usize,
-    /// Worker pool for the modexps / garbling of a single item — used by
-    /// the fill workers and by inline miss generation alike.
-    garble_pool: ThreadPool,
+    /// Worker pool for the base-OT modexps of an inline miss in
+    /// [`PrecomputePool::take_base`].
+    modexp_pool: ThreadPool,
     /// Per-item seed counter: every generated instance gets a distinct
     /// RNG stream derived from the pool seed.
     seed_counter: AtomicU64,
@@ -170,9 +170,8 @@ impl PrecomputePool {
     /// threads refilling the stocks. In-flight items count against each
     /// queue's deficit, so N workers never overshoot `target`. Fill
     /// workers parallelize *across* items (each garbles sequentially);
-    /// inline **miss** generation — a caller alone on its critical path —
-    /// instead fans one item's garbling/modexps across a
-    /// `fill_workers`-wide compute pool.
+    /// an inline base-OT **miss** — a caller alone on its critical path —
+    /// instead fans its modexps across a `fill_workers`-wide pool.
     pub fn start_with_workers(
         group: DhGroup,
         models: Vec<(String, Arc<Compiled>, usize)>,
@@ -209,7 +208,7 @@ impl PrecomputePool {
             work: Condvar::new(),
             group,
             target,
-            garble_pool: ThreadPool::new(fill_workers),
+            modexp_pool: ThreadPool::new(fill_workers),
             seed_counter: AtomicU64::new(1),
             seed,
         });
@@ -240,7 +239,7 @@ impl PrecomputePool {
         SenderPrecomp::generate_with(
             &self.shared.group,
             &mut self.shared.next_rng(),
-            self.shared.garble_pool,
+            self.shared.modexp_pool,
         )
     }
 
@@ -271,12 +270,10 @@ impl PrecomputePool {
         };
         // A miss garbles on whichever session thread hit it: there is no
         // array to carry over, so this one is allocated and dropped.
-        Some(MaterialSource::Precomputed(GarbledMaterial::garble_with(
+        Some(MaterialSource::Precomputed(GarbledMaterial::garble(
             &compiled,
             cycles,
             &mut self.shared.next_rng(),
-            self.shared.garble_pool,
-            &mut Vec::new(),
         )))
     }
 
@@ -419,7 +416,6 @@ fn worker_loop(shared: &Shared) {
                     &compiled,
                     cycles,
                     &mut shared.next_rng(),
-                    ThreadPool::sequential(),
                     &mut labels,
                 );
                 let mut st = lock(&shared.state);

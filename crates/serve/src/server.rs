@@ -64,10 +64,11 @@ pub struct ServeConfig {
     /// O(chunk) and overlaps transfer with evaluation (and, for models
     /// above the pool's material cap, with garbling itself).
     pub chunk_gates: usize,
-    /// Worker threads: the pool's fill-worker count and each session's
-    /// garbling/modexp pool width. `1` is the sequential path; `0` means
-    /// auto (one per available core). Defaults to the
-    /// `DEEPSECURE_THREADS` env var, else `1`.
+    /// Worker threads: the pool's fill-worker count and the fan-out width
+    /// of base-OT modexps (each session's set-up and the pool's inline
+    /// misses). Gate walks stay sequential at any value. `0` means auto
+    /// (one per available core). Defaults to the `DEEPSECURE_THREADS` env
+    /// var, else `1`.
     pub threads: usize,
     /// Max open connections — live handler threads, handshakes and idle
     /// sessions included. The arrival that would exceed the cap is shed

@@ -196,10 +196,10 @@ fn chunk_streamed_serving_is_wire_identical_and_chunk_resident() {
 
 #[test]
 fn sharded_server_serves_concurrent_clients_and_merges_shard_stats() {
-    // threads: 3 → three pool fill workers and 3-wide garbling/modexp
-    // pools inside every session. Results must be indistinguishable from
-    // the sequential server's: same labels, same per-phase wire bytes,
-    // and totals that cover every session.
+    // threads: 3 → three pool fill workers and 3-wide base-OT modexp
+    // fan-out in every session set-up. Results must be indistinguishable
+    // from the sequential server's: same labels, same per-phase wire
+    // bytes, and totals that cover every session.
     let server = Server::bind(&ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         models: vec!["tiny_mlp".to_string()],

@@ -39,10 +39,10 @@ usage:
   --sessions     exit gracefully after N sessions have finished
                  (default: serve forever)
   --seed         pool randomness seed (default 7)
-  --threads      pool fill workers and per-session garbling/modexp pool
-                 width (0 = one per core; default from
-                 DEEPSECURE_THREADS, else 1). A pure perf knob: wire
-                 bytes are identical at any width.
+  --threads      pool fill workers and base-OT modexp fan-out width
+                 (0 = one per core; default from DEEPSECURE_THREADS,
+                 else 1). A pure perf knob: wire bytes are identical at
+                 any width.
   --queue-cap    most open connections, handshakes included (default
                  64): the accept loop sheds the next arrival at once
                  with `DSRV/2 BUSY` instead of adding one more handler
