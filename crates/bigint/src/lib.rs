@@ -1,8 +1,10 @@
-//! Minimal multiprecision arithmetic for the base oblivious transfer.
+//! Minimal multiprecision arithmetic for MODP Diffie-Hellman groups.
 //!
-//! DeepSecure's base OTs run Diffie-Hellman-style exponentiations in a
-//! multiplicative group modulo a large prime (the MODP groups of RFC 3526).
-//! This crate implements exactly the arithmetic that needs from scratch:
+//! Every session's base OTs run in Ristretto255 (`deepsecure_ot::ristretto`).
+//! This crate is kept only for the `dsbench` ladder, whose
+//! `bigint.modexp_us`, `ot.base_setup_ms` and `ot.base_bytes` rows still
+//! measure the 768-bit MODP group (RFC 2409 / RFC 3526 primes). It
+//! implements that arithmetic from scratch:
 //!
 //! * [`Ubig`] — an arbitrary-precision unsigned integer over 64-bit limbs
 //!   with schoolbook multiplication and binary long division.

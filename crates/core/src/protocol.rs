@@ -22,7 +22,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use deepsecure_bigint::DhGroup;
 use deepsecure_circuit::Circuit;
 use deepsecure_nn::{Network, Tensor};
 use deepsecure_ot::channel::{mem_pair, Channel};
@@ -89,15 +88,14 @@ impl From<ChannelError> for ProtocolError {
 }
 
 /// Configuration for a secure inference run.
+///
+/// No field selects the base-OT group: every session runs its 128 base
+/// OTs in Ristretto255 ([`deepsecure_ot::Ristretto255`]), a prime-order
+/// group with 32-byte elements.
 #[derive(Clone, Debug)]
 pub struct InferenceConfig {
     /// Compiler options (nonlinearity realizations, format).
     pub options: CompileOptions,
-    /// DH group for the base OTs. Every binary and benchmark runs this
-    /// 768-bit default, which keeps the base OTs fast but is below
-    /// production strength; [`DhGroup::modp_2048`] is the safe choice
-    /// (see ROADMAP.md item 1).
-    pub group: DhGroup,
     /// Garbler randomness seed.
     pub seed: u64,
     /// Non-free gates per garbled-table chunk. The sessions have one
@@ -112,9 +110,9 @@ pub struct InferenceConfig {
     /// docs). **Both parties must agree** — chunk boundaries are derived,
     /// not framed, which is what keeps every chunking byte-identical.
     pub chunk_gates: usize,
-    /// Worker threads for the base-OT modexps of the OT set-up; garbling
-    /// and evaluation are one sequential gate walk per party whatever the
-    /// value. `0` means auto (one per available core).
+    /// Worker threads for the base-OT scalar multiplications of the OT
+    /// set-up; garbling and evaluation are one sequential gate walk per
+    /// party whatever the value. `0` means auto (one per available core).
     ///
     /// A pure perf knob: every thread count moves **bit-identical** wire
     /// bytes, so the parties need not agree on it. Defaults to the
@@ -130,7 +128,7 @@ pub struct InferenceConfig {
 
 impl InferenceConfig {
     /// The worker pool `threads` selects (resolving `0` to the core
-    /// count) for the run's base-OT modexps.
+    /// count) for the run's base-OT scalar multiplications.
     pub fn pool(&self) -> workpool::ThreadPool {
         if self.threads == 0 {
             workpool::ThreadPool::new(workpool::auto_threads())
@@ -144,7 +142,6 @@ impl Default for InferenceConfig {
     fn default() -> InferenceConfig {
         InferenceConfig {
             options: CompileOptions::default(),
-            group: DhGroup::modp_768(),
             seed: 0,
             chunk_gates: 0,
             threads: workpool::threads_from_env("DEEPSECURE_THREADS").unwrap_or(1),

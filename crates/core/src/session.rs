@@ -75,7 +75,7 @@
 //! the value (binaries pin it in their handshakes).
 //!
 //! Sessions measure their own traffic as *deltas* of the channel's byte
-//! counters, so pre-protocol traffic (e.g. the `DSRV/2` serving handshake) is
+//! counters, so pre-protocol traffic (e.g. the `DSRV/3` serving handshake) is
 //! never attributed to the protocol, and both parties' [`WireBreakdown`]s
 //! describe the same wire regardless of transport.
 //!
@@ -89,6 +89,7 @@ use deepsecure_crypto::Block;
 use deepsecure_garble::{CycleEval, CycleGarbling, Evaluator, GarbledCycle, Garbler};
 use deepsecure_ot::channel::Channel;
 use deepsecure_ot::ext::{ExtReceiver, ExtSender, SenderPrecomp};
+use deepsecure_ot::Ristretto255;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -658,7 +659,7 @@ impl ClientSession {
         epoch: Instant,
     ) -> Result<ClientSetup, ProtocolError> {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xa11ce);
-        let pre = SenderPrecomp::generate_with(&self.cfg.group, &mut rng, self.cfg.pool());
+        let pre = SenderPrecomp::generate_with(&Ristretto255, &mut rng, self.cfg.pool());
         self.setup_with(chan, pre, epoch)
     }
 
@@ -931,7 +932,7 @@ impl ServerSession {
         let _s = telemetry::span!("server.base_ot");
         let sent0 = chan.bytes_sent();
         let recv0 = chan.bytes_received();
-        let ot = ExtReceiver::setup_with_pool(chan, &self.cfg.group, &mut rng, self.cfg.pool())?;
+        let ot = ExtReceiver::setup_with_pool(chan, &Ristretto255, &mut rng, self.cfg.pool())?;
         let sent = chan.bytes_sent() - sent0;
         let received = chan.bytes_received() - recv0;
         wire_metrics::BASE_OT.add(sent + received);
@@ -1764,8 +1765,10 @@ mod tests {
     #[test]
     fn transcript_is_pinned_to_the_five_path_implementation() {
         // Byte order and `Channel` operation boundaries of both endpoints,
-        // RECORDED FROM THE COMMIT BEFORE the cycle paths were merged into
-        // one driver per party. Neither the material source nor the thread
+        // recorded from the commit before the cycle paths were merged into
+        // one driver per party, and re-recorded once when the base OT
+        // moved to Ristretto255 (the test above shows every other phase's
+        // bytes did not move). Neither the material source nor the thread
         // count may move a byte or an operation boundary.
         let (mac, grid) = (mac_compiled(), and_grid_compiled());
         for &(name, chunk_gates, bytes, ops) in &PINNED_TRANSCRIPTS {
@@ -1783,16 +1786,58 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_base_ot_group_moves_only_the_base_ot_bytes() {
+        // Every other phase's bytes were recorded on the commit before the
+        // base OT moved from the 768-bit MODP group (41 056 base-OT bytes)
+        // to Ristretto255: 32 + 128·32 + 128·2·(32 + 16) = 16 416.
+        let (mac, grid) = (mac_compiled(), and_grid_compiled());
+        for (name, compiled, n_cycles, ot_ext, tables, input_labels, output_bits) in [
+            ("mac", &mac, 3, 2304, 55_968, 1104, 30),
+            ("grid", &grid, 1, 544, 2304, 160, 9),
+        ] {
+            let want = WireBreakdown {
+                base_ot: 16_416,
+                ot_ext,
+                tables,
+                input_labels,
+                output_bits,
+            };
+            for chunk_gates in [0, 1, 64, 99_999] {
+                let cfg = InferenceConfig {
+                    chunk_gates,
+                    seed: 3,
+                    ..InferenceConfig::default()
+                };
+                let bits = |inputs: usize, period: usize| -> Vec<Vec<bool>> {
+                    let cycle = |k| (0..inputs).map(|i| (i + k) % period == 0).collect();
+                    (0..n_cycles).map(cycle).collect()
+                };
+                let g_bits = bits(compiled.circuit.garbler_inputs().len(), 3);
+                let e_bits = bits(compiled.circuit.evaluator_inputs().len(), 2);
+                let (mut cc, mut cs) = mem_pair();
+                let epoch = Instant::now();
+                let server = ServerSession::new(Arc::clone(compiled), &cfg);
+                let handle = std::thread::spawn(move || server.run(&mut cs, &e_bits, epoch));
+                let client = ClientSession::new(Arc::clone(compiled), &cfg);
+                let cout = client.run(&mut cc, &g_bits, epoch).unwrap();
+                let sout = handle.join().unwrap().unwrap();
+                assert_eq!(cout.wire, want, "{name} chunk {chunk_gates}");
+                assert_eq!(sout.wire, want, "{name} chunk {chunk_gates}");
+            }
+        }
+    }
+
     /// `(circuit, chunk_gates, byte-stream digest, operation digest)`; the
     /// last chunk size of each circuit exceeds its non-free gate count.
     const PINNED_TRANSCRIPTS: [(&str, usize, u64, u64); 8] = [
-        ("mac", 0, 0x4074_c2b7_89d3_3ef0, 0xef71_7b7c_6304_3504),
-        ("mac", 1, 0x20f9_2891_ad9c_8700, 0x8275_e3aa_c4ba_746f),
-        ("mac", 64, 0x20f9_2891_ad9c_8700, 0x4e40_4224_de29_5772),
-        ("mac", 99_999, 0x20f9_2891_ad9c_8700, 0xd558_bbc2_b12f_1650),
-        ("grid", 0, 0x395d_df74_1de7_0f24, 0xd077_636a_f7ec_a4b4),
-        ("grid", 1, 0xdcbe_eb70_5f16_b4d8, 0x7d3f_5027_5a10_61a6),
-        ("grid", 64, 0xdcbe_eb70_5f16_b4d8, 0x0fcc_7400_c6cb_eaef),
-        ("grid", 99_999, 0xdcbe_eb70_5f16_b4d8, 0x7973_58a3_8eb3_1dd0),
+        ("mac", 0, 0x81a7_8561_5813_dabe, 0xd9eb_57dc_67d7_f4c1),
+        ("mac", 1, 0x36bb_c40b_f8c2_5f4e, 0xc5b3_b9bc_591c_5c0f),
+        ("mac", 64, 0x36bb_c40b_f8c2_5f4e, 0xba47_7689_0693_2891),
+        ("mac", 99_999, 0x36bb_c40b_f8c2_5f4e, 0xb337_ec1b_0e9d_5e43),
+        ("grid", 0, 0x3ac6_c68f_e3bc_db06, 0xbc35_11b6_cda1_d6f0),
+        ("grid", 1, 0xe022_294d_e87d_b45a, 0x5b0d_e4d4_733d_f10d),
+        ("grid", 64, 0xe022_294d_e87d_b45a, 0x92cf_5ec4_1710_8ccc),
+        ("grid", 99_999, 0xe022_294d_e87d_b45a, 0xcd43_a5f3_a681_e832),
     ];
 }

@@ -6,13 +6,14 @@
 //! fixed-key hashing — this is what makes delivering millions of weight-bit
 //! wire labels practical (§3.1).
 
-use deepsecure_bigint::DhGroup;
 use deepsecure_crypto::{Block, FixedKeyHash, Prg};
 use rand::Rng;
 use workpool::ThreadPool;
 
+use crate::base::{self, Group};
 use crate::channel::Channel;
-use crate::{base, OtError};
+use crate::ristretto::Ristretto255;
+use crate::OtError;
 
 /// Security parameter: number of base OTs / matrix columns.
 const KAPPA: usize = 128;
@@ -78,19 +79,19 @@ fn transpose_128(m: &mut [u128; KAPPA]) {
 }
 
 /// The offline half of [`ExtSender::setup`]: the random choice vector `s`
-/// and the base-OT receiver keypairs (all the modular exponentiations that
+/// and the base-OT receiver keypairs (all the scalar multiplications that
 /// don't need the peer), generated ahead of any connection.
 ///
 /// A precompute pool can stockpile these so the interactive remainder of
 /// the setup — three batched base-OT flights — is all that stays on a new
 /// connection's critical path. Consumed by [`ExtSender::setup_with`]; one
 /// precompute never serves two sessions.
-pub struct SenderPrecomp {
+pub struct SenderPrecomp<G: Group = Ristretto255> {
     s: Vec<bool>,
-    keys: base::ReceiverKeys,
+    keys: base::ReceiverKeys<G>,
 }
 
-impl std::fmt::Debug for SenderPrecomp {
+impl<G: Group> std::fmt::Debug for SenderPrecomp<G> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SenderPrecomp")
             .field("group", &self.keys.group().name())
@@ -98,21 +99,22 @@ impl std::fmt::Debug for SenderPrecomp {
     }
 }
 
-impl SenderPrecomp {
-    /// Generates the offline material: `s` plus [`KAPPA`] keypairs (one
-    /// modexp each in `group`).
-    pub fn generate<R: Rng + ?Sized>(group: &DhGroup, rng: &mut R) -> SenderPrecomp {
+impl<G: Group> SenderPrecomp<G> {
+    /// Generates the offline material: `s` plus `KAPPA` = 128 keypairs (one
+    /// scalar multiplication each in `group`).
+    pub fn generate<R: Rng + ?Sized>(group: &G, rng: &mut R) -> SenderPrecomp<G> {
         SenderPrecomp::generate_with(group, rng, ThreadPool::sequential())
     }
 
-    /// [`SenderPrecomp::generate`] with the 128 keypair modexps fanned out
-    /// across `pool`. RNG order matches the sequential path, so the
-    /// material is identical for the same seed.
+    /// [`SenderPrecomp::generate`] with the 128 keypair multiplications
+    /// fanned out across `pool`. RNG order matches the sequential path
+    /// (`s` first, then the base-OT scalars), so the material is
+    /// identical for the same seed.
     pub fn generate_with<R: Rng + ?Sized>(
-        group: &DhGroup,
+        group: &G,
         rng: &mut R,
         pool: ThreadPool,
-    ) -> SenderPrecomp {
+    ) -> SenderPrecomp<G> {
         SenderPrecomp {
             s: (0..KAPPA).map(|_| rng.gen()).collect(),
             keys: base::ReceiverKeys::generate_with(group, KAPPA, rng, pool),
@@ -160,9 +162,9 @@ impl ExtSender {
     /// # Errors
     ///
     /// Propagates base-OT failures.
-    pub fn setup<C: Channel, R: Rng + ?Sized>(
+    pub fn setup<C: Channel, G: Group, R: Rng + ?Sized>(
         channel: &mut C,
-        group: &DhGroup,
+        group: &G,
         rng: &mut R,
     ) -> Result<ExtSender, OtError> {
         ExtSender::setup_with(channel, SenderPrecomp::generate(group, rng))
@@ -170,28 +172,29 @@ impl ExtSender {
 
     /// The online half of setup: completes the 128 base OTs with
     /// [`SenderPrecomp`] material generated ahead of time, leaving only
-    /// the three batched flights (and half the modexps) on the wire path.
+    /// the three batched flights (and half the group operations) on the
+    /// wire path.
     ///
     /// # Errors
     ///
     /// Propagates base-OT failures.
-    pub fn setup_with<C: Channel>(
+    pub fn setup_with<C: Channel, G: Group>(
         channel: &mut C,
-        pre: SenderPrecomp,
+        pre: SenderPrecomp<G>,
     ) -> Result<ExtSender, OtError> {
         ExtSender::setup_with_pool(channel, pre, ThreadPool::sequential())
     }
 
-    /// [`ExtSender::setup_with`] with the online base-OT modexps (the
-    /// chosen-branch decryptions) fanned out across `pool`. Wire-identical
-    /// to the sequential path.
+    /// [`ExtSender::setup_with`] with the online base-OT work (the `PK_0`
+    /// derivations and chosen-branch decryptions) fanned out across
+    /// `pool`. Wire-identical to the sequential path.
     ///
     /// # Errors
     ///
     /// Propagates base-OT failures.
-    pub fn setup_with_pool<C: Channel>(
+    pub fn setup_with_pool<C: Channel, G: Group>(
         channel: &mut C,
-        pre: SenderPrecomp,
+        pre: SenderPrecomp<G>,
         pool: ThreadPool,
     ) -> Result<ExtSender, OtError> {
         let SenderPrecomp { s, keys } = pre;
@@ -231,27 +234,21 @@ impl ExtSender {
             return Ok(());
         }
         self.in_flight = true;
-        // Column i of Q: q_i = G(k_{s_i}) ⊕ s_i · u_i  (u from receiver).
+        // Column i of Q: q_i = G(k_{s_i}) ⊕ s_i · u_i  (u from receiver),
+        // masked rather than branched: `s` is this party's secret.
         let mut q = ColumnMatrix::new(m);
         for (i, seed) in self.seeds.iter_mut().enumerate() {
             let col = q.column_mut(i);
             seed.fill(col);
             let u = channel.recv(col.len())?;
-            if self.s[i] {
-                for (c, u) in col.iter_mut().zip(&u) {
-                    *c ^= u;
-                }
+            let s_mask = 0u8.wrapping_sub(std::hint::black_box(u8::from(self.s[i])));
+            for (c, u) in col.iter_mut().zip(&u) {
+                *c ^= u & s_mask;
             }
         }
-        let s_block = {
-            let mut b = Block::ZERO;
-            for (i, &bit) in self.s.iter().enumerate() {
-                if bit {
-                    b ^= Block::from(1u128 << i);
-                }
-            }
-            b
-        };
+        let s_block = self.s.iter().enumerate().fold(Block::ZERO, |b, (i, &bit)| {
+            b ^ Block::from(u128::from(bit) << i)
+        });
         // Row j of Q keys both masks: H(q_j, t) for x0, H(q_j ⊕ s, t) for
         // x1 — hashed one row block (2·KAPPA hashes) per call.
         let mut cts = Vec::with_capacity(2 * m);
@@ -286,24 +283,24 @@ impl ExtReceiver {
     /// # Errors
     ///
     /// Propagates base-OT failures.
-    pub fn setup<C: Channel, R: Rng + ?Sized>(
+    pub fn setup<C: Channel, G: Group, R: Rng + ?Sized>(
         channel: &mut C,
-        group: &DhGroup,
+        group: &G,
         rng: &mut R,
     ) -> Result<ExtReceiver, OtError> {
         ExtReceiver::setup_with_pool(channel, group, rng, ThreadPool::sequential())
     }
 
-    /// [`ExtReceiver::setup`] with the base-OT sender's modexps (four per
-    /// transfer) fanned out across `pool`. Wire-identical to the
-    /// sequential path for the same seed.
+    /// [`ExtReceiver::setup`] with the base-OT sender's scalar
+    /// multiplications (four per transfer) fanned out across `pool`.
+    /// Wire-identical to the sequential path for the same seed.
     ///
     /// # Errors
     ///
     /// Propagates base-OT failures.
-    pub fn setup_with_pool<C: Channel, R: Rng + ?Sized>(
+    pub fn setup_with_pool<C: Channel, G: Group, R: Rng + ?Sized>(
         channel: &mut C,
-        group: &DhGroup,
+        group: &G,
         rng: &mut R,
         pool: ThreadPool,
     ) -> Result<ExtReceiver, OtError> {
@@ -393,9 +390,9 @@ mod tests {
     use super::*;
 
     fn run_ext(choices: Vec<bool>, batches: usize) {
-        let group = DhGroup::modp_768();
+        let group = Ristretto255;
         let (mut ca, mut cb) = mem_pair();
-        let g2 = group.clone();
+        let g2 = group;
         let n = choices.len();
         let pairs: Vec<(Block, Block)> = (0..n as u128)
             .map(|i| (Block::from(i * 2 + 10_000), Block::from(i * 2 + 10_001)))
@@ -442,7 +439,7 @@ mod tests {
     fn precomputed_sender_setup_is_equivalent() {
         // Offline-generated SenderPrecomp must yield a working extension
         // identical in behaviour to the inline-randomness setup.
-        let group = DhGroup::modp_768();
+        let group = Ristretto255;
         let (mut ca, mut cb) = mem_pair();
         let pre = {
             let mut rng = StdRng::seed_from_u64(123);
@@ -456,7 +453,7 @@ mod tests {
             let mut s = ExtSender::setup_with(&mut ca, pre).unwrap();
             s.send(&mut ca, &pairs2).unwrap();
         });
-        let g2 = group.clone();
+        let g2 = group;
         let mut rng = StdRng::seed_from_u64(124);
         let mut r = ExtReceiver::setup(&mut cb, &g2, &mut rng).unwrap();
         let choices: Vec<bool> = (0..9).map(|i| i % 2 == 1).collect();
@@ -469,9 +466,9 @@ mod tests {
 
     #[test]
     fn in_flight_tracks_batch_boundaries() {
-        let group = DhGroup::modp_768();
+        let group = Ristretto255;
         let (mut ca, mut cb) = mem_pair();
-        let g2 = group.clone();
+        let g2 = group;
         let sender = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(7);
             let mut s = ExtSender::setup(&mut ca, &g2, &mut rng).unwrap();
@@ -507,9 +504,9 @@ mod tests {
     fn extension_is_cheap_per_ot() {
         // After setup, per-OT communication should be ~ 128 bits (matrix)
         // + 256 bits (two ciphertexts), far below a public-key transfer.
-        let group = DhGroup::modp_768();
+        let group = Ristretto255;
         let (mut ca, mut cb) = mem_pair();
-        let g2 = group.clone();
+        let g2 = group;
         let n = 4096usize;
         let sender = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(5);
@@ -596,11 +593,14 @@ mod tests {
         // Sender seed 5, receiver seed 6, m = 4096: FNV-1a digests of the
         // receiver's 128 u_i columns and of the sender's ciphertext flight,
         // recorded from the commit before the word-wise transpose and the
-        // batched hashes. "Same bytes on the wire" is asserted here, not
+        // batched hashes, when the base OT still ran in a 768-bit MODP
+        // group. Both parties draw their IKNP seeds (`s`, the seed pairs)
+        // before any group randomness, so the group under the base OT
+        // cannot move them. "Same bytes on the wire" is asserted here, not
         // inferred from the labels still decoding.
-        let group = DhGroup::modp_768();
+        let group = Ristretto255;
         let (ca, cb) = mem_pair();
-        let g2 = group.clone();
+        let g2 = group;
         let m = 4096usize;
         let pairs: Vec<(Block, Block)> = (0..m as u128)
             .map(|i| (Block::from(i * 2 + 10_000), Block::from(i * 2 + 10_001)))
@@ -646,22 +646,22 @@ mod tests {
 
 #[cfg(test)]
 mod security_tests {
-    use deepsecure_bigint::DhGroup;
     use deepsecure_crypto::Block;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     use crate::channel::{mem_pair, Channel};
     use crate::ext::{ExtReceiver, ExtSender};
+    use crate::ristretto::Ristretto255;
 
     #[test]
     fn receiver_never_obtains_the_other_message() {
         // The unchosen message's mask is keyed by q_j ⊕ s which the
         // receiver cannot compute; check that the receiver's outputs never
         // coincide with the unchosen plaintext.
-        let group = DhGroup::modp_768();
+        let group = Ristretto255;
         let (mut ca, mut cb) = mem_pair();
-        let g2 = group.clone();
+        let g2 = group;
         let n = 64usize;
         let pairs: Vec<(Block, Block)> = (0..n as u128)
             .map(|i| (Block::from(0xAAAA_0000 + i), Block::from(0xBBBB_0000 + i)))
@@ -689,9 +689,9 @@ mod security_tests {
         // output: two receivers with identical choices produce different
         // transcripts (no choice leakage through determinism).
         let run = |seed: u64| -> u64 {
-            let group = DhGroup::modp_768();
+            let group = Ristretto255;
             let (mut ca, mut cb) = mem_pair();
-            let g2 = group.clone();
+            let g2 = group;
             let sender = std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(100);
                 let mut s = ExtSender::setup(&mut ca, &g2, &mut rng).unwrap();

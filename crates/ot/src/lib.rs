@@ -4,8 +4,9 @@
 //! delivered through 1-out-of-2 OT (§2.2.1). This crate implements the
 //! standard two-tier construction:
 //!
-//! * [`base`] — a Bellare–Micali-style base OT over the MODP groups of
-//!   `deepsecure-bigint` (a few hundred public-key operations).
+//! * [`base`] — a Bellare–Micali-style base OT over [`ristretto`]'s
+//!   prime-order Ristretto255 group (a few hundred scalar
+//!   multiplications, 32 bytes per element).
 //! * [`ext`] — IKNP OT extension: 128 base OTs seed pseudorandom
 //!   correlations that stretch to millions of wire-label transfers using
 //!   only the fixed-key AES hash.
@@ -24,22 +25,20 @@
 //! ```no_run
 //! use deepsecure_ot::channel::mem_pair;
 //! use deepsecure_ot::ext::{ExtReceiver, ExtSender};
-//! use deepsecure_bigint::DhGroup;
+//! use deepsecure_ot::Ristretto255;
 //! use deepsecure_crypto::Block;
 //! use rand::SeedableRng;
 //!
 //! let (mut ca, mut cb) = mem_pair();
-//! let group = DhGroup::modp_768();
-//! let g2 = group.clone();
 //! let handle = std::thread::spawn(move || {
 //!     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//!     let mut sender = ExtSender::setup(&mut ca, &g2, &mut rng).unwrap();
+//!     let mut sender = ExtSender::setup(&mut ca, &Ristretto255, &mut rng).unwrap();
 //!     sender
 //!         .send(&mut ca, &[(Block::from(1u128), Block::from(2u128))])
 //!         .unwrap();
 //! });
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-//! let mut receiver = ExtReceiver::setup(&mut cb, &group, &mut rng).unwrap();
+//! let mut receiver = ExtReceiver::setup(&mut cb, &Ristretto255, &mut rng).unwrap();
 //! let got = receiver.receive(&mut cb, &[true]).unwrap();
 //! assert_eq!(got[0], Block::from(2u128));
 //! handle.join().unwrap();
@@ -50,14 +49,16 @@ pub mod channel;
 pub mod ext;
 pub mod fault;
 pub mod framed;
+pub mod ristretto;
 pub mod sim;
 pub mod tcp;
 
-pub use base::ReceiverKeys;
+pub use base::{Group, ReceiverKeys};
 pub use channel::{mem_pair, Channel, ChannelError, MemChannel};
 pub use ext::SenderPrecomp;
 pub use fault::{ChaosSpec, FaultChannel, FaultProfile};
 pub use framed::FramedChannel;
+pub use ristretto::Ristretto255;
 pub use sim::{NetModel, SimChannel};
 pub use tcp::{tcp_pair, TcpChannel};
 

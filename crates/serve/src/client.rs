@@ -21,8 +21,8 @@
 //!   across two attempts: the server always serves fresh material per
 //!   issue). When the OT-extension state died at a batch boundary the
 //!   reconnect presents the `RESUME` token from the `OK` frame and skips
-//!   the base OTs entirely — zero extra modexps, zero extra flights; a
-//!   mid-batch death falls back to a full fresh setup.
+//!   the base OTs entirely — zero extra group operations, zero extra
+//!   flights; a mid-batch death falls back to a full fresh setup.
 //! * **Backoff on `BUSY`** — a shed server names its own retry-after
 //!   hint; the client honors it with jitter instead of hammering.
 //!
@@ -75,7 +75,8 @@ pub struct ClientOptions {
     /// Budget for each TCP connect (with the channel's own jittered
     /// backoff inside it).
     pub connect_timeout: Duration,
-    /// Worker threads for the base-OT modexps of each fresh set-up (`0` =
+    /// Worker threads for the base-OT scalar multiplications of each fresh
+    /// set-up (`0` =
     /// one per core); evaluation itself is one sequential gate walk. A
     /// pure client-side perf knob — wire bytes are identical at any width.
     pub threads: usize,

@@ -15,7 +15,7 @@
 //! * [`pool`] — the precompute pool: a background worker keeps N
 //!   [`GarbledMaterial`] instances per zoo model and a stock of base-OT
 //!   keypair precomputations ([`SenderPrecomp`]) so neither garbling nor
-//!   the offline modexp half of the OT setup ever sits on a connection's
+//!   the offline keypair half of the OT setup ever sits on a connection's
 //!   critical path. The pool is chunk-aware: models whose per-instance
 //!   material exceeds its cap (e.g. `mnist_mlp`'s ≈225 MB) are served as
 //!   live-garbling seeds instead — the session garbles chunk runs while

@@ -3,8 +3,8 @@
 //! Two stocks are kept warm by a background worker thread:
 //!
 //! * **Base-OT precomputations** ([`SenderPrecomp`]) — the IKNP-sender
-//!   keypair modexps, model-independent, one consumed per new session's
-//!   setup.
+//!   keypairs (128 Ristretto255 scalar multiplications),
+//!   model-independent, one consumed per new session's setup.
 //! * **Garbled material** ([`GarbledMaterial`]) — per hosted model, one
 //!   consumed per request; keeping `target` instances per model means a
 //!   request's critical path never garbles.
@@ -33,10 +33,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use deepsecure_bigint::DhGroup;
 use deepsecure_core::compile::Compiled;
 use deepsecure_core::session::{GarbledMaterial, MaterialSource};
-use deepsecure_ot::SenderPrecomp;
+use deepsecure_ot::{Ristretto255, SenderPrecomp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use workpool::ThreadPool;
@@ -98,11 +97,10 @@ struct Shared {
     /// Signalled on take (work for the producer) and on produce (progress
     /// for `wait_warm`) and on stop.
     work: Condvar,
-    group: DhGroup,
     target: usize,
-    /// Worker pool for the base-OT modexps of an inline miss in
-    /// [`PrecomputePool::take_base`].
-    modexp_pool: ThreadPool,
+    /// Worker pool for the base-OT scalar multiplications of an inline
+    /// miss in [`PrecomputePool::take_base`].
+    keygen_pool: ThreadPool,
     /// Per-item seed counter: every generated instance gets a distinct
     /// RNG stream derived from the pool seed.
     seed_counter: AtomicU64,
@@ -157,13 +155,12 @@ impl PrecomputePool {
     /// are served as live-garbling seeds instead of pooled material
     /// ([`DEFAULT_MATERIAL_CAP`] is the conventional cap).
     pub fn start(
-        group: DhGroup,
         models: Vec<(String, Arc<Compiled>, usize)>,
         target: usize,
         seed: u64,
         material_cap_bytes: u64,
     ) -> PrecomputePool {
-        PrecomputePool::start_with_workers(group, models, target, seed, material_cap_bytes, 1)
+        PrecomputePool::start_with_workers(models, target, seed, material_cap_bytes, 1)
     }
 
     /// [`PrecomputePool::start`] with `fill_workers` concurrent fill
@@ -171,9 +168,9 @@ impl PrecomputePool {
     /// queue's deficit, so N workers never overshoot `target`. Fill
     /// workers parallelize *across* items (each garbles sequentially);
     /// an inline base-OT **miss** — a caller alone on its critical path —
-    /// instead fans its modexps across a `fill_workers`-wide pool.
+    /// instead fans its scalar multiplications across a
+    /// `fill_workers`-wide pool.
     pub fn start_with_workers(
-        group: DhGroup,
         models: Vec<(String, Arc<Compiled>, usize)>,
         target: usize,
         seed: u64,
@@ -206,9 +203,8 @@ impl PrecomputePool {
         let shared = Arc::new(Shared {
             state: Mutex::new(state),
             work: Condvar::new(),
-            group,
             target,
-            modexp_pool: ThreadPool::new(fill_workers),
+            keygen_pool: ThreadPool::new(fill_workers),
             seed_counter: AtomicU64::new(1),
             seed,
         });
@@ -237,9 +233,9 @@ impl PrecomputePool {
             st.stats.base_misses += 1;
         }
         SenderPrecomp::generate_with(
-            &self.shared.group,
+            &Ristretto255,
             &mut self.shared.next_rng(),
-            self.shared.modexp_pool,
+            self.shared.keygen_pool,
         )
     }
 
@@ -401,7 +397,7 @@ fn worker_loop(shared: &Shared) {
         // …generate outside it (this is the expensive part)…
         match job {
             Job::Base => {
-                let pre = SenderPrecomp::generate(&shared.group, &mut shared.next_rng());
+                let pre = SenderPrecomp::generate(&Ristretto255, &mut shared.next_rng());
                 let mut st = lock(&shared.state);
                 st.base_in_flight -= 1;
                 st.base.push_back(pre);
@@ -449,7 +445,6 @@ mod tests {
     #[test]
     fn pool_warms_up_and_serves_hits() {
         let pool = PrecomputePool::start(
-            DhGroup::modp_768(),
             vec![("mac".to_string(), mac_compiled(), 1)],
             2,
             99,
@@ -479,7 +474,6 @@ mod tests {
         // target 0: the worker never stocks anything, every take is a
         // miss, and the caller still gets usable material immediately.
         let pool = PrecomputePool::start(
-            DhGroup::modp_768(),
             vec![("mac".to_string(), mac_compiled(), 2)],
             0,
             7,
@@ -500,7 +494,6 @@ mod tests {
         // queue at exactly `target` once warm (no worker double-fills a
         // deficit another worker already claimed).
         let pool = PrecomputePool::start_with_workers(
-            DhGroup::modp_768(),
             vec![("mac".to_string(), mac_compiled(), 1)],
             3,
             21,
@@ -529,7 +522,6 @@ mod tests {
         // inline — never wedge on a poisoned lock or a half-torn-down
         // worker set (the shutdown-ordering regression).
         let pool = PrecomputePool::start_with_workers(
-            DhGroup::modp_768(),
             vec![("mac".to_string(), mac_compiled(), 200)],
             2,
             23,
@@ -558,13 +550,7 @@ mod tests {
         // Cap 0 pushes even the MAC core over the limit: takes hand out
         // distinct live seeds, the worker never garbles for the slot, and
         // wait_warm doesn't wait on it.
-        let pool = PrecomputePool::start(
-            DhGroup::modp_768(),
-            vec![("mac".to_string(), mac_compiled(), 3)],
-            2,
-            13,
-            0,
-        );
+        let pool = PrecomputePool::start(vec![("mac".to_string(), mac_compiled(), 3)], 2, 13, 0);
         assert!(
             pool.wait_warm(Duration::from_secs(60)),
             "a live-only slot must not block warm-up"

@@ -65,14 +65,14 @@ pub struct ServeConfig {
     /// above the pool's material cap, with garbling itself).
     pub chunk_gates: usize,
     /// Worker threads: the pool's fill-worker count and the fan-out width
-    /// of base-OT modexps (each session's set-up and the pool's inline
-    /// misses). Gate walks stay sequential at any value. `0` means auto
-    /// (one per available core). Defaults to the `DEEPSECURE_THREADS` env
-    /// var, else `1`.
+    /// of base-OT scalar multiplications (each session's set-up and the
+    /// pool's inline misses). Gate walks stay sequential at any value.
+    /// `0` means auto (one per available core). Defaults to the
+    /// `DEEPSECURE_THREADS` env var, else `1`.
     pub threads: usize,
     /// Max open connections — live handler threads, handshakes and idle
     /// sessions included. The arrival that would exceed the cap is shed
-    /// immediately with a `DSRV/2 BUSY` frame (plus `retry_after_ms`)
+    /// immediately with a `DSRV/3 BUSY` frame (plus `retry_after_ms`)
     /// instead of adding one more thread behind a saturated garbler —
     /// the bound that keeps the p99 of *accepted* requests flat under
     /// overload.
@@ -246,7 +246,6 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let pool = PrecomputePool::start_with_workers(
-            cfg.group.clone(),
             models
                 .iter()
                 .map(|(name, hosted)| (name.clone(), Arc::clone(&hosted.demo.compiled), 1))
@@ -657,12 +656,12 @@ fn serve_session(shared: &Shared, stream: TcpStream) -> Result<(), ServeError> {
     let session = ClientSession::new(Arc::clone(&hosted.demo.compiled), &shared.cfg);
     let (mut setup, epoch) = match resumed_state {
         // Resumed: the stashed extension state picks up exactly where it
-        // left off — zero base-OT modexps, zero extra flights.
+        // left off — zero base-OT group operations, zero extra flights.
         Some(s) => (s.setup, s.epoch),
         None => {
             // One-time setup: the precomputed keypairs keep the offline
-            // modexp half off the wire path; only the three batched
-            // flights remain.
+            // half of the group work off the wire path; only the three
+            // batched flights remain.
             let epoch = Instant::now();
             let pre = shared.pool.take_base();
             let t_setup = Instant::now();

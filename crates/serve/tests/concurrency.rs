@@ -375,6 +375,34 @@ fn mid_handshake_disconnects_leave_the_server_serving_others() {
 }
 
 #[test]
+fn a_dsrv2_hello_is_refused_before_any_base_ot_byte() {
+    // A client still on the 768-bit MODP base OT speaks DSRV/2 with a
+    // matching model and fingerprint: the server answers with one ERR
+    // frame naming both versions and hangs up — no base-OT element (nor
+    // any other byte) follows the refusal.
+    use std::io::Read;
+    let (handle, join) = start_server(1);
+    let addr = handle.local_addr().to_string();
+    let model = ClientModel::load("tiny_mlp").expect("model");
+    let mut s = std::net::TcpStream::connect(&addr).expect("connect");
+    let hello = format!("DSRV/2 tiny_mlp {:016x}", model.demo.fingerprint);
+    s.write_all(&(hello.len() as u32).to_le_bytes()).unwrap();
+    s.write_all(hello.as_bytes()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut got = Vec::new();
+    s.read_to_end(&mut got)
+        .expect("the server closes after refusing");
+    let len = u32::from_le_bytes(got[..4].try_into().unwrap()) as usize;
+    assert_eq!(got.len(), 4 + len, "bytes followed the refusal");
+    let err = deepsecure_serve::proto::parse_reply(&got[4..]).unwrap_err();
+    assert!(err.contains("DSRV/2") && err.contains("DSRV/3"), "{err}");
+    handle.shutdown();
+    let stats = join.join().unwrap();
+    assert_eq!(stats.sessions_completed, 0);
+    assert_eq!(stats.requests, 0);
+}
+
+#[test]
 fn abrupt_mid_query_disconnect_drains_the_registry_and_serving_continues() {
     // Regression: a client that dies mid-online-phase (no DONE, no
     // reconnect) must not leave its SessionRegistry entry behind — the

@@ -2,7 +2,7 @@
 //!
 //! Hosts the garbling party for any number of simultaneous evaluator
 //! clients. Heavy input-independent work — garbled tables, base-OT
-//! keypair modexps — runs in a background precompute pool *before*
+//! keypairs — runs in a background precompute pool *before*
 //! clients arrive, so each request pays only the online phase
 //! (OT extension + table streaming + evaluation).
 //!
@@ -39,13 +39,13 @@ usage:
   --sessions     exit gracefully after N sessions have finished
                  (default: serve forever)
   --seed         pool randomness seed (default 7)
-  --threads      pool fill workers and base-OT modexp fan-out width
+  --threads      pool fill workers and base-OT fan-out width
                  (0 = one per core; default from DEEPSECURE_THREADS,
                  else 1). A pure perf knob: wire bytes are identical at
                  any width.
   --queue-cap    most open connections, handshakes included (default
                  64): the accept loop sheds the next arrival at once
-                 with `DSRV/2 BUSY` instead of adding one more handler
+                 with `DSRV/3 BUSY` instead of adding one more handler
                  thread
   --model-session-cap
                  at most N live sessions per hosted model; excess

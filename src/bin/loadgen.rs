@@ -56,7 +56,7 @@ usage:
   --check       replay each queried sample in-memory and fail on any label
                 or wire-byte divergence
   --seed        base OT-randomness seed, varied per client (default 1000)
-  --threads     base-OT modexp worker threads per client set-up (0 = one
+  --threads     base-OT worker threads per client set-up (0 = one
                 per core; default from DEEPSECURE_THREADS, else 1)
   --chaos       inject deterministic faults (delays, short I/O, drops)
                 into every client socket; PROFILE is one of off, delays,

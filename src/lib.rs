@@ -7,13 +7,13 @@
 //! | Module | Crate | Role |
 //! |---|---|---|
 //! | [`crypto`] | `deepsecure-crypto` | wire labels, fixed-key AES hash, PRG |
-//! | [`bigint`] | `deepsecure-bigint` | MODP-group arithmetic for base OT |
+//! | [`bigint`] | `deepsecure-bigint` | MODP arithmetic kept only for the dsbench ladder's `bigint.modexp_us` row |
 //! | [`circuit`] | `deepsecure-circuit` | Boolean netlists, builder, passes |
 //! | [`synth`] | `deepsecure-synth` | GC-optimized DL component library |
 //! | [`fixed`] | `deepsecure-fixed` | Q1.3.12 fixed-point semantics |
 //! | [`linalg`] | `deepsecure-linalg` | matrix + projector for Algorithm 1 |
 //! | [`nn`] | `deepsecure-nn` | training, pruning, synthetic datasets |
-//! | [`ot`] | `deepsecure-ot` | base OT + IKNP extension, channels |
+//! | [`ot`] | `deepsecure-ot` | Ristretto255 base OT + IKNP extension, channels |
 //! | [`garble`] | `deepsecure-garble` | half-gates garbler/evaluator |
 //! | [`core`] | `deepsecure-core` | compiler, protocol, pre-processing, cost model |
 //! | [`serve`] | `deepsecure-serve` | concurrent inference server + precompute pool |
