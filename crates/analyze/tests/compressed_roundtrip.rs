@@ -21,7 +21,7 @@ fn compressed_circuit_roundtrips_and_lints_clean() {
     let circuit = &compiled.circuit;
 
     // The sparsity-aware matvec must have dropped the pruned multiplies:
-    // well under half the dense tiny_mlp's 600_259 non-free gates.
+    // well under the dense tiny_mlp's 436_163 non-free gates.
     let stats = circuit.stats();
     assert!(
         stats.non_xor < 300_000,

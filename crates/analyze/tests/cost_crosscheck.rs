@@ -134,7 +134,7 @@ fn prediction_matches_live_protocol_on_mnist_mlp() {
 }
 
 /// Three streamed live queries on one setup pair at paper scale: the
-/// 332 MB wire-label arrays are sized by the first query and then carried
+/// 246 MB wire-label arrays are sized by the first query and then carried
 /// — neither party's resident bytes move again — while table memory stays
 /// one 8192-gate chunk. (That the arrays are the *same allocations*, by
 /// address, is asserted in-crate by `core::session`'s tests; from outside

@@ -304,7 +304,7 @@ impl Circuit {
     /// garbled-table ciphertexts under half-gates, so the per-cycle table
     /// stream has length `2 * nonfree_gate_count()`. Used by the garbler to
     /// preallocate and by the protocol to size channel reads, once per
-    /// query: a stored count, not a scan of the gate list (328 MB on
+    /// query: a stored count, not a scan of the gate list (242 MB on
     /// `mnist_mlp`).
     pub fn nonfree_gate_count(&self) -> usize {
         self.nonfree

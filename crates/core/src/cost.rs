@@ -320,7 +320,7 @@ mod tests {
         let f = Format::Q3_12;
         assert_eq!(add_stats(f).non_xor, 15);
         // The counts `table3` prints (and ROADMAP item 2 ratchets down).
-        assert_eq!(mult_stats(f).non_xor, 552);
+        assert_eq!(mult_stats(f).non_xor, 393);
         for (guard, non_xor) in [(0, 381), (3, 444), (6, 489)] {
             let m = mult_stats_with(f, crate::compile::Multiplier::Truncated { guard });
             assert_eq!(m.non_xor, non_xor, "truncated MULT at guard {guard}");

@@ -34,7 +34,7 @@
 //! from the setup into the query's [`Garbler`] / [`Evaluator`] and back
 //! (`with_labels` / `into_labels`), and [`ServerSetup`] also keeps the
 //! table receive buffer — so from the second query on, `run_online`
-//! allocates and faults in nothing of that size (332 MB per party on
+//! allocates and faults in nothing of that size (246 MB per party on
 //! `mnist_mlp`, where doing it per query cost more than the garbling). A
 //! fresh setup holds empty buffers and a failed query drops the ones it
 //! had taken; the next query then allocates, exactly as a first one does.
@@ -438,7 +438,7 @@ impl ClientSetup {
 
     /// Bytes this setup keeps allocated between queries so the next one
     /// need not allocate, zero and fault them in again: `wire_count × 16`
-    /// once a query has garbled live (332 MB on `mnist_mlp`), nothing
+    /// once a query has garbled live (246 MB on `mnist_mlp`), nothing
     /// while every query ran on precomputed material.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
@@ -487,7 +487,7 @@ impl ServerSetup {
 
     /// Bytes this setup keeps allocated between queries so the next one
     /// need not allocate and fault them in again: the evaluator's
-    /// wire-label array (`wire_count × 16`, 332 MB on `mnist_mlp`) plus
+    /// wire-label array (`wire_count × 16`, 246 MB on `mnist_mlp`) plus
     /// the table receive buffer (one chunk; a whole cycle's tables when
     /// `chunk_gates == 0`). Zero before the first query.
     #[must_use]
@@ -1768,8 +1768,11 @@ mod tests {
         // recorded from the commit before the cycle paths were merged into
         // one driver per party, and re-recorded once when the base OT
         // moved to Ristretto255 (the test above shows every other phase's
-        // bytes did not move). Neither the material source nor the thread
-        // count may move a byte or an operation boundary.
+        // bytes did not move). The `mac` rows were re-recorded once more
+        // when the exact multiplier became a Booth array (fewer tables,
+        // same function); the `grid` rows did not move. Neither the
+        // material source nor the thread count may move a byte or an
+        // operation boundary.
         let (mac, grid) = (mac_compiled(), and_grid_compiled());
         for &(name, chunk_gates, bytes, ops) in &PINNED_TRANSCRIPTS {
             let (compiled, n_cycles) = if name == "mac" { (&mac, 3) } else { (&grid, 1) };
@@ -1790,10 +1793,12 @@ mod tests {
     fn the_base_ot_group_moves_only_the_base_ot_bytes() {
         // Every other phase's bytes were recorded on the commit before the
         // base OT moved from the 768-bit MODP group (41 056 base-OT bytes)
-        // to Ristretto255: 32 + 128·32 + 128·2·(32 + 16) = 16 416.
+        // to Ristretto255: 32 + 128·32 + 128·2·(32 + 16) = 16 416. The
+        // `mac` tables are 3 cycles × 424 non-free gates × 32 B since the
+        // exact multiplier became a Booth array.
         let (mac, grid) = (mac_compiled(), and_grid_compiled());
         for (name, compiled, n_cycles, ot_ext, tables, input_labels, output_bits) in [
-            ("mac", &mac, 3, 2304, 55_968, 1104, 30),
+            ("mac", &mac, 3, 2304, 40_704, 1104, 30),
             ("grid", &grid, 1, 544, 2304, 160, 9),
         ] {
             let want = WireBreakdown {
@@ -1831,10 +1836,10 @@ mod tests {
     /// `(circuit, chunk_gates, byte-stream digest, operation digest)`; the
     /// last chunk size of each circuit exceeds its non-free gate count.
     const PINNED_TRANSCRIPTS: [(&str, usize, u64, u64); 8] = [
-        ("mac", 0, 0x81a7_8561_5813_dabe, 0xd9eb_57dc_67d7_f4c1),
-        ("mac", 1, 0x36bb_c40b_f8c2_5f4e, 0xc5b3_b9bc_591c_5c0f),
-        ("mac", 64, 0x36bb_c40b_f8c2_5f4e, 0xba47_7689_0693_2891),
-        ("mac", 99_999, 0x36bb_c40b_f8c2_5f4e, 0xb337_ec1b_0e9d_5e43),
+        ("mac", 0, 0x0c7d_fcfa_92f9_7982, 0xcc6d_83c8_29d4_5150),
+        ("mac", 1, 0xf184_deb0_3b89_37ca, 0x3f68_7ac4_ac03_3af7),
+        ("mac", 64, 0xf184_deb0_3b89_37ca, 0x5f0e_b694_1d32_8fe6),
+        ("mac", 99_999, 0xf184_deb0_3b89_37ca, 0x8ec5_a99a_ece7_7ed6),
         ("grid", 0, 0x3ac6_c68f_e3bc_db06, 0xbc35_11b6_cda1_d6f0),
         ("grid", 1, 0xe022_294d_e87d_b45a, 0x5b0d_e4d4_733d_f10d),
         ("grid", 64, 0xe022_294d_e87d_b45a, 0x92cf_5ec4_1710_8ccc),

@@ -108,7 +108,7 @@ pub fn tiny_mlp(classes: usize) -> Network {
 }
 
 /// MNIST-scale MLP over 28×28 images: 784-16FC-ReLu-`classes`FC. Small
-/// enough to garble end to end in CI, large enough (≈225 MB of garbled
+/// enough to garble end to end in CI, large enough (≈163 MB of garbled
 /// tables, ~12× tiny_mlp's MAC count) that buffered garbled material
 /// dominates a process's memory — the workload behind the streaming
 /// pipeline's constant-memory demonstration.

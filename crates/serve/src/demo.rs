@@ -16,7 +16,7 @@ use deepsecure_nn::{data, prune, train, zoo, Network};
 use deepsecure_synth::activation::Activation;
 
 /// The zoo models every binary can serve. `mnist_mlp` is the paper-scale
-/// one: ≈225 MB of garbled tables per inference, the workload that makes
+/// one: ≈163 MB of garbled tables per inference, the workload that makes
 /// the streaming pipeline's O(chunk) memory visible (building it trains
 /// and compiles for ~a minute — the small models stay the default).
 /// `mnist_mlp_c` is its compressed twin: the same architecture
@@ -292,12 +292,12 @@ mod tests {
             "sparsity {}",
             prune::sparsity(&a.net)
         );
-        // The whole point: well under the dense mnist_mlp's 7_020_901
-        // non-free gates (224_668_832 table bytes, BENCH_RESULTS.json) —
+        // The whole point: well under the dense mnist_mlp's 5_088_533
+        // non-free gates (162_833_056 table bytes, BENCH_RESULTS.json) —
         // the ≥40 % acceptance bar with a wide margin.
         let nonfree = a.compiled.circuit.nonfree_gate_count();
         assert!(
-            nonfree <= 7_020_901 * 6 / 10,
+            nonfree <= 5_088_533 * 6 / 10,
             "compressed mnist_mlp has {nonfree} non-free gates"
         );
         // Both serving processes must derive bit-identical compressed

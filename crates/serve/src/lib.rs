@@ -17,7 +17,7 @@
 //!   keypair precomputations ([`SenderPrecomp`]) so neither garbling nor
 //!   the offline keypair half of the OT setup ever sits on a connection's
 //!   critical path. The pool is chunk-aware: models whose per-instance
-//!   material exceeds its cap (e.g. `mnist_mlp`'s ≈225 MB) are served as
+//!   material exceeds its cap (e.g. `mnist_mlp`'s ≈163 MB) are served as
 //!   live-garbling seeds instead — the session garbles chunk runs while
 //!   streaming, so paper-scale models don't pin O(circuit) bytes per
 //!   pooled slot.

@@ -18,8 +18,8 @@
 //! # Chunk-aware material
 //!
 //! Pinning whole [`GarbledMaterial`] instances costs O(circuit) memory
-//! *per pooled slot* — fine for tiny models (19 MB), ruinous at MNIST
-//! scale (≈225 MB × target × models). Models whose per-instance table
+//! *per pooled slot* — fine for tiny models (14 MB), ruinous at MNIST
+//! scale (≈163 MB × target × models). Models whose per-instance table
 //! bytes exceed `material_cap_bytes` are therefore **not** stockpiled:
 //! [`PrecomputePool::take_material`] hands back a
 //! [`MaterialSource::Live`] seed instead, and the session garbles chunk
@@ -49,7 +49,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// Default `material_cap_bytes`: per-instance garbled material above 64
 /// MiB is streamed live instead of pooled (tiny models sit comfortably
-/// below, `mnist_mlp`'s ≈225 MB well above).
+/// below, `mnist_mlp`'s ≈163 MB well above).
 pub const DEFAULT_MATERIAL_CAP: u64 = 64 << 20;
 
 /// Hit/miss and production counters of the pool.

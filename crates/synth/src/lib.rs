@@ -9,9 +9,10 @@
 //!
 //! * [`arith`] — ripple-carry adders (1 AND/bit), subtractors, comparators,
 //!   word MUXes, conditional negation, constant multiplication.
-//! * [`mul`] / [`div`] — exact truncating fixed-point multiply (the
-//!   semantics of [`deepsecure_fixed::Fixed::mul`]), an approximate
-//!   truncated multiplier, and sign-magnitude restoring division.
+//! * [`mul`] / [`div`] — exact flooring fixed-point multiply (the
+//!   semantics of [`deepsecure_fixed::Fixed::mul`], as a radix-4 Booth
+//!   array), an approximate truncated multiplier, and sign-magnitude
+//!   restoring division.
 //! * [`lut`] — BDD-style lookup tables whose MUX trees collapse under the
 //!   builder's hash-consing.
 //! * [`cordic`] — hyperbolic-mode CORDIC with `3i+1` repeated iterations

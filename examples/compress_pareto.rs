@@ -8,7 +8,7 @@
 //!   [`CompileOptions::compressed`] operating point and run through
 //!   circuit pre-processing, then *measured* end-to-end over the
 //!   simulated 40 Mbps / 40 ms WAN (streamed, chunk 8192 — the same
-//!   configuration as the 4.64 s dense tiny_mlp floor the README quotes).
+//!   configuration as the 3.1 s dense tiny_mlp figure the README quotes).
 //! * **Activation menu** — a small 64-16FC-Tanh-`classes`FC network
 //!   compiled against each Tanh realization from the paper's Table 3
 //!   menu, showing the LUT ⇄ piecewise-linear table-byte trade the
@@ -16,7 +16,7 @@
 //!
 //! Run with: `cargo run --release --example compress_pareto`
 //! (the dense mnist_mlp point compiles for ~a minute and its WAN run
-//! sleeps through ~45 s of modelled transfer; the compressed points are
+//! sleeps through ~33 s of modelled transfer; the compressed points are
 //! proportionally faster — that contrast is the result).
 
 use std::sync::Arc;
