@@ -75,7 +75,7 @@
 //! the value (binaries pin it in their handshakes).
 //!
 //! Sessions measure their own traffic as *deltas* of the channel's byte
-//! counters, so pre-protocol traffic (e.g. the `DSRV/3` serving handshake) is
+//! counters, so pre-protocol traffic (e.g. the `DSRV/4` serving handshake) is
 //! never attributed to the protocol, and both parties' [`WireBreakdown`]s
 //! describe the same wire regardless of transport.
 //!
@@ -664,7 +664,7 @@ impl ClientSession {
     }
 
     /// Runs the base-OT setup with offline-generated [`SenderPrecomp`]
-    /// material — only the three batched flights stay on the wire path.
+    /// material — only the two batched flights stay on the wire path.
     ///
     /// # Errors
     ///
@@ -1216,7 +1216,7 @@ mod tests {
     }
 
     #[test]
-    fn base_ot_setup_is_three_flights_on_a_simulated_link() {
+    fn base_ot_setup_is_two_flights_on_a_simulated_link() {
         use deepsecure_ot::sim::{NetModel, SimChannel};
 
         let compiled = mac_compiled();
@@ -1236,13 +1236,16 @@ mod tests {
         let setup = client.setup(&mut cc, epoch).unwrap();
         let (server_bytes, server_turnarounds) = handle.join().unwrap();
 
-        // Batched base OT is three one-way flights. Each flight is received
-        // exactly once, and on a strictly alternating link every receive is
-        // a turnaround, so the two endpoints' turnaround counts sum to the
-        // flight count: the first sender pays 1, the responder pays 2.
-        let mut flights = [cc.turnarounds(), server_turnarounds];
-        flights.sort_unstable();
-        assert_eq!(flights, [1, 2], "batched base OT must stay 3 flights");
+        // Batched base OT is two one-way flights: the server's A, then the
+        // client's every B_i. Each flight is received exactly once, and on
+        // a strictly alternating link every receive is a turnaround, so
+        // the two endpoints' turnaround counts sum to the flight count:
+        // one each.
+        assert_eq!(
+            [cc.turnarounds(), server_turnarounds],
+            [1, 1],
+            "batched base OT must stay 2 flights"
+        );
 
         // Both endpoints feed the process-global phase counter (sent +
         // received each), so one setup adds twice the per-party total.
@@ -1767,12 +1770,14 @@ mod tests {
         // Byte order and `Channel` operation boundaries of both endpoints,
         // recorded from the commit before the cycle paths were merged into
         // one driver per party, and re-recorded once when the base OT
-        // moved to Ristretto255 (the test above shows every other phase's
+        // moved to Ristretto255 (the test below shows every other phase's
         // bytes did not move). The `mac` rows were re-recorded once more
         // when the exact multiplier became a Booth array (fewer tables,
-        // same function); the `grid` rows did not move. Neither the
-        // material source nor the thread count may move a byte or an
-        // operation boundary.
+        // same function); the `grid` rows did not move. Every row was
+        // re-recorded once when the base OT became the two-flight random
+        // OT, whose keys are the IKNP seeds, so the OT-extension bytes
+        // moved with the base-OT ones. Neither the material source nor
+        // the thread count may move a byte or an operation boundary.
         let (mac, grid) = (mac_compiled(), and_grid_compiled());
         for &(name, chunk_gates, bytes, ops) in &PINNED_TRANSCRIPTS {
             let (compiled, n_cycles) = if name == "mac" { (&mac, 3) } else { (&grid, 1) };
@@ -1793,7 +1798,8 @@ mod tests {
     fn the_base_ot_group_moves_only_the_base_ot_bytes() {
         // Every other phase's bytes were recorded on the commit before the
         // base OT moved from the 768-bit MODP group (41 056 base-OT bytes)
-        // to Ristretto255: 32 + 128·32 + 128·2·(32 + 16) = 16 416. The
+        // to Ristretto255 (16 416 B), and hold still since it became the
+        // two-flight random OT: A and 128 B_i, 32 + 128·32 = 4 128. The
         // `mac` tables are 3 cycles × 424 non-free gates × 32 B since the
         // exact multiplier became a Booth array.
         let (mac, grid) = (mac_compiled(), and_grid_compiled());
@@ -1802,7 +1808,7 @@ mod tests {
             ("grid", &grid, 1, 544, 2304, 160, 9),
         ] {
             let want = WireBreakdown {
-                base_ot: 16_416,
+                base_ot: 4_128,
                 ot_ext,
                 tables,
                 input_labels,
@@ -1836,13 +1842,13 @@ mod tests {
     /// `(circuit, chunk_gates, byte-stream digest, operation digest)`; the
     /// last chunk size of each circuit exceeds its non-free gate count.
     const PINNED_TRANSCRIPTS: [(&str, usize, u64, u64); 8] = [
-        ("mac", 0, 0x0c7d_fcfa_92f9_7982, 0xcc6d_83c8_29d4_5150),
-        ("mac", 1, 0xf184_deb0_3b89_37ca, 0x3f68_7ac4_ac03_3af7),
-        ("mac", 64, 0xf184_deb0_3b89_37ca, 0x5f0e_b694_1d32_8fe6),
-        ("mac", 99_999, 0xf184_deb0_3b89_37ca, 0x8ec5_a99a_ece7_7ed6),
-        ("grid", 0, 0x3ac6_c68f_e3bc_db06, 0xbc35_11b6_cda1_d6f0),
-        ("grid", 1, 0xe022_294d_e87d_b45a, 0x5b0d_e4d4_733d_f10d),
-        ("grid", 64, 0xe022_294d_e87d_b45a, 0x92cf_5ec4_1710_8ccc),
-        ("grid", 99_999, 0xe022_294d_e87d_b45a, 0xcd43_a5f3_a681_e832),
+        ("mac", 0, 0xcd53_f2e5_ab2a_780d, 0x4448_c290_ecad_6b4c),
+        ("mac", 1, 0xda8a_5419_f905_e899, 0x4701_7e65_a200_25af),
+        ("mac", 64, 0xda8a_5419_f905_e899, 0x4b96_a186_8ce6_5d05),
+        ("mac", 99_999, 0xda8a_5419_f905_e899, 0x5a55_8cee_5965_3e9d),
+        ("grid", 0, 0xbc05_0f18_9d2c_2bfc, 0x7eb6_c900_1792_1d6d),
+        ("grid", 1, 0xaed2_9288_f488_fe9c, 0xd410_05c5_93b4_a84c),
+        ("grid", 64, 0xaed2_9288_f488_fe9c, 0x1855_c070_84b3_a53f),
+        ("grid", 99_999, 0xaed2_9288_f488_fe9c, 0x0ffc_36b8_1daf_e81a),
     ];
 }

@@ -1,41 +1,55 @@
-//! Base 1-out-of-2 oblivious transfer (Bellare–Micali style) over a
-//! prime-order group, secure against honest-but-curious parties.
+//! Base 1-out-of-2 oblivious transfer: the "simplest OT" of Chou and
+//! Orlandi (LATINCRYPT 2015, ePrint 2015/267) over a prime-order group,
+//! run as a batched *random* OT between honest-but-curious parties.
 //!
-//! Protocol (batched over all transfers — a **constant number of
-//! flights**, independent of the transfer count):
+//! Protocol, for `n` transfers in two flights whatever `n` is:
 //!
-//! 1. Sender samples `c` and publishes `C = c·G` (flight 1).
-//! 2. Receiver with choice bit `σ_i` samples `k_i`, sets `PK_σ = k_i·G`
-//!    and `PK_{1-σ} = C − k_i·G`, and sends **every** `PK_0` in one
-//!    flight (the sender derives each `PK_1 = C − PK_0` itself).
-//! 3. Sender ElGamal-encrypts `m_b` under `PK_b` with fresh randomness and
-//!    sends all `(r_b·G, H(r_b·PK_b) ⊕ m_b)` pairs in one flight.
-//! 4. Receiver decrypts only branch `σ_i`:
-//!    `H(k_i·(r_σ·G)) = H(r_σ·PK_σ)`.
+//! 1. The sender samples `a` and sends `A = a·G`.
+//! 2. The receiver, with choice bit `σ_i` and a fresh keypair
+//!    `(b_i, b_i·G)` per transfer, sends every `B_i = b_i·G + σ_i·A` in
+//!    one flight and outputs `H(A ‖ B_i ‖ b_i·A, i)`.
+//! 3. The sender outputs the pair `k_0 = H(A ‖ B_i ‖ a·B_i, i)` and
+//!    `k_1 = H(A ‖ B_i ‖ a·B_i − a·A, i)`.
 //!
-//! The receiver cannot know the discrete logs of both `PK_0` and `PK_1`
-//! (they sum to `C`), so it learns exactly one message; the sender sees
-//! only `PK_0`, which is uniform either way.
+//! As `a·B_i = b_i·A + σ_i·a·A`, the receiver's output is `k_{σ_i}`.
 //!
-//! Production runs in [`Ristretto255`]: prime order, 32-byte elements,
-//! and decoding is the validation — every element a peer sends (`C`,
-//! each `PK_0`, both branches' `r·G`) must be the canonical encoding of
-//! a group element other than the identity, and `PK_1 = C − PK_0` must
-//! not be the identity either; anything else is an
-//! [`OtError::Protocol`] before the next flight goes out. The receiver
-//! derives `PK_0` and picks the branch it decrypts with constant-time
-//! selects, so neither its timing nor its aborts depend on its choice
-//! bits (the IKNP garbler's secret `s`).
+//! **Why a random OT is enough.** Neither key is chosen by the sender:
+//! both come out of the protocol. That is all IKNP asks of its base OTs —
+//! 128 pairs of independent uniform PRG seeds, of which the other party
+//! holds one per pair, picked by its secret bits — so [`crate::ext`] uses
+//! the keys as the seeds, and no flight of ciphertexts has to carry
+//! chosen messages.
 //!
-//! Batching matters on real links: the earlier per-transfer ping-pong cost
-//! one round trip per transfer — 128 IKNP base OTs over a 40 ms WAN spent
-//! ≈ 10 s in pure latency. The batched protocol costs the same bytes in
-//! three one-way flights (≈ 1.5 RTT) regardless of the transfer count.
+//! **Security (semi-honest, `H` a random oracle).** The receiver's flight
+//! hides `σ_i` perfectly: `b_i·G` is uniform, and so is `b_i·G + A`. The
+//! receiver knows `b_i·A`; the key it did not choose is `H` at `b_i·A −
+//! a²·G` (for `σ_i = 0`) or `b_i·A + a²·G` (for `σ_i = 1`), so querying it
+//! needs `a²·G` from `A = a·G` — the square Diffie–Hellman problem, as
+//! hard as CDH. Hashing `A ‖ B_i` and the index `i` in makes every key of
+//! every session an independent oracle point.
 //!
-//! The receiver's keypairs `(k_i, k_i·G)` are independent of both the
-//! peer and the choice bits' messages, so [`ReceiverKeys::generate`] lets
-//! callers hoist those scalar multiplications out of the connection's
-//! critical path (the serving layer's precompute pool does exactly this).
+//! **Validation.** Production runs in [`Ristretto255`]: prime order,
+//! 32-byte elements, and decoding is the validation. The receiver refuses
+//! an `A` that is not the canonical encoding of a non-identity element
+//! (an identity `A` would make both keys equal). The sender refuses any
+//! `B_i` that is not, and any `B_i` equal to `A` (whose `k_1` would hash
+//! the identity). Each refusal is an [`OtError::Protocol`] before any key
+//! is derived or another byte is sent.
+//!
+//! **Constant time.** The receiver's bits `σ_i` (the IKNP garbler's
+//! secret `s`) reach only a masked select between `b_i·G` and
+//! `b_i·G + A`; it can abort only on `A`, before it reads a bit. Every
+//! `b_i·A` comes from one window table of `A`, built once per session,
+//! whose lookups scan every entry under a mask; `a` and the `b_i` go
+//! through the constant-time window multiplications of [`Ristretto255`].
+//!
+//! The receiver's keypairs `(b_i, b_i·G)` depend on neither the peer nor
+//! the choice bits, so [`ReceiverKeys::generate`] lets callers hoist
+//! those multiplications out of the connection's critical path (the
+//! serving layer's precompute pool does exactly this). Online, the
+//! receiver does one addition per transfer before its flight and one
+//! table multiplication after it, while the sender's `n` variable-base
+//! multiplications run; those stay on the critical path.
 
 use deepsecure_bigint::{DhGroup, Ubig};
 use deepsecure_crypto::{Block, FixedKeyHash};
@@ -60,6 +74,8 @@ pub trait Group: sealed::Sealed + Clone + Send + Sync {
     type Scalar: Clone + Send + Sync;
     /// A group element.
     type Element: Clone + Send + Sync;
+    /// One element's precomputation for multiplying it by many scalars.
+    type Table: Send + Sync;
 
     /// The group's name, for diagnostics.
     fn name(&self) -> &'static str;
@@ -71,12 +87,16 @@ pub trait Group: sealed::Sealed + Clone + Send + Sync {
     fn mul_base(&self, k: &Self::Scalar) -> Self::Element;
     /// `k·e`.
     fn mul(&self, e: &Self::Element, k: &Self::Scalar) -> Self::Element;
+    /// `e`'s table for [`Group::mul_table`].
+    fn table(&self, e: &Self::Element) -> Self::Table;
+    /// `k·e` from `e`'s [`Group::table`].
+    fn mul_table(&self, table: &Self::Table, k: &Self::Scalar) -> Self::Element;
+    /// `a + b`.
+    fn add(&self, a: &Self::Element, b: &Self::Element) -> Self::Element;
     /// `a − b`.
     fn sub(&self, a: &Self::Element, b: &Self::Element) -> Self::Element;
     /// `b` if `pick_b`, else `a` (constant-time in [`Ristretto255`]).
     fn select(&self, a: &Self::Element, b: &Self::Element, pick_b: bool) -> Self::Element;
-    /// Whether `e` is the neutral element.
-    fn is_identity(&self, e: &Self::Element) -> bool;
     /// Appends `e`'s [`Group::element_len`]-byte encoding to `out`.
     fn encode(&self, e: &Self::Element, out: &mut Vec<u8>);
     /// Parses a peer's element: `None` unless `bytes` is the canonical
@@ -87,11 +107,13 @@ pub trait Group: sealed::Sealed + Clone + Send + Sync {
 impl sealed::Sealed for DhGroup {}
 
 /// The 768-bit MODP bridge, kept only because the `dsbench` ladder runs
-/// its `ot.base_setup_ms` / `ot.base_bytes` rows in this group. Its
-/// `select` branches; no session uses it.
+/// its `ot.base_setup_ms` / `ot.base_bytes` rows in this group. Written
+/// multiplicatively underneath: `add` is a modular product and a "table"
+/// is the element itself. Its `select` branches; no session uses it.
 impl Group for DhGroup {
     type Scalar = Ubig;
     type Element = Ubig;
+    type Table = Ubig;
 
     fn name(&self) -> &'static str {
         DhGroup::name(self)
@@ -113,16 +135,24 @@ impl Group for DhGroup {
         self.pow(e, k)
     }
 
+    fn table(&self, e: &Ubig) -> Ubig {
+        e.clone()
+    }
+
+    fn mul_table(&self, table: &Ubig, k: &Ubig) -> Ubig {
+        self.pow(table, k)
+    }
+
+    fn add(&self, a: &Ubig, b: &Ubig) -> Ubig {
+        DhGroup::mul(self, a, b)
+    }
+
     fn sub(&self, a: &Ubig, b: &Ubig) -> Ubig {
         self.div(a, b)
     }
 
     fn select(&self, a: &Ubig, b: &Ubig, pick_b: bool) -> Ubig {
         if pick_b { b } else { a }.clone()
-    }
-
-    fn is_identity(&self, e: &Ubig) -> bool {
-        *e == Ubig::one()
     }
 
     fn encode(&self, e: &Ubig, out: &mut Vec<u8>) {
@@ -136,7 +166,7 @@ impl Group for DhGroup {
     }
 }
 
-/// Precomputed receiver-side keypairs `(k_i, k_i·G)` for a batch of base
+/// Precomputed receiver-side keypairs `(b_i, b_i·G)` for a batch of base
 /// OTs — the scalar multiplications that need no peer. Bound to the group
 /// they were generated in.
 pub struct ReceiverKeys<G: Group = Ristretto255> {
@@ -194,7 +224,25 @@ impl<G: Group> ReceiverKeys<G> {
     }
 }
 
-/// Runs the sender side for `pairs.len()` base OTs (three flights total).
+/// Transfer `i`'s key `H(A ‖ B_i ‖ shared, i)`, from the encodings of `A`
+/// and `B_i` as they crossed the wire.
+fn key<G: Group>(
+    hash: &FixedKeyHash,
+    group: &G,
+    a: &[u8],
+    b: &[u8],
+    shared: &G::Element,
+    i: usize,
+) -> Block {
+    let mut data = Vec::with_capacity(a.len() + b.len() + group.element_len());
+    data.extend_from_slice(a);
+    data.extend_from_slice(b);
+    group.encode(shared, &mut data);
+    hash.hash_bytes(&data, i as u64)
+}
+
+/// Runs the sender side of `n` random base OTs (two flights in all) and
+/// returns both keys of every transfer.
 ///
 /// # Errors
 ///
@@ -202,86 +250,69 @@ impl<G: Group> ReceiverKeys<G> {
 pub fn send<C: Channel, G: Group, R: Rng + ?Sized>(
     channel: &mut C,
     group: &G,
-    pairs: &[(Block, Block)],
+    n: usize,
     rng: &mut R,
-) -> Result<(), OtError> {
-    send_with_pool(channel, group, pairs, rng, ThreadPool::sequential())
+) -> Result<Vec<(Block, Block)>, OtError> {
+    send_with_pool(channel, group, n, rng, ThreadPool::sequential())
 }
 
-/// [`send`] with the per-transfer work (two encryptions of two scalar
-/// multiplications each) fanned out across `pool`. All randomness is
-/// drawn in the same order as the sequential path, so the wire transcript
-/// is byte-identical for the same seed.
+/// [`send`] with the per-transfer work (decoding `B_i`, one
+/// variable-base multiplication, two hashes) fanned out across `pool`.
+/// The keys are identical to the sequential path's for the same seed.
 ///
 /// # Errors
 ///
-/// Fails on channel breakdown or invalid group elements — every `PK_0`
-/// is validated before any ciphertext is computed.
+/// Fails on channel breakdown or invalid group elements — every `B_i` is
+/// validated before any key is derived.
 pub fn send_with_pool<C: Channel, G: Group, R: Rng + ?Sized>(
     channel: &mut C,
     group: &G,
-    pairs: &[(Block, Block)],
+    n: usize,
     rng: &mut R,
     pool: ThreadPool,
-) -> Result<(), OtError> {
-    let hash = FixedKeyHash::new();
+) -> Result<Vec<(Block, Block)>, OtError> {
     let elem = group.element_len();
-    let big_c = group.mul_base(&group.random_scalar(rng));
-    let mut flight = Vec::with_capacity(elem);
-    group.encode(&big_c, &mut flight);
-    channel.send(&flight)?;
-    // One flight carrying every PK_0; validate all of them (and the PK_1
-    // each implies) up front.
-    let pk_flight = channel.recv(pairs.len() * elem)?;
-    let mut pks = Vec::with_capacity(pairs.len());
-    for (i, bytes) in pk_flight.chunks_exact(elem).enumerate() {
-        let pk0 = group.decode(bytes).ok_or_else(|| {
+    let a = group.random_scalar(rng);
+    let big_a = group.mul_base(&a);
+    let mut a_bytes = Vec::with_capacity(elem);
+    group.encode(&big_a, &mut a_bytes);
+    channel.send(&a_bytes)?;
+    // `a·A` needs no peer: it is computed while the receiver works.
+    let a_a = group.mul(&big_a, &a);
+    let flight = channel.recv(n * elem)?;
+    let b_bytes: Vec<&[u8]> = flight.chunks_exact(elem).collect();
+    let decoded = pool.map(n, |i| group.decode(b_bytes[i]));
+    let mut bs = Vec::with_capacity(n);
+    for (i, (bytes, b)) in b_bytes.iter().zip(decoded).enumerate() {
+        let b = b.ok_or_else(|| {
             OtError::Protocol(format!(
-                "public key {i} is not a non-identity {} element",
+                "receiver element B_{i} is not a non-identity {} element",
                 group.name()
             ))
         })?;
-        let pk1 = group.sub(&big_c, &pk0);
-        if group.is_identity(&pk1) {
+        if *bytes == a_bytes.as_slice() {
             return Err(OtError::Protocol(format!(
-                "public key {i} equals the sender key C"
+                "receiver element B_{i} equals the sender element A"
             )));
         }
-        pks.push([pk0, pk1]);
+        bs.push(b);
     }
-    // Draw every encryption scalar in the sequential path's order
-    // (transfer-major, branch-minor) before fanning out.
-    let rs: Vec<G::Scalar> = (0..pairs.len() * 2)
-        .map(|_| group.random_scalar(rng))
-        .collect();
-    // One flight carrying both ciphertexts of every transfer. Each
-    // transfer's segment is independent, so the pool builds them in
-    // parallel and we concatenate in order.
-    let segments = pool.map(pairs.len(), |i| {
-        let (m0, m1) = pairs[i];
-        let mut seg = Vec::with_capacity(2 * (elem + 16));
-        let mut shared = Vec::with_capacity(elem);
-        for (b, msg) in [m0, m1].into_iter().enumerate() {
-            let r = &rs[2 * i + b];
-            group.encode(&group.mul_base(r), &mut seg);
-            shared.clear();
-            group.encode(&group.mul(&pks[i][b], r), &mut shared);
-            let mask = hash.hash_bytes(&shared, (i as u64) << 1 | b as u64);
-            seg.extend_from_slice(&(mask ^ msg).to_bytes());
-        }
-        seg
-    });
-    channel.send(&segments.concat())?;
-    Ok(())
+    let hash = FixedKeyHash::new();
+    Ok(pool.map(n, |i| {
+        let ab = group.mul(&bs[i], &a);
+        let k0 = key(&hash, group, &a_bytes, b_bytes[i], &ab, i);
+        let k1 = key(&hash, group, &a_bytes, b_bytes[i], &group.sub(&ab, &a_a), i);
+        (k0, k1)
+    }))
 }
 
 /// Runs the receiver side with precomputed keypairs; returns the chosen
-/// message per transfer. The keys are consumed: a discrete log must never
+/// key per transfer. The keys are consumed: a discrete log must never
 /// serve two protocol runs.
 ///
 /// # Errors
 ///
-/// Fails on channel breakdown or invalid group elements.
+/// Fails on channel breakdown or an invalid `A`.
 ///
 /// # Panics
 ///
@@ -294,13 +325,13 @@ pub fn receive_with<C: Channel, G: Group>(
     receive_with_pool(channel, choices, keys, ThreadPool::sequential())
 }
 
-/// [`receive_with`] with the online work — the `PK_0` derivations and the
-/// chosen-branch decryptions — fanned out across `pool`. The wire
-/// transcript is byte-identical to the sequential path's.
+/// [`receive_with`] with the online work — the `B_i` selections and the
+/// table multiplications — fanned out across `pool`. The wire transcript
+/// is byte-identical to the sequential path's.
 ///
 /// # Errors
 ///
-/// Fails on channel breakdown or invalid group elements.
+/// Fails on channel breakdown or an invalid `A`.
 ///
 /// # Panics
 ///
@@ -317,66 +348,44 @@ pub fn receive_with_pool<C: Channel, G: Group>(
         "precomputed keys must cover every choice"
     );
     let group = &keys.group;
-    let hash = FixedKeyHash::new();
     let elem = group.element_len();
-    let big_c = group.decode(&channel.recv(elem)?).ok_or_else(|| {
+    let a_bytes = channel.recv(elem)?;
+    let big_a = group.decode(&a_bytes).ok_or_else(|| {
         OtError::Protocol(format!(
-            "sender key C is not a non-identity {} element",
+            "sender element A is not a non-identity {} element",
             group.name()
         ))
     })?;
-    // Every PK_0 in one flight: both candidates computed, one selected
+    // Every B_i in one flight: both candidates computed, one selected
     // without a branch on the choice bit.
-    let pk0s = pool.map(choices.len(), |i| {
-        let gk = &keys.keys[i].1;
-        group.select(gk, &group.sub(&big_c, gk), choices[i])
-    });
-    let mut pk_flight = Vec::with_capacity(choices.len() * elem);
-    for pk0 in &pk0s {
-        group.encode(pk0, &mut pk_flight);
-    }
-    channel.send(&pk_flight)?;
-    // Both ciphertexts of every transfer in one flight. Validate every
-    // r·G up front, both branches alike, so whether the receiver aborts
-    // never depends on its choice bits.
-    let per_branch = elem + 16;
-    let cts = channel.recv(choices.len() * 2 * per_branch)?;
-    let mut branches = Vec::with_capacity(choices.len());
-    for (i, pair) in cts.chunks_exact(2 * per_branch).enumerate() {
-        let branch = |b: usize| {
-            let at = b * per_branch;
-            let gr = group.decode(&pair[at..at + elem]).ok_or_else(|| {
-                OtError::Protocol(format!(
-                    "ciphertext {i} randomness is not a non-identity {} element",
-                    group.name()
-                ))
-            })?;
-            let mut ct = [0u8; 16];
-            ct.copy_from_slice(&pair[at + elem..at + per_branch]);
-            Ok::<_, OtError>((gr, u128::from_le_bytes(ct)))
-        };
-        branches.push([branch(0)?, branch(1)?]);
-    }
-    let out = pool.map(choices.len(), |i| {
-        let sigma = choices[i];
-        let [(gr0, ct0), (gr1, ct1)] = &branches[i];
-        let gr = group.select(gr0, gr1, sigma);
-        let pick = 0u128.wrapping_sub(std::hint::black_box(u128::from(sigma)));
-        let ct = ct0 ^ ((ct0 ^ ct1) & pick);
-        let mut shared = Vec::with_capacity(elem);
-        group.encode(&group.mul(&gr, &keys.keys[i].0), &mut shared);
-        let mask = hash.hash_bytes(&shared, (i as u64) << 1 | u64::from(sigma));
-        Block::from_bytes(ct.to_le_bytes()) ^ mask
-    });
-    Ok(out)
+    let b_flight = pool
+        .map(choices.len(), |i| {
+            let bg = &keys.keys[i].1;
+            let mut b = Vec::with_capacity(elem);
+            group.encode(
+                &group.select(bg, &group.add(bg, &big_a), choices[i]),
+                &mut b,
+            );
+            b
+        })
+        .concat();
+    channel.send(&b_flight)?;
+    // Every b_i·A from one table of A, built once the flight is out.
+    let table = group.table(&big_a);
+    let hash = FixedKeyHash::new();
+    Ok(pool.map(choices.len(), |i| {
+        let shared = group.mul_table(&table, &keys.keys[i].0);
+        let b = &b_flight[i * elem..(i + 1) * elem];
+        key(&hash, group, &a_bytes, b, &shared, i)
+    }))
 }
 
 /// Runs the receiver side, generating keypairs on the spot; returns the
-/// chosen message per transfer.
+/// chosen key per transfer.
 ///
 /// # Errors
 ///
-/// Fails on channel breakdown or invalid group elements.
+/// Fails on channel breakdown or an invalid `A`.
 pub fn receive<C: Channel, G: Group, R: Rng + ?Sized>(
     channel: &mut C,
     group: &G,
@@ -397,67 +406,115 @@ mod tests {
 
     use super::*;
 
-    fn run_base_ot(choices: Vec<bool>) -> (Vec<(Block, Block)>, Vec<Block>) {
-        let pairs: Vec<(Block, Block)> = (0..choices.len() as u128)
-            .map(|i| (Block::from(2 * i), Block::from(2 * i + 1)))
-            .collect();
+    /// One run in `group` with the sender on a thread: `(sender pairs,
+    /// receiver keys)`.
+    fn run_in<G: Group + 'static>(group: G, choices: &[bool]) -> (Vec<(Block, Block)>, Vec<Block>) {
         let (mut ca, mut cb) = mem_pair();
-        let pairs2 = pairs.clone();
+        let n = choices.len();
+        let g = group.clone();
         let sender = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(100);
-            send(&mut ca, &Ristretto255, &pairs2, &mut rng).unwrap();
+            send(&mut ca, &g, n, &mut rng).unwrap()
         });
         let mut rng = StdRng::seed_from_u64(200);
-        let got = receive(&mut cb, &Ristretto255, &choices, &mut rng).unwrap();
-        sender.join().unwrap();
-        (pairs, got)
+        let got = receive(&mut cb, &group, choices, &mut rng).unwrap();
+        (sender.join().unwrap(), got)
     }
 
-    #[test]
-    fn receiver_gets_chosen_messages() {
-        let choices = vec![false, true, true, false, true];
-        let (pairs, got) = run_base_ot(choices.clone());
-        for ((pair, choice), msg) in pairs.iter().zip(&choices).zip(&got) {
-            let want = if *choice { pair.1 } else { pair.0 };
-            assert_eq!(*msg, want);
+    /// Asserts that each receiver key is the sender's key for its bit and
+    /// differs from the other one.
+    fn assert_chosen(pairs: &[(Block, Block)], choices: &[bool], got: &[Block]) {
+        assert_eq!((pairs.len(), got.len()), (choices.len(), choices.len()));
+        for (i, ((&(k0, k1), &c), &k)) in pairs.iter().zip(choices).zip(got).enumerate() {
+            let (chosen, other) = if c { (k1, k0) } else { (k0, k1) };
+            assert_eq!(k, chosen, "transfer {i}, bit {c}");
+            assert_ne!(k, other, "transfer {i}, bit {c}");
         }
     }
 
     #[test]
+    fn receiver_key_is_the_sender_key_for_its_bit() {
+        // One transfer per value of the bit, in the production group and
+        // in the MODP bridge.
+        for bit in [false, true] {
+            let (pairs, got) = run_in(Ristretto255, &[bit]);
+            assert_chosen(&pairs, &[bit], &got);
+            let (pairs, got) = run_in(DhGroup::modp_768(), &[bit]);
+            assert_chosen(&pairs, &[bit], &got);
+        }
+    }
+
+    #[test]
+    fn receiver_gets_chosen_messages() {
+        let choices = [false, true, true, false, true];
+        let (pairs, got) = run_in(Ristretto255, &choices);
+        assert_chosen(&pairs, &choices, &got);
+    }
+
+    #[test]
     fn all_zero_and_all_one_choices() {
-        let (pairs, got) = run_base_ot(vec![false; 4]);
-        assert!(pairs.iter().zip(&got).all(|(p, g)| p.0 == *g));
-        let (pairs, got) = run_base_ot(vec![true; 4]);
-        assert!(pairs.iter().zip(&got).all(|(p, g)| p.1 == *g));
+        for choices in [[false; 4], [true; 4]] {
+            let (pairs, got) = run_in(Ristretto255, &choices);
+            assert_chosen(&pairs, &choices, &got);
+        }
+    }
+
+    #[test]
+    fn keys_are_distinct_across_transfers_and_sessions() {
+        // Every key hashes A, B_i and i: no two transfers, and no two
+        // sessions with fresh randomness, share one.
+        let choices = [false, true, false, true];
+        let (pairs, _) = run_in(Ristretto255, &choices);
+        let mut all: Vec<u128> = pairs
+            .iter()
+            .flat_map(|&(a, b)| [a.into(), b.into()])
+            .collect();
+        let (mut ca, mut cb) = mem_pair();
+        let sender = std::thread::spawn(move || {
+            send(&mut ca, &Ristretto255, 4, &mut StdRng::seed_from_u64(101)).unwrap()
+        });
+        receive(
+            &mut cb,
+            &Ristretto255,
+            &choices,
+            &mut StdRng::seed_from_u64(201),
+        )
+        .unwrap();
+        all.extend(
+            sender
+                .join()
+                .unwrap()
+                .iter()
+                .flat_map(|&(a, b)| [u128::from(a), b.into()]),
+        );
+        let n = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), n);
     }
 
     #[test]
     fn precomputed_keys_match_inline_generation() {
         // The keypairs are peer-independent: generating them long before
-        // the transfer must decrypt the same chosen messages — in the
-        // production group and in the MODP bridge alike.
+        // the transfer must yield the same keys as generating them inline
+        // from the same seed — in the production group and in the MODP
+        // bridge alike.
         fn check<G: Group + 'static>(group: G) {
             let choices = vec![true, false, true];
-            let keys = {
-                let mut rng = StdRng::seed_from_u64(77);
-                ReceiverKeys::generate(&group, choices.len(), &mut rng)
-            };
+            let (pairs, inline) = run_in(group.clone(), &choices);
+            let keys =
+                ReceiverKeys::generate(&group, choices.len(), &mut StdRng::seed_from_u64(200));
             assert_eq!(keys.len(), 3);
             assert!(!keys.is_empty());
-            let pairs: Vec<(Block, Block)> = (0..3u128)
-                .map(|i| (Block::from(i), Block::from(i + 100)))
-                .collect();
             let (mut ca, mut cb) = mem_pair();
-            let pairs2 = pairs.clone();
+            let g = group.clone();
             let sender = std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(1);
-                send(&mut ca, &group, &pairs2, &mut rng).unwrap();
+                send(&mut ca, &g, 3, &mut StdRng::seed_from_u64(100)).unwrap()
             });
             let got = receive_with(&mut cb, &choices, keys).unwrap();
-            sender.join().unwrap();
-            for ((pair, &c), msg) in pairs.iter().zip(&choices).zip(&got) {
-                assert_eq!(*msg, if c { pair.1 } else { pair.0 });
-            }
+            assert_eq!(sender.join().unwrap(), pairs);
+            assert_eq!(got, inline, "{}", group.name());
+            assert_chosen(&pairs, &choices, &got);
         }
         check(Ristretto255);
         check(DhGroup::modp_768());
@@ -510,14 +567,13 @@ mod tests {
     fn flight_count_is_constant_in_the_batch_size() {
         // 4 transfers and 64 transfers must cost the same number of
         // direction changes (the old per-transfer ping-pong grew as 2n),
-        // and every element is 32 bytes: C, n·PK_0, n·2·(r·G ‖ ct).
+        // and every element is 32 bytes: A, then n·B_i.
         let run = |n: usize| {
-            let pairs = vec![(Block::ZERO, Block::ONES); n];
             let (ca, mut cb) = mem_pair();
             let sender = std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(9);
                 let mut chan = TurnCounter::new(ca);
-                send(&mut chan, &Ristretto255, &pairs, &mut rng).unwrap();
+                send(&mut chan, &Ristretto255, n, &mut rng).unwrap();
                 chan.turnarounds
             });
             let mut rng = StdRng::seed_from_u64(10);
@@ -528,15 +584,15 @@ mod tests {
         let (small, small_bytes) = run(4);
         let (large, large_bytes) = run(64);
         assert_eq!(small, large, "flights must not grow with the batch");
-        assert!(small <= 2, "sender: send C, recv PKs, send cts = 2 turns");
-        assert_eq!(small_bytes, 32 + 4 * 32 + 4 * 2 * (32 + 16));
-        assert_eq!(large_bytes, 32 + 64 * 32 + 64 * 2 * (32 + 16));
+        assert_eq!(small, 1, "sender: send A, recv every B_i = 1 turn");
+        assert_eq!(small_bytes, 32 + 4 * 32);
+        assert_eq!(large_bytes, 32 + 64 * 32);
     }
 
     #[test]
     fn pooled_paths_match_sequential_bit_for_bit() {
         // The pool is a pure perf knob: same seeds, same keys, same wire
-        // bytes, same decrypted messages — whatever the worker count.
+        // bytes, same outputs on both sides — whatever the worker count.
         let encoded = |keys: &ReceiverKeys| -> Vec<[u8; 32]> {
             keys.keys.iter().map(|(_, gk)| gk.encode()).collect()
         };
@@ -554,51 +610,33 @@ mod tests {
 
         let run = |pool: ThreadPool| {
             let choices = vec![true, false, true, true, false];
-            let pairs: Vec<(Block, Block)> = (0..choices.len() as u128)
-                .map(|i| (Block::from(3 * i), Block::from(3 * i + 7)))
-                .collect();
             let (mut ca, mut cb) = mem_pair();
-            let pairs2 = pairs.clone();
+            let n = choices.len();
             let sender = std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(31);
-                send_with_pool(&mut ca, &Ristretto255, &pairs2, &mut rng, pool).unwrap();
+                send_with_pool(&mut ca, &Ristretto255, n, &mut rng, pool).unwrap()
             });
             let mut rng = StdRng::seed_from_u64(32);
-            let keys = ReceiverKeys::generate_with(&Ristretto255, choices.len(), &mut rng, pool);
+            let keys = ReceiverKeys::generate_with(&Ristretto255, n, &mut rng, pool);
             let got = receive_with_pool(&mut cb, &choices, keys, pool).unwrap();
-            sender.join().unwrap();
-            for ((pair, &c), msg) in pairs.iter().zip(&choices).zip(&got) {
-                assert_eq!(*msg, if c { pair.1 } else { pair.0 });
-            }
-            got
+            let pairs = sender.join().unwrap();
+            assert_chosen(&pairs, &choices, &got);
+            (pairs, got)
         };
         assert_eq!(run(ThreadPool::sequential()), run(ThreadPool::new(4)));
 
-        // Byte-level: script the receiver flight and compare the sender's
-        // ciphertext flight across pools.
-        let ciphertext_flight = |pool: ThreadPool| {
-            let pairs = vec![(Block::from(5u128), Block::from(6u128)); 4];
+        // Byte-level: script the sender's A and compare the receiver's
+        // flight across pools.
+        let receiver_flight = |pool: ThreadPool| {
             let (mut ca, mut cb) = mem_pair();
-            let n = pairs.len();
-            let sender = std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(55);
-                send_with_pool(&mut ca, &Ristretto255, &pairs, &mut rng, pool).unwrap();
-            });
-            let _big_c = cb.recv(32).unwrap();
-            let mut rng = StdRng::seed_from_u64(56);
-            let mut pk_flight = Vec::new();
-            for _ in 0..n {
-                let pk0 = Ristretto255.mul_base(&Scalar::random(&mut rng));
-                Ristretto255.encode(&pk0, &mut pk_flight);
-            }
-            cb.send(&pk_flight).unwrap();
-            let cts = cb.recv(n * 2 * (32 + 16)).unwrap();
-            sender.join().unwrap();
-            cts
+            ca.send(&random_point(55).encode()).unwrap();
+            let keys = ReceiverKeys::generate(&Ristretto255, 4, &mut StdRng::seed_from_u64(56));
+            receive_with_pool(&mut cb, &[true, false, false, true], keys, pool).unwrap();
+            ca.recv(4 * 32).unwrap()
         };
         assert_eq!(
-            ciphertext_flight(ThreadPool::sequential()),
-            ciphertext_flight(ThreadPool::new(4))
+            receiver_flight(ThreadPool::sequential()),
+            receiver_flight(ThreadPool::new(4))
         );
     }
 
@@ -623,98 +661,69 @@ mod tests {
 
     #[test]
     fn receiver_rejects_out_of_range_sender_elements() {
-        // A scripted sender: the receiver must return a typed protocol
-        // error, never panic, whether the bad element is C itself or a
-        // ciphertext's r·G — including an r·G on a branch it would never
-        // decrypt.
-        let choices = [true, false];
-        let keys =
-            |seed| ReceiverKeys::generate(&Ristretto255, 2, &mut StdRng::seed_from_u64(seed));
+        // A scripted sender: an identity, non-canonical or negative A is a
+        // typed protocol error, never a panic, and the receiver sends
+        // nothing — its choice bits are never read.
         for (what, bad) in invalid_encodings() {
             let (mut ca, mut cb) = mem_pair();
             ca.send(&bad).unwrap();
-            let err = receive_with(&mut cb, &choices, keys(1)).unwrap_err();
-            assert!(matches!(err, OtError::Protocol(_)), "{what} C: {err}");
-            assert!(err.to_string().contains("sender key C"), "{err}");
-        }
-        // Transfer 1 chose branch 0, so ciphertext 3 (transfer 1, branch
-        // 1) is unchosen; ciphertext 0 (transfer 0, branch 0) is unchosen
-        // too; ciphertext 1 is chosen.
-        for slot in [3, 0, 1] {
-            for (what, bad) in invalid_encodings() {
-                let (mut ca, mut cb) = mem_pair();
-                ca.send(&random_point(2).encode()).unwrap();
-                let mut cts = Vec::new();
-                for i in 0..2 * choices.len() {
-                    let gr = if i == slot {
-                        bad
-                    } else {
-                        random_point(i as u64 + 3).encode()
-                    };
-                    cts.extend_from_slice(&gr);
-                    cts.extend_from_slice(&[0u8; 16]);
-                }
-                ca.send(&cts).unwrap();
-                let err = receive_with(&mut cb, &choices, keys(3)).unwrap_err();
-                assert!(matches!(err, OtError::Protocol(_)), "{what} r·G: {err}");
-                assert!(err.to_string().contains("randomness"), "{err}");
-                assert!(ca.recv(2 * 32).is_ok(), "the PK_0 flight went out first");
-            }
+            let keys = ReceiverKeys::generate(&Ristretto255, 2, &mut StdRng::seed_from_u64(1));
+            let err = receive_with(&mut cb, &[true, false], keys).unwrap_err();
+            assert!(matches!(err, OtError::Protocol(_)), "{what} A: {err}");
+            assert!(err.to_string().contains("sender element A"), "{err}");
+            assert_eq!(cb.bytes_sent(), 0, "{what}: no B flight");
         }
     }
 
     #[test]
     fn sender_rejects_invalid_receiver_keys() {
-        // A scripted receiver: every invalid PK_0 — the identity, a
-        // non-canonical or negative encoding, or C itself (so that
-        // PK_1 = C − PK_0 is the identity) — is a typed protocol error
-        // before any ciphertext is sent.
-        let pairs = [(Block::ZERO, Block::ONES); 2];
+        // A scripted receiver: every invalid B_1 — the identity, a
+        // non-canonical or negative encoding, or A itself (so that
+        // B_1 − A is the identity) — is a typed protocol error before any
+        // key is derived, and the sender sends nothing after A.
         let mut cases: Vec<(&str, Option<[u8; 32]>)> = invalid_encodings()
             .into_iter()
             .map(|(what, bad)| (what, Some(bad)))
             .collect();
-        cases.push(("PK_0 == C", None));
+        cases.push(("B_1 == A", None));
         for (what, bad) in cases {
             let (mut ca, mut cb) = mem_pair();
             let sender = std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(4);
-                let err = send(&mut ca, &Ristretto255, &pairs, &mut rng).unwrap_err();
+                let err = send(&mut ca, &Ristretto255, 2, &mut rng).unwrap_err();
                 (err, ca)
             });
-            let big_c = cb.recv(32).unwrap();
+            let big_a = cb.recv(32).unwrap();
             let mut flight = random_point(5).encode().to_vec();
-            flight.extend_from_slice(&bad.unwrap_or_else(|| big_c.clone().try_into().unwrap()));
+            flight.extend_from_slice(&bad.unwrap_or_else(|| big_a.clone().try_into().unwrap()));
             cb.send(&flight).unwrap();
-            let (err, _ca) = sender.join().unwrap();
+            let (err, ca) = sender.join().unwrap();
             assert!(matches!(err, OtError::Protocol(_)), "{what}: {err}");
-            assert!(err.to_string().contains("public key 1"), "{what}: {err}");
-            assert_eq!(cb.bytes_received(), 32, "{what}: no ciphertext flight");
+            assert!(err.to_string().contains("element B_1"), "{what}: {err}");
+            assert_eq!(ca.bytes_sent(), 32, "{what}: nothing after A");
         }
     }
 
     #[test]
     fn transcript_is_randomized() {
-        // Two runs with different sender randomness produce different
-        // ciphertext streams even for equal inputs, of equal length (the
-        // protocol is oblivious in length).
-        let pairs = vec![(Block::from(1u128), Block::from(2u128))];
-        let transcript = |seed: u64| {
+        // For one key set, bit 0 sends b_i·G and bit 1 sends b_i·G + A:
+        // the flight depends on the bits, yet fresh keys make two flights
+        // for equal bits differ, and every flight has the same length.
+        let flight = |seed: u64, choices: &[bool]| {
             let (mut ca, mut cb) = mem_pair();
-            let pairs2 = pairs.clone();
-            let sender = std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                send(&mut ca, &Ristretto255, &pairs2, &mut rng).unwrap();
-            });
-            let c = cb.recv(32).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed + 1);
-            cb.send(&random_point(rng.gen()).encode()).unwrap();
-            let cts = cb.recv(2 * (32 + 16)).unwrap();
-            sender.join().unwrap();
-            [c, cts].concat()
+            ca.send(&random_point(7).encode()).unwrap();
+            let keys = ReceiverKeys::generate(&Ristretto255, 2, &mut StdRng::seed_from_u64(seed));
+            receive_with(&mut cb, choices, keys).unwrap();
+            ca.recv(2 * 32).unwrap()
         };
-        let (a, b) = (transcript(1), transcript(2));
-        assert_eq!(a.len(), b.len());
-        assert_ne!(a, b);
+        let zeros = flight(1, &[false, false]);
+        assert_eq!(
+            &zeros[..32],
+            &random_point(1).encode()[..],
+            "bit 0 sends b·G"
+        );
+        assert_ne!(flight(1, &[true, false])[..32], zeros[..32]);
+        assert_eq!(flight(1, &[true, false])[32..], zeros[32..]);
+        assert_ne!(flight(2, &[false, false]), zeros);
     }
 }

@@ -83,7 +83,7 @@ fn transpose_128(m: &mut [u128; KAPPA]) {
 /// don't need the peer), generated ahead of any connection.
 ///
 /// A precompute pool can stockpile these so the interactive remainder of
-/// the setup — three batched base-OT flights — is all that stays on a new
+/// the setup — two batched base-OT flights — is all that stays on a new
 /// connection's critical path. Consumed by [`ExtSender::setup_with`]; one
 /// precompute never serves two sessions.
 pub struct SenderPrecomp<G: Group = Ristretto255> {
@@ -172,7 +172,8 @@ impl ExtSender {
 
     /// The online half of setup: completes the 128 base OTs with
     /// [`SenderPrecomp`] material generated ahead of time, leaving only
-    /// the three batched flights (and half the group operations) on the
+    /// the two batched flights (one addition per transfer before the
+    /// second, one table multiplication per transfer after it) on the
     /// wire path.
     ///
     /// # Errors
@@ -185,9 +186,10 @@ impl ExtSender {
         ExtSender::setup_with_pool(channel, pre, ThreadPool::sequential())
     }
 
-    /// [`ExtSender::setup_with`] with the online base-OT work (the `PK_0`
-    /// derivations and chosen-branch decryptions) fanned out across
-    /// `pool`. Wire-identical to the sequential path.
+    /// [`ExtSender::setup_with`] with the online base-OT work (the `B_i`
+    /// selections and the table multiplications that derive the chosen
+    /// seeds) fanned out across `pool`. Wire-identical to the sequential
+    /// path.
     ///
     /// # Errors
     ///
@@ -277,8 +279,8 @@ impl ExtSender {
 }
 
 impl ExtReceiver {
-    /// One-time setup: runs 128 base OTs *as sender* with random seed
-    /// pairs.
+    /// One-time setup: runs 128 random base OTs *as sender*; their key
+    /// pairs are the seed pairs.
     ///
     /// # Errors
     ///
@@ -292,7 +294,7 @@ impl ExtReceiver {
     }
 
     /// [`ExtReceiver::setup`] with the base-OT sender's scalar
-    /// multiplications (four per transfer) fanned out across `pool`.
+    /// multiplications (one per transfer) fanned out across `pool`.
     /// Wire-identical to the sequential path for the same seed.
     ///
     /// # Errors
@@ -304,10 +306,7 @@ impl ExtReceiver {
         rng: &mut R,
         pool: ThreadPool,
     ) -> Result<ExtReceiver, OtError> {
-        let pairs: Vec<(Block, Block)> = (0..KAPPA)
-            .map(|_| (Block::random(rng), Block::random(rng)))
-            .collect();
-        base::send_with_pool(channel, group, &pairs, rng, pool)?;
+        let pairs = base::send_with_pool(channel, group, KAPPA, rng, pool)?;
         Ok(ExtReceiver {
             seed_pairs: pairs
                 .into_iter()
@@ -593,55 +592,57 @@ mod tests {
         // Sender seed 5, receiver seed 6, m = 4096: FNV-1a digests of the
         // receiver's 128 u_i columns and of the sender's ciphertext flight,
         // recorded from the commit before the word-wise transpose and the
-        // batched hashes, when the base OT still ran in a 768-bit MODP
-        // group. Both parties draw their IKNP seeds (`s`, the seed pairs)
-        // before any group randomness, so the group under the base OT
-        // cannot move them. "Same bytes on the wire" is asserted here, not
-        // inferred from the labels still decoding.
-        let group = Ristretto255;
-        let (ca, cb) = mem_pair();
-        let g2 = group;
+        // batched hashes, and re-recorded once when the base OT became a
+        // random OT whose keys are the IKNP seeds (before, each party drew
+        // its seeds from its RNG ahead of any group operation). "Same
+        // bytes on the wire" is asserted here, not inferred from the
+        // labels still decoding — at one base-OT worker and at four.
         let m = 4096usize;
         let pairs: Vec<(Block, Block)> = (0..m as u128)
             .map(|i| (Block::from(i * 2 + 10_000), Block::from(i * 2 + 10_001)))
             .collect();
-        let pairs2 = pairs.clone();
-        let sender = std::thread::spawn(move || {
+        for pool in [ThreadPool::sequential(), ThreadPool::new(4)] {
+            let (ca, cb) = mem_pair();
+            let pairs2 = pairs.clone();
+            let sender = std::thread::spawn(move || {
+                let mut chan = Tap {
+                    inner: ca,
+                    sent: Vec::new(),
+                };
+                let mut rng = StdRng::seed_from_u64(5);
+                let pre = SenderPrecomp::generate_with(&Ristretto255, &mut rng, pool);
+                let mut s = ExtSender::setup_with_pool(&mut chan, pre, pool).unwrap();
+                let base = chan.sent.len();
+                s.send(&mut chan, &pairs2).unwrap();
+                fnv1a(&chan.sent[base..])
+            });
             let mut chan = Tap {
-                inner: ca,
+                inner: cb,
                 sent: Vec::new(),
             };
-            let mut rng = StdRng::seed_from_u64(5);
-            let mut s = ExtSender::setup(&mut chan, &g2, &mut rng).unwrap();
+            let mut rng = StdRng::seed_from_u64(6);
+            let mut r =
+                ExtReceiver::setup_with_pool(&mut chan, &Ristretto255, &mut rng, pool).unwrap();
             let base = chan.sent.len();
-            s.send(&mut chan, &pairs).unwrap();
-            fnv1a(&chan.sent[base..])
-        });
-        let mut chan = Tap {
-            inner: cb,
-            sent: Vec::new(),
-        };
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut r = ExtReceiver::setup(&mut chan, &group, &mut rng).unwrap();
-        let base = chan.sent.len();
-        let choices: Vec<bool> = (0..m).map(|i| i % 3 == 0).collect();
-        let got = r.receive(&mut chan, &choices).unwrap();
-        let ciphertext_digest = sender.join().unwrap();
-        assert_eq!(chan.sent.len() - base, KAPPA * m / 8);
-        let column_digest = fnv1a(&chan.sent[base..]);
-        println!("u columns {column_digest:#018x}, ciphertexts {ciphertext_digest:#018x}");
-        assert_eq!(column_digest, PINNED_COLUMNS, "u_i columns changed");
-        assert_eq!(
-            ciphertext_digest, PINNED_CIPHERTEXTS,
-            "ciphertext flight changed"
-        );
-        for ((pair, &c), msg) in pairs2.iter().zip(&choices).zip(&got) {
-            assert_eq!(*msg, if c { pair.1 } else { pair.0 });
+            let choices: Vec<bool> = (0..m).map(|i| i % 3 == 0).collect();
+            let got = r.receive(&mut chan, &choices).unwrap();
+            let ciphertext_digest = sender.join().unwrap();
+            assert_eq!(chan.sent.len() - base, KAPPA * m / 8);
+            let column_digest = fnv1a(&chan.sent[base..]);
+            println!("u columns {column_digest:#018x}, ciphertexts {ciphertext_digest:#018x}");
+            assert_eq!(column_digest, PINNED_COLUMNS, "u_i columns changed");
+            assert_eq!(
+                ciphertext_digest, PINNED_CIPHERTEXTS,
+                "ciphertext flight changed"
+            );
+            for ((pair, &c), msg) in pairs.iter().zip(&choices).zip(&got) {
+                assert_eq!(*msg, if c { pair.1 } else { pair.0 });
+            }
         }
     }
 
-    const PINNED_COLUMNS: u64 = 0x31e2_e664_3bbf_dbdd;
-    const PINNED_CIPHERTEXTS: u64 = 0x8135_1e4b_a2b9_1aea;
+    const PINNED_COLUMNS: u64 = 0x7736_3d9b_33cc_cee3;
+    const PINNED_CIPHERTEXTS: u64 = 0x5f67_467f_9c83_f524;
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Length-prefixed handshake frames over any byte [`Channel`].
 //!
 //! The protocol channels are pure byte streams: the receiver always knows
-//! exactly how many bytes to expect. Only the serving handshake (`DSRV/3`)
+//! exactly how many bytes to expect. Only the serving handshake (`DSRV/4`)
 //! exchanges self-describing lines, so [`FramedChannel`] moves whole
 //! frames with `send_frame`/`recv_frame`, and every caller unwraps it with
 //! `into_inner` as soon as its handshake is done.

@@ -4,9 +4,10 @@
 //! delivered through 1-out-of-2 OT (§2.2.1). This crate implements the
 //! standard two-tier construction:
 //!
-//! * [`base`] — a Bellare–Micali-style base OT over [`ristretto`]'s
-//!   prime-order Ristretto255 group (a few hundred scalar
-//!   multiplications, 32 bytes per element).
+//! * [`base`] — the two-flight Chou–Orlandi random OT over
+//!   [`ristretto`]'s prime-order Ristretto255 group (one variable-base
+//!   scalar multiplication per transfer on the critical path, 32 bytes
+//!   per element).
 //! * [`ext`] — IKNP OT extension: 128 base OTs seed pseudorandom
 //!   correlations that stretch to millions of wire-label transfers using
 //!   only the fixed-key AES hash.

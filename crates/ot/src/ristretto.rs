@@ -20,10 +20,12 @@
 //! Scalar multiplication uses a signed 4-bit fixed window. The 64 digits
 //! are all in `[−8, 8]`, and each table lookup scans all eight entries
 //! with masks, so neither a branch nor a memory index depends on the
-//! scalar. Multiples of the generator use a precomputed table of every
-//! window's eight multiples instead, which drops the doublings. Encoding
-//! (which runs on secret shared points) is written the same way;
-//! decoding only ever sees the peer's public bytes.
+//! scalar. A point that is multiplied many times gets a [`WindowTable`]
+//! of every window's eight multiples instead, which drops the doublings:
+//! the generator's is built once per process, and the base OT builds one
+//! per session for the peer's element. Encoding (which runs on secret
+//! shared points) is written the same way; decoding only ever sees the
+//! peer's public bytes.
 //!
 //! The curve constants `d`, `√−1`, `1/√(a − d)` and the generator are
 //! derived from field operations on first use rather than pasted as
@@ -530,24 +532,9 @@ impl RistrettoPoint {
         acc
     }
 
-    /// `k·G` for the generator: one masked lookup and one addition per
-    /// digit in a table of `j·16^i·G` built on first use (64 windows ×
-    /// 8 multiples, 80 KiB), so it needs no doublings.
+    /// `k·G` for the generator, from its [`WindowTable`].
     pub fn mul_generator(k: &Scalar) -> RistrettoPoint {
-        static TABLE: OnceLock<Box<[[RistrettoPoint; 8]; 64]>> = OnceLock::new();
-        let table = TABLE.get_or_init(|| {
-            let mut table = Box::new([[RistrettoPoint::identity(); 8]; 64]);
-            let mut window = RistrettoPoint::generator();
-            for row in table.iter_mut() {
-                *row = window.multiples();
-                window = window.double().double().double().double();
-            }
-            table
-        });
-        let digits = k.radix16();
-        (0..64).fold(RistrettoPoint::identity(), |acc, i| {
-            acc.add(&RistrettoPoint::lookup(&table[i], digits[i]))
-        })
+        WindowTable::generator().mul(k)
     }
 
     /// The canonical 32-byte encoding (RFC 9496 §4.3.2), in constant
@@ -600,6 +587,49 @@ impl RistrettoPoint {
     }
 }
 
+/// `j·16^i·P` for every window `i < 64` and multiple `j ∈ [1, 8]` of
+/// one point `P` (80 KiB): `k·P` costs one masked lookup and one addition
+/// per digit and no doublings, against a build of about two windowed
+/// multiplications.
+pub struct WindowTable(Box<[[RistrettoPoint; 8]; 64]>);
+
+impl std::fmt::Debug for WindowTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("WindowTable(..)")
+    }
+}
+
+impl WindowTable {
+    /// `p`'s table: each window's multiples, then four doublings to the
+    /// next window.
+    pub fn new(p: &RistrettoPoint) -> WindowTable {
+        let mut table = Box::new([[RistrettoPoint::identity(); 8]; 64]);
+        let mut window = *p;
+        for row in table.iter_mut() {
+            *row = window.multiples();
+            window = window.double().double().double().double();
+        }
+        WindowTable(table)
+    }
+
+    /// The generator's table, built on first use.
+    pub fn generator() -> &'static WindowTable {
+        static TABLE: OnceLock<WindowTable> = OnceLock::new();
+        TABLE.get_or_init(|| WindowTable::new(&RistrettoPoint::generator()))
+    }
+
+    /// `k·P`: the sum of one masked lookup per signed radix-16 digit.
+    pub fn mul(&self, k: &Scalar) -> RistrettoPoint {
+        let digits = k.radix16();
+        self.0
+            .iter()
+            .zip(digits)
+            .fold(RistrettoPoint::identity(), |acc, (row, digit)| {
+                acc.add(&RistrettoPoint::lookup(row, digit))
+            })
+    }
+}
+
 /// The Ristretto255 group as the base OT sees it: every production
 /// session's 128 base OTs run here, with 32-byte elements.
 #[derive(Clone, Copy, Debug, Default)]
@@ -610,6 +640,7 @@ impl sealed::Sealed for Ristretto255 {}
 impl Group for Ristretto255 {
     type Scalar = Scalar;
     type Element = RistrettoPoint;
+    type Table = WindowTable;
 
     fn name(&self) -> &'static str {
         "ristretto255"
@@ -631,16 +662,24 @@ impl Group for Ristretto255 {
         e.mul(k)
     }
 
+    fn table(&self, e: &RistrettoPoint) -> WindowTable {
+        WindowTable::new(e)
+    }
+
+    fn mul_table(&self, table: &WindowTable, k: &Scalar) -> RistrettoPoint {
+        table.mul(k)
+    }
+
+    fn add(&self, a: &RistrettoPoint, b: &RistrettoPoint) -> RistrettoPoint {
+        a.add(b)
+    }
+
     fn sub(&self, a: &RistrettoPoint, b: &RistrettoPoint) -> RistrettoPoint {
         a.sub(b)
     }
 
     fn select(&self, a: &RistrettoPoint, b: &RistrettoPoint, pick_b: bool) -> RistrettoPoint {
         RistrettoPoint::select(a, b, mask(u64::from(pick_b)))
-    }
-
-    fn is_identity(&self, e: &RistrettoPoint) -> bool {
-        e.is_identity()
     }
 
     fn encode(&self, e: &RistrettoPoint, out: &mut Vec<u8>) {
@@ -1012,6 +1051,27 @@ mod tests {
                 "{:?}",
                 k.0
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+        #[test]
+        fn table_multiply_matches_the_window(seed in proptest::prelude::any::<u64>()) {
+            // Any point's table, not just the generator's: the base OT
+            // builds one per session for the peer's element.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let p = RistrettoPoint::generator().mul(&Scalar::random(&mut rng));
+            let table = WindowTable::new(&p);
+            // ℓ's low byte is 0xed, so ℓ − 1 borrows nothing.
+            let mut ell_minus_one = ell_bytes();
+            ell_minus_one[0] -= 1;
+            let scalars = [scalar(1), Scalar(ell_minus_one), Scalar::random(&mut rng)];
+            for k in scalars {
+                proptest::prop_assert_eq!(table.mul(&k).encode(), p.mul(&k).encode(), "{:?}", k.0);
+            }
+            proptest::prop_assert_eq!(table.mul(&scalar(1)).encode(), p.encode());
+            proptest::prop_assert_eq!(table.mul(&Scalar(ell_minus_one)).encode(), p.neg().encode());
         }
     }
 

@@ -110,9 +110,8 @@ impl<C: Channel> SimChannel<C> {
     /// followed this endpoint's sends (or the very first receive), each
     /// charged one propagation latency. This is the direction-change count
     /// of the conversation as seen from this end — e.g. the batched base
-    /// OT's three constant flights cost the keypair sender exactly one
-    /// turnaround (send C → recv PK0s → send ciphertexts) however many
-    /// OTs are in the batch.
+    /// OT's two constant flights cost each endpoint exactly one turnaround
+    /// (its one receive) however many OTs are in the batch.
     pub fn turnarounds(&self) -> u64 {
         self.turnarounds
     }

@@ -3,7 +3,7 @@
 //!
 //! One connection is one session:
 //!
-//! 1. client → `DSRV/3 <model> <fingerprint:016x>` (framed): the model
+//! 1. client → `DSRV/4 <model> <fingerprint:016x>` (framed): the model
 //!    name plus the circuit-shape fingerprint of [`crate::demo`].
 //!    A reconnecting client appends ` RESUME <session-id> <token:016x>`
 //!    to claim the OT-extension state of a previous session instead of
@@ -11,7 +11,7 @@
 //!    A hello in any other `DSRV/` version gets an `ERR` naming both
 //!    versions, before a single base-OT byte moves.
 //! 2. server → `OK <session-id> <chunk-gates> <token:016x>`,
-//!    `DSRV/3 BUSY <retry-after-ms>`, or `ERR <reason>` (framed).
+//!    `DSRV/4 BUSY <retry-after-ms>`, or `ERR <reason>` (framed).
 //!    `chunk-gates` is the server-chosen table-chunk size the client must
 //!    evaluate with (`0` = buffered whole-cycle transfer); pinning it in
 //!    the handshake is what lets chunk boundaries be *derived* instead of
@@ -21,8 +21,9 @@
 //!    full and the client should back off for the advertised hint rather
 //!    than pile up behind a saturated garbler.
 //! 3. Both sides run the one-time base-OT setup on the raw byte stream —
-//!    128 Bellare–Micali OTs in Ristretto255, 32 bytes per group element —
-//!    skipped entirely on an accepted RESUME.
+//!    128 Chou–Orlandi random OTs in Ristretto255, two flights of 32-byte
+//!    group elements (4 128 bytes in all) — skipped entirely on an
+//!    accepted RESUME.
 //! 4. Per request: client sends the sample index as a `u64`, both sides
 //!    run the online phase, server answers with the decoded label as a
 //!    `u64`. [`DONE`] instead of an index ends the session cleanly.
@@ -32,8 +33,10 @@ use deepsecure_ot::framed::MAX_FRAME_LEN;
 /// Handshake protocol tag; bump on any wire-format change (v2: the OK
 /// reply carries chunk-gates and a resumption token; hellos may carry a
 /// RESUME claim; BUSY is a valid shed reply. v3: the base OT runs in
-/// Ristretto255, 32-byte elements in place of 96-byte MODP ones).
-pub const HELLO_PREFIX: &str = "DSRV/3";
+/// Ristretto255, 32-byte elements in place of 96-byte MODP ones. v4: the
+/// base OT is the two-flight Chou–Orlandi random OT, so a v3 peer would
+/// wait forever for a third flight).
+pub const HELLO_PREFIX: &str = "DSRV/4";
 
 /// Sent in place of a sample index to end the session.
 pub const DONE: u64 = u64::MAX;
@@ -205,8 +208,8 @@ mod tests {
         assert_eq!(h.model, "tiny_mlp");
         assert_eq!(h.fingerprint, 0x1122);
         assert_eq!(h.resume, Some((17, 0xfeed_f00d_0000_0001)));
-        assert!(parse_hello(b"DSRV/3 m 00 RESUME x 00").is_err());
-        assert!(parse_hello(b"DSRV/3 m 00 RESUME 1").is_err());
+        assert!(parse_hello(b"DSRV/4 m 00 RESUME x 00").is_err());
+        assert!(parse_hello(b"DSRV/4 m 00 RESUME 1").is_err());
     }
 
     #[test]
@@ -246,17 +249,20 @@ mod tests {
     fn malformed_frames_are_described() {
         assert!(parse_hello(b"HTTP/1.1 GET /").is_err());
         assert!(parse_hello(&[0xff, 0xfe]).is_err());
-        assert!(parse_hello(b"DSRV/3 tiny_mlp zzzz")
+        assert!(parse_hello(b"DSRV/4 tiny_mlp zzzz")
             .unwrap_err()
             .contains("fingerprint"));
         // A well-formed hello of an older version names both versions.
-        let v2 = parse_hello(b"DSRV/2 tiny_mlp 0000000000000000").unwrap_err();
-        assert!(v2.contains("DSRV/2") && v2.contains("DSRV/3"), "{v2}");
+        for old in ["DSRV/2", "DSRV/3"] {
+            let hello = format!("{old} tiny_mlp 0000000000000000");
+            let e = parse_hello(hello.as_bytes()).unwrap_err();
+            assert!(e.contains(old) && e.contains("DSRV/4"), "{e}");
+        }
         assert!(parse_reply(b"maybe").is_err());
         // A v1 reply (no chunk field) must not parse as v2, and a
         // token-less OK must not parse as the resumable v2 either.
         assert!(parse_reply(b"OK 17").is_err());
         assert!(parse_reply(b"OK 17 0").is_err());
-        assert!(parse_reply(b"DSRV/3 BUSY soon").is_err());
+        assert!(parse_reply(b"DSRV/4 BUSY soon").is_err());
     }
 }

@@ -72,7 +72,7 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Max open connections — live handler threads, handshakes and idle
     /// sessions included. The arrival that would exceed the cap is shed
-    /// immediately with a `DSRV/3 BUSY` frame (plus `retry_after_ms`)
+    /// immediately with a `DSRV/4 BUSY` frame (plus `retry_after_ms`)
     /// instead of adding one more thread behind a saturated garbler —
     /// the bound that keeps the p99 of *accepted* requests flat under
     /// overload.

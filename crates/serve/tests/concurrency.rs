@@ -196,7 +196,7 @@ fn chunk_streamed_serving_is_wire_identical_and_chunk_resident() {
 
 #[test]
 fn sharded_server_serves_concurrent_clients_and_merges_shard_stats() {
-    // threads: 3 → three pool fill workers and 3-wide base-OT modexp
+    // threads: 3 → three pool fill workers and 3-wide base-OT
     // fan-out in every session set-up. Results must be indistinguishable
     // from the sequential server's: same labels, same per-phase wire
     // bytes, and totals that cover every session.
@@ -374,18 +374,17 @@ fn mid_handshake_disconnects_leave_the_server_serving_others() {
     assert_eq!(stats.requests, 1);
 }
 
-#[test]
-fn a_dsrv2_hello_is_refused_before_any_base_ot_byte() {
-    // A client still on the 768-bit MODP base OT speaks DSRV/2 with a
-    // matching model and fingerprint: the server answers with one ERR
-    // frame naming both versions and hangs up — no base-OT element (nor
-    // any other byte) follows the refusal.
+/// Sends a well-formed `old`-version hello with a matching model and
+/// fingerprint: the server must answer with one ERR frame naming `old`
+/// and its own version and hang up — no base-OT element (nor any other
+/// byte) follows the refusal.
+fn assert_refused_before_any_base_ot_byte(old: &str) {
     use std::io::Read;
     let (handle, join) = start_server(1);
     let addr = handle.local_addr().to_string();
     let model = ClientModel::load("tiny_mlp").expect("model");
     let mut s = std::net::TcpStream::connect(&addr).expect("connect");
-    let hello = format!("DSRV/2 tiny_mlp {:016x}", model.demo.fingerprint);
+    let hello = format!("{old} tiny_mlp {:016x}", model.demo.fingerprint);
     s.write_all(&(hello.len() as u32).to_le_bytes()).unwrap();
     s.write_all(hello.as_bytes()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -395,11 +394,24 @@ fn a_dsrv2_hello_is_refused_before_any_base_ot_byte() {
     let len = u32::from_le_bytes(got[..4].try_into().unwrap()) as usize;
     assert_eq!(got.len(), 4 + len, "bytes followed the refusal");
     let err = deepsecure_serve::proto::parse_reply(&got[4..]).unwrap_err();
-    assert!(err.contains("DSRV/2") && err.contains("DSRV/3"), "{err}");
+    assert!(err.contains(old) && err.contains("DSRV/4"), "{err}");
     handle.shutdown();
     let stats = join.join().unwrap();
     assert_eq!(stats.sessions_completed, 0);
     assert_eq!(stats.requests, 0);
+}
+
+#[test]
+fn a_dsrv2_hello_is_refused_before_any_base_ot_byte() {
+    // A client still on the 768-bit MODP base OT.
+    assert_refused_before_any_base_ot_byte("DSRV/2");
+}
+
+#[test]
+fn a_dsrv3_hello_is_refused_before_any_base_ot_byte() {
+    // A client still on the three-flight Bellare–Micali base OT, which
+    // would otherwise wait forever for a third flight.
+    assert_refused_before_any_base_ot_byte("DSRV/3");
 }
 
 #[test]

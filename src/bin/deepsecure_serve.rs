@@ -45,7 +45,7 @@ usage:
                  any width.
   --queue-cap    most open connections, handshakes included (default
                  64): the accept loop sheds the next arrival at once
-                 with `DSRV/3 BUSY` instead of adding one more handler
+                 with `DSRV/4 BUSY` instead of adding one more handler
                  thread
   --model-session-cap
                  at most N live sessions per hosted model; excess

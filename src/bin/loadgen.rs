@@ -244,6 +244,9 @@ struct Tally {
     online_us: HistSnapshot,
     /// Mean per-session offline cost, seconds (0 with no sessions).
     offline_mean: f64,
+    /// Each session's base-OT bytes, as `"4128 B"` when every session
+    /// moved the same count and as a `min–max` range otherwise.
+    base_ot: String,
     /// Summed resilience counters, in `ClientRun::resilience` order.
     resilience: [u64; 4],
 }
@@ -264,9 +267,18 @@ fn tally(runs: &[ClientRun]) -> Tally {
     } else {
         runs.iter().map(|r| r.offline_s).sum::<f64>() / runs.len() as f64
     };
+    let base_ot = match (
+        runs.iter().map(|r| r.setup_bytes).min(),
+        runs.iter().map(|r| r.setup_bytes).max(),
+    ) {
+        (Some(lo), Some(hi)) if lo == hi => format!("{lo} B"),
+        (Some(lo), Some(hi)) => format!("{lo}–{hi} B"),
+        _ => "none".to_string(),
+    };
     Tally {
         online_us,
         offline_mean,
+        base_ot,
         resilience,
     }
 }
@@ -336,6 +348,7 @@ fn closed_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
     let Tally {
         online_us,
         offline_mean,
+        base_ot,
         resilience: [retries, resumes, fresh, busy],
     } = tally(&runs);
     let online_mean = online_us.mean() / 1e6;
@@ -359,7 +372,10 @@ fn closed_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
         "  peak resident tables per request                     {peak_resident} B \
          (of {tables_per_request} B streamed)"
     );
-    println!("  per-session offline (connect + handshake + base OT)  mean {offline_mean:.3} s");
+    println!(
+        "  per-session offline (connect + handshake + base OT)  mean {offline_mean:.3} s  \
+         base OT {base_ot} per session"
+    );
     println!(
         "  per-request online (OT ext + tables + eval)          mean {online_mean:.3} s  \
          p50 {:.3} s  p95 {:.3} s  p99 {:.3} s  max {online_max:.3} s",
@@ -463,6 +479,7 @@ fn open_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
     let Tally {
         online_us,
         offline_mean,
+        base_ot,
         resilience: [retries, resumes, fresh, busy],
     } = tally(&completed);
     println!(
@@ -470,7 +487,10 @@ fn open_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
          {shed} shed, {failed} failed",
         done as f64 / wall_s
     );
-    println!("  per-session offline (connect + handshake + base OT)  mean {offline_mean:.3} s");
+    println!(
+        "  per-session offline (connect + handshake + base OT)  mean {offline_mean:.3} s  \
+         base OT {base_ot} per session"
+    );
     println!(
         "  accepted online latency                              p50 {:.3} s  p95 {:.3} s  \
          p99 {:.3} s",
