@@ -48,7 +48,8 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    /// Widest level (upper bound on useful garbling parallelism).
+    /// Widest level. This describes circuit shape only: both gate walks
+    /// are sequential, so it bounds no parallelism the protocol uses.
     pub fn max_level_width(&self) -> u32 {
         self.level_widths.iter().copied().max().unwrap_or(0)
     }

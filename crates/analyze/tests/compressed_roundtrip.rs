@@ -1,14 +1,15 @@
 //! Netlist round-trip for *compressed* circuits: a pruned network
-//! compiled at the compressed operating point and run through circuit
+//! compiled with the served models' options and run through circuit
 //! pre-processing must survive `netlist::serialize` → `parse_raw` exactly,
 //! and the re-imported circuit must analyze clean (no DS-E*, no DS-W*) —
 //! the same path `circuit_lint --netlist` walks in CI.
 
 use deepsecure_analyze::analyze;
 use deepsecure_circuit::netlist;
-use deepsecure_core::compile::{compile, CompileOptions};
+use deepsecure_core::compile::compile;
 use deepsecure_core::preprocess::preprocess_compiled;
 use deepsecure_nn::{prune, zoo};
+use deepsecure_serve::demo;
 
 #[test]
 fn compressed_circuit_roundtrips_and_lints_clean() {
@@ -17,7 +18,7 @@ fn compressed_circuit_roundtrips_and_lints_clean() {
     let mut net = zoo::tiny_mlp(4);
     prune::magnitude_prune(&mut net, 0.9);
     assert!(prune::sparsity(&net) >= 0.85);
-    let (compiled, _) = preprocess_compiled(compile(&net, &CompileOptions::compressed()));
+    let (compiled, _) = preprocess_compiled(compile(&net, &demo::inference_config().options));
     let circuit = &compiled.circuit;
 
     // The sparsity-aware matvec must have dropped the pruned multiplies:

@@ -78,26 +78,6 @@ fn main() {
         );
     }
     println!();
-    println!(
-        "At the paper's operating point (truncated-array multiplier, Table 3's 212-gate regime):"
-    );
-    let paper_opts = deepsecure_core::compile::CompileOptions::paper();
-    for (name, net, paper_nonxor, paper_exec) in [
-        ("Benchmark 1", zoo::benchmark1_cnn(), 2.47e7, 9.67),
-        ("Benchmark 2", zoo::benchmark2_lenet300(), 6.23e7, 24.37),
-        ("Benchmark 3", zoo::benchmark3_audio_dnn(), 7.54e6, 2.95),
-        ("Benchmark 4", zoo::benchmark4_sensing_dnn(), 2.81e9, 1098.3),
-    ] {
-        let stats = network_stats(&net, &paper_opts);
-        let cost = model.cost(stats);
-        println!(
-            "  {name}: non-XOR {} ({}), exec {:.2} s ({paper_exec})",
-            sci(stats.non_xor as f64),
-            sci(paper_nonxor),
-            cost.exec_s
-        );
-    }
-    println!();
     println!("Shape checks:");
     let s3 = network_stats(&zoo::benchmark3_audio_dnn(), &opts);
     let s4 = network_stats(&zoo::benchmark4_sensing_dnn(), &opts);

@@ -14,27 +14,6 @@ use deepsecure_nn::{ActKind, Layer, Network, Tensor};
 use deepsecure_synth::activation::{softmax_argmax, Activation};
 use deepsecure_synth::{arith, matvec, mul, pool, word, Word};
 
-/// Which fixed-point multiplier backs the MAC datapath.
-///
-/// [`Multiplier::Exact`] is bit-identical to
-/// [`deepsecure_fixed::Fixed::mul`] (floor semantics) — every secure
-/// execution can be checked against the plaintext oracle bit-for-bit.
-/// [`Multiplier::Truncated`] discards low partial-product columns (error
-/// below `2^-(frac-guard-1)`) around a sign-magnitude array: at 16 bits it
-/// costs 381 / 444 non-free gates at guard 0 / 3, against the exact
-/// radix-4 Booth multiplier's 393, so guard 3 is dearer *and* approximate.
-/// The paper's Table 3 MULT row reports 212 (see ROADMAP.md item 2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Multiplier {
-    /// Exact floor-truncating multiply.
-    Exact,
-    /// Truncated-array multiply keeping `guard` columns below the output.
-    Truncated {
-        /// Guard columns kept below the result's LSB.
-        guard: u32,
-    },
-}
-
 /// Which synthesized variant implements each training-time activation.
 #[derive(Clone, Copy, Debug)]
 pub struct CompileOptions {
@@ -44,8 +23,6 @@ pub struct CompileOptions {
     pub tanh: Activation,
     /// Realization for Sigmoid layers.
     pub sigmoid: Activation,
-    /// MAC multiplier realization.
-    pub multiplier: Multiplier,
     /// Fixed-point format (must currently be Q3.12 for the nonlinearity
     /// library).
     pub format: Format,
@@ -58,62 +35,18 @@ impl Default for CompileOptions {
             relu: Activation::Relu,
             tanh: Activation::TanhCordic,
             sigmoid: Activation::SigmoidCordic,
-            multiplier: Multiplier::Exact,
             format: Format::Q3_12,
         }
     }
 }
 
 impl CompileOptions {
-    /// The paper's operating point: CORDIC nonlinearities with the
-    /// truncated multiplier at guard 3 (444 non-free gates per 16-bit
-    /// multiply; Table 3 reports 212). Against the exact Booth multiplier
-    /// (393) this point is dominated: it costs more gates than
-    /// [`Multiplier::Exact`] for an approximate result.
-    pub fn paper() -> CompileOptions {
-        CompileOptions {
-            multiplier: Multiplier::Truncated { guard: 3 },
-            ..CompileOptions::default()
-        }
-    }
-
-    /// The compressed-inference operating point: synthesized lerp-style
-    /// nonlinearities (piecewise-linear secant/PLAN approximations — the
-    /// cheap end of the LUT menu; `Activation::TanhLut`/`SigmoidLut` are
-    /// the exact-table, expensive end) over the truncated multiplier.
-    /// Combined with a pruned network's sparsity map this is the
-    /// table-byte-minimal regime the WAN Pareto table measures.
-    pub fn compressed() -> CompileOptions {
-        CompileOptions {
-            relu: Activation::Relu,
-            tanh: Activation::TanhPl,
-            sigmoid: Activation::SigmoidPlan,
-            multiplier: Multiplier::Truncated { guard: 3 },
-            format: Format::Q3_12,
-        }
-    }
-
     /// Maps a training-time activation to its circuit realization.
     pub fn realize(&self, kind: ActKind) -> Activation {
         match kind {
             ActKind::Relu => self.relu,
             ActKind::Tanh => self.tanh,
             ActKind::Sigmoid => self.sigmoid,
-        }
-    }
-
-    /// Builds one fixed-point multiply with the selected realization.
-    pub fn build_mul(
-        &self,
-        b: &mut Builder,
-        x: &[deepsecure_circuit::Wire],
-        y: &[deepsecure_circuit::Wire],
-    ) -> Word {
-        match self.multiplier {
-            Multiplier::Exact => mul::mul_fixed(b, x, y, self.format.frac_bits),
-            Multiplier::Truncated { guard } => {
-                mul::mul_truncated(b, x, y, self.format.frac_bits, guard)
-            }
         }
     }
 }
@@ -272,9 +205,7 @@ pub(crate) fn build_layers(
                     let bias = word::evaluator_word(b, bits);
                     weight_order.push(WeightRef::DenseBias { layer: li, o });
                     let row = &w_words[o * d.n_in..(o + 1) * d.n_in];
-                    let acc = matvec::sparse_row(b, bias, &values, row, |b, x, w| {
-                        opts.build_mul(b, x, w)
-                    });
+                    let acc = matvec::sparse_row(b, bias, &values, row, frac);
                     outs.push(acc);
                 }
                 values = outs;
@@ -316,7 +247,7 @@ pub(crate) fn build_layers(
                                             continue; // zero padding: MAC folds away
                                         }
                                         let xv = at(ic, iy as usize, ix as usize);
-                                        let p = opts.build_mul(b, &xv, wv);
+                                        let p = mul::mul_fixed(b, &xv, wv, frac);
                                         acc = arith::add(b, &acc, &p);
                                     }
                                 }
@@ -487,74 +418,5 @@ mod tests {
         let net = zoo::tiny_mlp(4);
         let compiled = compile(&net, &small_options());
         assert_eq!(compiled.circuit.outputs().len(), 2, "4 classes -> 2 bits");
-    }
-}
-
-#[cfg(test)]
-mod multiplier_tests {
-    use deepsecure_nn::{data, train, zoo};
-    use deepsecure_synth::activation::Activation;
-
-    use super::*;
-
-    #[test]
-    fn truncated_multiplier_shrinks_circuit() {
-        let net = zoo::tiny_mlp(4);
-        let gates = |multiplier| {
-            let opts = CompileOptions {
-                multiplier,
-                ..CompileOptions::default()
-            };
-            compile(&net, &opts).circuit.stats().non_xor
-        };
-        let guard0 = gates(Multiplier::Truncated { guard: 0 });
-        let exact = gates(Multiplier::Exact);
-        let guard3 = gates(Multiplier::Truncated { guard: 3 });
-        // Only guard 0 undercuts the exact Booth multiplier; the paper's
-        // guard 3 costs more.
-        assert!(
-            guard0 < exact && exact < guard3,
-            "guard 0 {guard0}, exact {exact}, guard 3 {guard3}"
-        );
-    }
-
-    #[test]
-    fn truncated_multiplier_keeps_predictions() {
-        let set = data::digits_small(40, 61);
-        let mut net = zoo::tiny_mlp(set.num_classes);
-        train::train(
-            &mut net,
-            &set,
-            &train::TrainConfig {
-                epochs: 25,
-                lr: 0.1,
-                seed: 6,
-            },
-        );
-        // Compare against the exact fixed-point circuit so only the
-        // multiplier's truncation error is in play (float-vs-fixed
-        // quantization is covered elsewhere). Guard trades gates for
-        // accuracy.
-        let base = CompileOptions {
-            tanh: Activation::TanhPl,
-            sigmoid: Activation::SigmoidPlan,
-            ..CompileOptions::default()
-        };
-        let exact = compile(&net, &base);
-        let truncated = compile(
-            &net,
-            &CompileOptions {
-                multiplier: Multiplier::Truncated { guard: 6 },
-                ..base
-            },
-        );
-        let mut agree = 0;
-        for x in set.inputs.iter().take(10) {
-            agree += usize::from(plain_label(&truncated, &net, x) == plain_label(&exact, &net, x));
-        }
-        assert!(
-            agree >= 9,
-            "approximate multiplier agreed on {agree}/10 vs exact"
-        );
     }
 }

@@ -177,20 +177,10 @@ pub fn activation_stats(act: Activation, format: Format) -> GateStats {
 /// Gate statistics of one `MULT` (exact fixed-point multiply, private
 /// weight).
 pub fn mult_stats(format: Format) -> GateStats {
-    mult_stats_with(format, crate::compile::Multiplier::Exact)
-}
-
-/// Gate statistics of a `MULT` under either multiplier realization.
-pub fn mult_stats_with(format: Format, kind: crate::compile::Multiplier) -> GateStats {
     let mut b = Builder::new();
     let x = word::garbler_word(&mut b, format.total_bits() as usize);
     let y = word::evaluator_word(&mut b, format.total_bits() as usize);
-    let p = match kind {
-        crate::compile::Multiplier::Exact => mul::mul_fixed(&mut b, &x, &y, format.frac_bits),
-        crate::compile::Multiplier::Truncated { guard } => {
-            mul::mul_truncated(&mut b, &x, &y, format.frac_bits, guard)
-        }
-    };
+    let p = mul::mul_fixed(&mut b, &x, &y, format.frac_bits);
     word::output_word(&mut b, &p);
     b.finish().stats()
 }
@@ -222,7 +212,7 @@ pub fn max_stats(format: Format) -> GateStats {
 /// unrolled circuit would hold billions of gates).
 pub fn network_stats(net: &Network, opts: &CompileOptions) -> GateStats {
     let format = opts.format;
-    let mult = mult_stats_with(format, opts.multiplier);
+    let mult = mult_stats(format);
     let add = add_stats(format);
     let maxg = max_stats(format);
     let shapes = net.shapes();
@@ -321,10 +311,6 @@ mod tests {
         assert_eq!(add_stats(f).non_xor, 15);
         // The counts `table3` prints (and ROADMAP item 2 ratchets down).
         assert_eq!(mult_stats(f).non_xor, 393);
-        for (guard, non_xor) in [(0, 381), (3, 444), (6, 489)] {
-            let m = mult_stats_with(f, crate::compile::Multiplier::Truncated { guard });
-            assert_eq!(m.non_xor, non_xor, "truncated MULT at guard {guard}");
-        }
         assert_eq!(activation_stats(Activation::Relu, f).non_xor, 15);
         assert_eq!(max_stats(f).non_xor, 32);
     }

@@ -506,7 +506,7 @@ mod tests {
         let set = data::digits_small(16, 23);
         let mut net = deepsecure_nn::zoo::tiny_mlp(set.num_classes);
         prune::magnitude_prune(&mut net, 0.6);
-        let compiled = compile(&net, &CompileOptions::compressed());
+        let compiled = compile(&net, &CompileOptions::default());
         let weight_order = compiled.weight_order.clone();
         let label_before = plain_label(&compiled, &net, &set.inputs[0]);
         let (opt, report) = preprocess_compiled(compiled);

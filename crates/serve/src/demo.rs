@@ -21,9 +21,9 @@ use deepsecure_synth::activation::Activation;
 /// and compiles for ~a minute — the small models stay the default).
 /// `mnist_mlp_c` is its compressed twin: the same architecture
 /// magnitude-pruned to 90 % sparsity with masked re-training (§3.2.2),
-/// compiled at the [`CompileOptions::compressed`] operating point and run
-/// through circuit pre-processing — the paper's own lever for beating the
-/// WAN bandwidth floor with fewer table bytes.
+/// compiled with the same [`inference_config`] options and run through
+/// circuit pre-processing — the paper's own lever for beating the WAN
+/// bandwidth floor with fewer table bytes.
 pub const MODEL_NAMES: &[&str] = &["tiny_mlp", "tiny_cnn", "mnist_mlp", "mnist_mlp_c"];
 
 /// One deterministic demo model: network, dataset, compiled circuit and
@@ -42,10 +42,10 @@ pub struct DemoModel {
     pub fingerprint: u64,
 }
 
-/// The compile options every demo binary must agree on; the fingerprint
-/// handshake catches accidental drift. Compressed models swap in
-/// [`model_options`]'s cheaper realizations — still deterministic, still
-/// pinned by the fingerprint.
+/// The compile options every demo binary must agree on, dense and
+/// compressed models alike: the exact MAC multiplier with the lerp-style
+/// piecewise-linear nonlinearities (TanhPL / SigmoidPLAN, the cheap end of
+/// Table 3's menu). The fingerprint handshake catches accidental drift.
 pub fn inference_config() -> InferenceConfig {
     InferenceConfig {
         options: CompileOptions {
@@ -83,18 +83,6 @@ pub fn compression(name: &str) -> Option<Compression> {
             },
         }),
         _ => None,
-    }
-}
-
-/// Compile options of a model name: dense models share
-/// [`inference_config`]'s realizations; compressed models use the
-/// table-byte-minimal [`CompileOptions::compressed`] point (lerp-style
-/// nonlinearities + truncated multiplier).
-pub fn model_options(name: &str) -> CompileOptions {
-    if compression(name).is_some() {
-        CompileOptions::compressed()
-    } else {
-        inference_config().options
     }
 }
 
@@ -172,21 +160,21 @@ fn spec(name: &str) -> Result<(Network, data::Dataset, TrainConfig), String> {
 ///
 /// Compressed models run the full §3.2 pipeline: train dense on the
 /// non-held-out split, magnitude-prune + masked re-train to the recipe's
-/// sparsity, compile at the compressed operating point (sparsity-aware
-/// matvec skips every pruned multiply at synth time), then apply circuit
-/// pre-processing before anything is garbled. Every step is seeded, so
-/// two processes derive bit-identical compressed models and the
-/// fingerprint handshake passes unchanged.
+/// sparsity, compile (sparsity-aware matvec skips every pruned multiply
+/// at synth time), then apply circuit pre-processing before anything is
+/// garbled. Every step is seeded, so two processes derive bit-identical
+/// compressed models and the fingerprint handshake passes unchanged.
 ///
 /// # Errors
 ///
 /// Returns a message listing the known names when `name` is unknown.
 pub fn load(name: &str) -> Result<DemoModel, String> {
     let (mut net, dataset, train_cfg) = spec(name)?;
+    let options = inference_config().options;
     let compiled = match compression(name) {
         None => {
             train::train(&mut net, &dataset, &train_cfg);
-            compile(&net, &model_options(name))
+            compile(&net, &options)
         }
         Some(comp) => {
             let (train_set, held_out) = dataset.clone().split_validation(comp.holdout);
@@ -198,8 +186,7 @@ pub fn load(name: &str) -> Result<DemoModel, String> {
                 comp.sparsity,
                 &comp.retrain,
             );
-            let (compiled, _) = preprocess_compiled(compile(&net, &model_options(name)));
-            compiled
+            preprocess_compiled(compile(&net, &options)).0
         }
     };
     let compiled = Arc::new(compiled);
@@ -292,12 +279,12 @@ mod tests {
             "sparsity {}",
             prune::sparsity(&a.net)
         );
-        // The whole point: well under the dense mnist_mlp's 5_088_533
-        // non-free gates (162_833_056 table bytes, BENCH_RESULTS.json) —
-        // the ≥40 % acceptance bar with a wide margin.
+        // The whole point: 456_593 non-free gates (14_610_976 table bytes,
+        // BENCH_RESULTS.json) against the dense mnist_mlp's 5_088_533. A
+        // ratchet: any growth of the compressed circuit fails here.
         let nonfree = a.compiled.circuit.nonfree_gate_count();
         assert!(
-            nonfree <= 5_088_533 * 6 / 10,
+            nonfree <= 456_593,
             "compressed mnist_mlp has {nonfree} non-free gates"
         );
         // Both serving processes must derive bit-identical compressed

@@ -660,7 +660,7 @@ fn serve_session(shared: &Shared, stream: TcpStream) -> Result<(), ServeError> {
         Some(s) => (s.setup, s.epoch),
         None => {
             // One-time setup: the precomputed keypairs keep the offline
-            // half of the group work off the wire path; only the three
+            // half of the group work off the wire path; only the two
             // batched flights remain.
             let epoch = Instant::now();
             let pre = shared.pool.take_base();

@@ -110,7 +110,7 @@ fn fixed_forward(net: &Network, x: &Tensor, f: Format) -> usize {
 
 #[test]
 fn plain_label_equals_an_independent_fixed_point_forward_pass() {
-    for name in ["tiny_mlp", "tiny_cnn"] {
+    for name in ["tiny_mlp", "tiny_cnn", "mnist_mlp_c"] {
         let model = demo::load(name).unwrap();
         let f = model.compiled.format;
         for (i, x) in model.dataset.inputs.iter().enumerate() {

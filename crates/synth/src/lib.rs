@@ -11,8 +11,7 @@
 //!   word MUXes, conditional negation, constant multiplication.
 //! * [`mul`] / [`div`] — exact flooring fixed-point multiply (the
 //!   semantics of [`deepsecure_fixed::Fixed::mul`], as a radix-4 Booth
-//!   array), an approximate truncated multiplier, and sign-magnitude
-//!   restoring division.
+//!   array) and sign-magnitude restoring division.
 //! * [`lut`] — BDD-style lookup tables whose MUX trees collapse under the
 //!   builder's hash-consing.
 //! * [`cordic`] — hyperbolic-mode CORDIC with `3i+1` repeated iterations

@@ -61,30 +61,26 @@ pub fn dot_masked(
     acc
 }
 
-/// Sparsity-aware accumulator row: sums `mul(xᵢ, wᵢ)` over the *declared*
-/// weight slots only (a `None` slot is a pruned weight that never reaches
-/// the netlist), on top of a starting word (typically the bias).
+/// Sparsity-aware accumulator row: sums `mul_fixed(xᵢ, wᵢ)` over the
+/// *declared* weight slots only (a `None` slot is a pruned weight that
+/// never reaches the netlist), on top of a starting word (typically the
+/// bias).
 ///
 /// This is the synth-time half of the paper's §3.2.2 pipeline: the public
 /// sparsity map decides which multiplies exist at all, so a pruned MAC
-/// costs zero gates rather than being folded away after the fact. The
-/// multiplier is caller-supplied so the same row works for the exact and
-/// the truncated (`mul::mul_truncated`) datapaths.
-pub fn sparse_row<M>(
+/// costs zero gates rather than being folded away after the fact.
+pub fn sparse_row(
     b: &mut Builder,
     init: Word,
     xs: &[Word],
     ws: &[Option<Word>],
-    mut mul: M,
-) -> Word
-where
-    M: FnMut(&mut Builder, &Word, &Word) -> Word,
-{
+    frac: u32,
+) -> Word {
     assert_eq!(xs.len(), ws.len(), "sparse row arity mismatch");
     let mut acc = init;
     for (x, w) in xs.iter().zip(ws) {
         if let Some(w) = w {
-            let p = mul(b, x, w);
+            let p = mul::mul_fixed(b, x, w, frac);
             acc = arith::add(b, &acc, &p);
         }
     }
@@ -232,7 +228,7 @@ mod tests {
     #[test]
     fn sparse_row_matches_masked_dot() {
         // sparse_row over Option slots == bias + dot_masked over the same
-        // mask, for the exact multiplier.
+        // mask.
         let mask = [true, false, true, false];
         let mut b = Builder::new();
         let xs: Vec<Word> = (0..4).map(|_| garbler_word(&mut b, 16)).collect();
@@ -241,9 +237,7 @@ mod tests {
             .iter()
             .map(|&m| m.then(|| word::evaluator_word(&mut b, 16)))
             .collect();
-        let out = sparse_row(&mut b, bias, &xs, &ws, |b, x, w| {
-            mul::mul_fixed(b, x, w, 12)
-        });
+        let out = sparse_row(&mut b, bias, &xs, &ws, 12);
         output_word(&mut b, &out);
         let via_row = b.finish();
 

@@ -1,15 +1,12 @@
-//! Fixed-point multipliers.
+//! The fixed-point multiplier.
 //!
 //! The paper's MULT element supports *signed* operands (its stated
-//! improvement over TinyGarble's library). Two variants are provided:
-//!
-//! * [`mul_fixed`] — bit-exact against [`deepsecure_fixed::Fixed::mul`]
-//!   (floor-truncating two's-complement semantics), built as a radix-4
-//!   Booth array: 393 non-free gates at 16 bits.
-//! * [`mul_truncated`] — an approximate truncated-array multiplier that
-//!   discards partial-product columns below the guard band, with error
-//!   below `2^-(frac-guard-1)` (the style of multiplier whose count
-//!   Table 3 reports). It is cheaper than [`mul_fixed`] only at guard 0.
+//! improvement over TinyGarble's library). [`mul_fixed`] is the one MAC
+//! multiplier every compiled model uses: bit-exact against
+//! [`deepsecure_fixed::Fixed::mul`] (floor-truncating two's-complement
+//! semantics), built as a radix-4 Booth array, 393 non-free gates at 16
+//! bits (Table 3 reports 212 for its truncated array; see ROADMAP.md
+//! item 2).
 
 use deepsecure_circuit::{Builder, Wire};
 
@@ -93,54 +90,6 @@ pub fn mul_fixed(b: &mut Builder, x: &[Wire], w: &[Wire], frac: u32) -> Word {
     out
 }
 
-/// Approximate truncated multiplier: discards partial-product columns below
-/// `frac - guard`, around a sign-magnitude array. Absolute error is below
-/// `2^-(frac - guard - 1)` of the represented value. At 16 bits it costs
-/// 381 / 444 / 489 non-free gates at guard 0 / 3 / 6, so only guard 0
-/// undercuts the exact [`mul_fixed`] (393).
-pub fn mul_truncated(b: &mut Builder, x: &[Wire], y: &[Wire], frac: u32, guard: u32) -> Word {
-    let n = x.len();
-    assert_eq!(n, y.len(), "multiplier width mismatch");
-    let frac = frac as usize;
-    let guard = (guard as usize).min(frac);
-    let drop = frac - guard;
-    let (xm, xs) = arith::abs(b, x);
-    let (ym, ys) = arith::abs(b, y);
-    let sign = b.xor(xs, ys);
-
-    // Accumulate only columns >= drop: row j contributes columns j..j+n,
-    // so its low (drop - j) bits are discarded.
-    let keep = frac + n;
-    let mut acc: Word = vec![b.const0(); keep - drop];
-    for (j, &xj) in xm.iter().enumerate() {
-        if j >= keep {
-            break;
-        }
-        let lo_cut = drop.saturating_sub(j);
-        if lo_cut >= ym.len() {
-            continue;
-        }
-        let hi_cut = ym.len().min(keep - j);
-        let row = word::and_all(b, xj, &ym[lo_cut..hi_cut]);
-        let offset = j + lo_cut - drop;
-        let width = row.len();
-        let target: Word = acc[offset..offset + width].to_vec();
-        let (sum, cout) = arith::add_with_carry(b, &target, &row, b.const0());
-        acc.splice(offset..offset + width, sum);
-        // Ripple the carry into the higher bits.
-        let mut carry = cout;
-        for slot in acc.iter_mut().skip(offset + width) {
-            let new = b.xor(*slot, carry);
-            carry = b.and(*slot, carry);
-            *slot = new;
-        }
-    }
-    let hi = &acc[guard..];
-    let mut out: Word = hi.to_vec();
-    out.resize(n, b.const0());
-    arith::cond_neg(b, &out, sign)
-}
-
 #[cfg(test)]
 mod tests {
     use deepsecure_circuit::Circuit;
@@ -152,22 +101,18 @@ mod tests {
 
     const Q: Format = Format::Q3_12;
 
-    /// One multiply of `bits`-wide words: the exact one, or the truncated
-    /// one at `guard`.
-    fn build(bits: usize, frac: u32, guard: Option<u32>) -> Circuit {
+    /// One multiply of `bits`-wide words.
+    fn build(bits: usize, frac: u32) -> Circuit {
         let mut b = Builder::new();
         let x = garbler_word(&mut b, bits);
         let y = b.evaluator_inputs(bits);
-        let p = match guard {
-            None => mul_fixed(&mut b, &x, &y, frac),
-            Some(g) => mul_truncated(&mut b, &x, &y, frac, g),
-        };
+        let p = mul_fixed(&mut b, &x, &y, frac);
         output_word(&mut b, &p);
         b.finish()
     }
 
     fn mul_circuit() -> Circuit {
-        build(16, 12, None)
+        build(16, 12)
     }
 
     fn check_raw(c: &Circuit, a: i64, d: i64, f: Format) {
@@ -218,7 +163,7 @@ mod tests {
             let half = 1i64 << (bits - 1);
             for frac in 0..bits {
                 let f = Format::new(bits - 1 - frac, frac);
-                let c = build(bits as usize, frac, None);
+                let c = build(bits as usize, frac);
                 for a in -half..half {
                     for d in -half..half {
                         check_raw(&c, a, d, f);
@@ -236,7 +181,7 @@ mod tests {
 
         #[test]
         fn mul_fixed_matches_fixed_mul_at_q7_12(a in -(1i64 << 19)..(1 << 19), d in -(1i64 << 19)..(1 << 19)) {
-            check_raw(&build(20, 12, None), a, d, Format::Q7_12);
+            check_raw(&build(20, 12), a, d, Format::Q7_12);
         }
     }
 
@@ -251,37 +196,10 @@ mod tests {
         for _ in 0..16 {
             let ws: Vec<Option<Word>> = (0..64).map(|_| Some(b.evaluator_inputs(16))).collect();
             let init = word::constant(&b, 0, 16);
-            let acc =
-                crate::matvec::sparse_row(&mut b, init, &xs, &ws, |b, x, w| mul_fixed(b, x, w, 12));
+            let acc = crate::matvec::sparse_row(&mut b, init, &xs, &ws, 12);
             output_word(&mut b, &acc);
         }
         let per_mac = b.finish().stats().non_xor as f64 / (64.0 * 16.0);
         assert!(per_mac <= 400.5, "{per_mac} non-free gates per MAC");
-    }
-
-    #[test]
-    fn truncated_multiplier_is_cheaper_and_close() {
-        let cost = |guard| build(16, 12, guard).stats().non_xor;
-        let (g0, exact, g3) = (cost(Some(0)), cost(None), cost(Some(3)));
-        // Only guard 0 undercuts the exact Booth array; guard 3 is both
-        // dearer and approximate.
-        assert!(
-            g0 < exact && exact < g3,
-            "guard 0 {g0}, exact {exact}, guard 3 {g3}"
-        );
-        use rand::Rng;
-        use rand::SeedableRng;
-        let ct = build(16, 12, Some(3));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut max_err: f64 = 0.0;
-        for _ in 0..200 {
-            let a = rng.gen_range(-2.0..2.0);
-            let d = rng.gen_range(-2.0..2.0);
-            let x = Fixed::from_f64(a, Q);
-            let y = Fixed::from_f64(d, Q);
-            let got = Fixed::from_bits(&ct.eval(&x.to_bits(), &y.to_bits()), Q);
-            max_err = max_err.max((got.to_f64() - x.to_f64() * y.to_f64()).abs());
-        }
-        assert!(max_err < (2.0f64).powi(-8), "max_err {max_err}");
     }
 }

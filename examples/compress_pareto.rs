@@ -4,15 +4,14 @@
 //!
 //! * **Sparsity sweep** — the `mnist_mlp_c` recipe (same data, seeds and
 //!   held-out split as `demo::load`) at sparsity 0 / 0.5 / 0.8 / 0.9,
-//!   each compressed point compiled at the table-byte-minimal
-//!   [`CompileOptions::compressed`] operating point and run through
-//!   circuit pre-processing, then *measured* end-to-end over the
-//!   simulated 40 Mbps / 40 ms WAN (streamed, chunk 8192 — the same
+//!   every point compiled with `demo::inference_config`'s options and
+//!   run through circuit pre-processing, then *measured* end-to-end over
+//!   the simulated 40 Mbps / 40 ms WAN (streamed, chunk 8192 — the same
 //!   configuration as the 3.1 s dense tiny_mlp figure the README quotes).
 //! * **Activation menu** — a small 64-16FC-Tanh-`classes`FC network
 //!   compiled against each Tanh realization from the paper's Table 3
 //!   menu, showing the LUT ⇄ piecewise-linear table-byte trade the
-//!   compressed operating point exploits.
+//!   served models exploit.
 //!
 //! Run with: `cargo run --release --example compress_pareto`
 //! (the dense mnist_mlp point compiles for ~a minute and its WAN run
@@ -21,7 +20,7 @@
 
 use std::sync::Arc;
 
-use deepsecure::core::compile::{compile, plain_label, CompileOptions, Multiplier};
+use deepsecure::core::compile::{compile, plain_label, CompileOptions};
 use deepsecure::core::preprocess::preprocess_compiled;
 use deepsecure::core::protocol::{run_compiled_over, InferenceConfig, InferenceReport};
 use deepsecure::nn::train::TrainConfig;
@@ -75,7 +74,7 @@ fn main() {
 fn sparsity_sweep() -> Vec<ParetoPoint> {
     let mut points = Vec::new();
     for (label, sparsity) in [
-        ("dense (zoo mnist_mlp options)", 0.0),
+        ("dense (zoo mnist_mlp)", 0.0),
         ("pruned 50%", 0.5),
         ("pruned 80%", 0.8),
         ("pruned 90% (zoo mnist_mlp_c)", 0.9),
@@ -93,13 +92,10 @@ fn sparsity_sweep() -> Vec<ParetoPoint> {
                 seed: 11,
             },
         );
-        let (options, accuracy) = if sparsity == 0.0 {
-            (
-                demo::model_options("mnist_mlp"),
-                train::accuracy(&net, &held_out),
-            )
+        let accuracy = if sparsity == 0.0 {
+            train::accuracy(&net, &held_out)
         } else {
-            let acc = prune::prune_and_retrain(
+            prune::prune_and_retrain(
                 &mut net,
                 &train_set,
                 &held_out,
@@ -109,11 +105,11 @@ fn sparsity_sweep() -> Vec<ParetoPoint> {
                     lr: 0.05,
                     seed: 12,
                 },
-            );
-            (CompileOptions::compressed(), acc)
+            )
         };
         eprintln!("compress_pareto: compiling {label}...");
-        let (compiled, prep) = preprocess_compiled(compile(&net, &options));
+        let (compiled, prep) =
+            preprocess_compiled(compile(&net, &demo::inference_config().options));
         if prep.table_bytes_saved() > 0 {
             eprintln!(
                 "compress_pareto: pre-processing removed {} gates ({} table B)",
@@ -127,7 +123,7 @@ fn sparsity_sweep() -> Vec<ParetoPoint> {
             32 * stats.non_xor
         );
         let expected = plain_label(&compiled, &net, &held_out.inputs[0]);
-        let report = wan_inference(&net, &held_out.inputs[0], compiled, &options);
+        let report = wan_inference(&net, &held_out.inputs[0], compiled);
         assert_eq!(
             report.label, expected,
             "{label}: secure label must match the fixed-point plaintext oracle"
@@ -149,10 +145,8 @@ fn wan_inference(
     net: &Network,
     sample: &deepsecure::nn::Tensor,
     compiled: deepsecure::core::compile::Compiled,
-    options: &CompileOptions,
 ) -> InferenceReport {
     let cfg = InferenceConfig {
-        options: *options,
         chunk_gates: 8192,
         ..demo::inference_config()
     };
@@ -200,39 +194,24 @@ fn activation_menu() {
         train_set.num_classes,
         train::accuracy(&net, &held_out) * 100.0
     );
-    println!("| realization | multiplier | non-free gates | table bytes |");
-    println!("|---|---|---|---|");
-    for (tanh, multiplier) in [
-        (Activation::TanhLut, Multiplier::Exact),
-        (Activation::TanhTrunc, Multiplier::Exact),
-        (Activation::TanhCordic, Multiplier::Exact),
-        (Activation::TanhPl, Multiplier::Exact),
-        (Activation::TanhPl, Multiplier::Truncated { guard: 3 }),
+    println!("| realization | non-free gates | table bytes |");
+    println!("|---|---|---|");
+    for tanh in [
+        Activation::TanhLut,
+        Activation::TanhTrunc,
+        Activation::TanhCordic,
+        Activation::TanhPl,
     ] {
         let options = CompileOptions {
             tanh,
-            multiplier,
             ..CompileOptions::default()
         };
         let stats = compile(&net, &options).circuit.stats();
         println!(
-            "| {} | {} | {} | {} |",
+            "| {} | {} | {} |",
             tanh.name(),
-            match multiplier {
-                Multiplier::Exact => "exact",
-                Multiplier::Truncated { guard } => return_trunc_name(guard),
-            },
             stats.non_xor,
             32 * stats.non_xor
         );
-    }
-}
-
-fn return_trunc_name(guard: u32) -> &'static str {
-    // The compressed preset uses guard 3; keep the label static for the
-    // table without a format! allocation per row.
-    match guard {
-        3 => "truncated (guard 3)",
-        _ => "truncated",
     }
 }
