@@ -4,12 +4,30 @@
 //! Counts come from the analytic Table-2 sum over our synthesized
 //! components; times from the cost model at the paper's operating point
 //! (3.4 GHz, 62/164 clk/gate, and the 102.8 MB/s effective link that the
-//! paper's own rows imply: comm / (execution − comp)).
+//! paper's own rows imply: comm / (execution − comp)). A last line
+//! measures this host's β coefficients with [`calibrate`] and prints them
+//! in clocks per gate beside the paper's 62 / 164.
 
 use deepsecure_bench::{mb, row, sci};
 use deepsecure_core::compile::CompileOptions;
-use deepsecure_core::cost::{network_stats, CostModel};
+use deepsecure_core::cost::{calibrate, network_stats, CostModel};
 use deepsecure_nn::zoo;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The host's nominal clock in GHz, from the CPU model string ("… @
+/// 2.10GHz"); `None` where the model does not state one.
+fn nominal_ghz() -> Option<f64> {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").ok()?;
+    let model = cpuinfo.lines().find(|l| l.starts_with("model name"))?;
+    model
+        .rsplit('@')
+        .next()?
+        .trim()
+        .strip_suffix("GHz")?
+        .parse()
+        .ok()
+}
 
 fn main() {
     let opts = CompileOptions::default(); // CORDIC nonlinearities, as §4.5
@@ -91,5 +109,21 @@ fn main() {
         "  B4 execution dominated by transfer: comm/BW = {:.0}s of {:.0}s total",
         c4.comm_bytes as f64 / model.bandwidth,
         c4.exec_s
+    );
+    println!();
+    let (hz, clock) = match nominal_ghz() {
+        Some(ghz) => (ghz * 1e9, format!("the nominal {ghz:.2} GHz")),
+        None => (
+            model.cpu_hz,
+            format!(
+                "the paper's {:.2} GHz, as /proc/cpuinfo states no nominal clock",
+                model.cpu_hz / 1e9
+            ),
+        ),
+    };
+    let t = calibrate(hz, &mut StdRng::seed_from_u64(2));
+    println!(
+        "Calibrated gate cost: XOR {:.0} / non-XOR {:.0} clks/gate at {clock} (paper: 62 / 164)",
+        t.xor_clks, t.non_xor_clks
     );
 }

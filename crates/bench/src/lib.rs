@@ -13,8 +13,6 @@
 //!
 //! Run them with `cargo run --release -p deepsecure-bench --bin <name>`.
 
-use deepsecure_circuit::GateStats;
-
 /// Formats a gate count in engineering notation like the paper
 /// (`4.31E7`).
 pub fn sci(v: f64) -> String {
@@ -40,28 +38,6 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
     out
 }
 
-/// Pretty-prints a [`GateStats`] pair.
-pub fn stats_cells(stats: GateStats) -> (String, String) {
-    (sci(stats.xor as f64), sci(stats.non_xor as f64))
-}
-
-/// A paper-reference value carried alongside a measurement for the
-/// "shape" comparison tables.
-#[derive(Clone, Copy, Debug)]
-pub struct PaperRef {
-    /// The number printed in the paper.
-    pub paper: f64,
-    /// Our measured value.
-    pub measured: f64,
-}
-
-impl PaperRef {
-    /// Ratio of measured to paper value.
-    pub fn ratio(&self) -> f64 {
-        self.measured / self.paper
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,14 +53,5 @@ mod tests {
     #[test]
     fn mb_formats() {
         assert_eq!(mb(791_000_000), "791.00");
-    }
-
-    #[test]
-    fn ratio() {
-        let r = PaperRef {
-            paper: 2.0,
-            measured: 3.0,
-        };
-        assert!((r.ratio() - 1.5).abs() < 1e-12);
     }
 }

@@ -110,8 +110,9 @@ impl CostModel {
 }
 
 /// Measures this host's β coefficients by garbling+evaluating two probe
-/// circuits (one XOR-dominated, one AND-dominated) and solving for the
-/// per-gate costs. Returns clocks assuming `cpu_hz`.
+/// circuits (64 × 200 XOR gates, then 64 × 200 AND gates) and solving for
+/// the per-gate costs. Returns clocks at `cpu_hz`; the `table4` binary
+/// prints them beside the paper's 62 / 164.
 pub fn calibrate<R: Rng + ?Sized>(cpu_hz: f64, rng: &mut R) -> GateTimings {
     let mut probe = |and_heavy: bool| -> (GateStats, f64) {
         let mut b = Builder::new();
@@ -148,19 +149,14 @@ pub fn calibrate<R: Rng + ?Sized>(cpu_hz: f64, rng: &mut R) -> GateTimings {
     // Solve: t = (x·cx + n·cn)/hz for the two probes.
     let (x1, n1) = (s_x.xor as f64, s_x.non_xor as f64);
     let (x2, n2) = (s_a.xor as f64, s_a.non_xor as f64);
+    // The XOR probe has no non-XOR gate and the AND probe has no XOR gate,
+    // so `det = x1·n2 > 0`.
     let det = x1 * n2 - x2 * n1;
-    let (cx, cn) = if det.abs() < 1e-9 {
-        // Degenerate probes: fall back to aggregate split.
-        let total = (t_x + t_a) * cpu_hz / (x1 + n1 + x2 + n2);
-        (total, total * 2.6)
-    } else {
-        let cx = (t_x * cpu_hz * n2 - t_a * cpu_hz * n1) / det;
-        let cn = (x1 * t_a * cpu_hz - x2 * t_x * cpu_hz) / det;
-        (cx.max(1.0), cn.max(1.0))
-    };
+    let cx = (t_x * cpu_hz * n2 - t_a * cpu_hz * n1) / det;
+    let cn = (x1 * t_a * cpu_hz - x2 * t_x * cpu_hz) / det;
     GateTimings {
-        xor_clks: cx,
-        non_xor_clks: cn,
+        xor_clks: cx.max(1.0),
+        non_xor_clks: cn.max(1.0),
     }
 }
 

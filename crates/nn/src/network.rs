@@ -87,18 +87,6 @@ impl Network {
             .sum()
     }
 
-    /// Parameters surviving pruning.
-    pub fn live_params(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                Layer::Dense(d) => d.live_weights() + d.bias.len(),
-                Layer::Conv2d(c) => c.live_weights() + c.bias.len(),
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Total multiply-accumulates of one inference (post-pruning) — the
     /// quantity Table 2's cost model keys on.
     pub fn total_macs(&self) -> usize {

@@ -71,11 +71,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the backing data.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Reshapes in place (volume must match).
     ///
     /// # Panics

@@ -100,11 +100,6 @@ pub fn lt_unsigned(b: &mut Builder, x: &[Wire], y: &[Wire]) -> Wire {
     b.not(geq)
 }
 
-/// Unsigned greater-or-equal.
-pub fn geq_unsigned(b: &mut Builder, x: &[Wire], y: &[Wire]) -> Wire {
-    sub_with_geq(b, x, y).1
-}
-
 /// Equality over words (an AND tree over XNORs; `n-1` non-XOR gates).
 pub fn eq(b: &mut Builder, x: &[Wire], y: &[Wire]) -> Wire {
     assert_eq!(x.len(), y.len(), "eq width mismatch");
