@@ -14,10 +14,15 @@
 //! a minimal recursive-descent JSON reader — just enough for the two
 //! schemas it consumes (`deepsecure-analyze/1` and
 //! `deepsecure-bench-results/1`, whose analyzer section nests the former
-//! under `"analyzer"`).
+//! under `"analyzer"`). Its recursion is capped at [`MAX_DEPTH`] nested
+//! arrays and objects, so a hostile file is an error, not a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// How deeply arrays and objects may nest in a document [`Json::parse`]
+/// accepts; `BENCH_RESULTS.json` nests six deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Numbers are kept as `f64`; every count this
 /// module cares about (≤ a few hundred million table bytes) is far below
@@ -44,11 +49,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// or of the bracket that nests deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -90,6 +97,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -127,8 +136,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -497,6 +520,19 @@ mod tests {
         assert!(Json::parse("{\"a\": 1,}").is_err(), "trailing comma");
         assert!(Json::parse("{} extra").is_err(), "trailing garbage");
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let err = Json::parse(&format!("{}1", "{\"a\": [".repeat(MAX_DEPTH))).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
     }
 
     #[test]

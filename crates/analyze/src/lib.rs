@@ -14,9 +14,9 @@
 //!   the numbers are cross-checked in tests against the garbler's measured
 //!   `nonfree_gate_count`, wire-byte breakdown and `peak_material_bytes`,
 //!   so the analyzer can never drift from runtime.
-//! * [`srclint`] is a token-level source lint that denies
-//!   `unwrap()`/`expect()`/`panic!` on protocol and channel paths, with a
-//!   checked-in allowlist for the audited exceptions.
+//! * [`budget`] compares a fresh analyzer report with the committed
+//!   `BENCH_RESULTS.json` snapshot: the table-byte ratchet behind
+//!   `table_budget`.
 //!
 //! The `circuit_lint` binary (in the `deepsecure` facade package) exposes
 //! all of this on the command line; CI runs it over every zoo model with
@@ -45,7 +45,6 @@
 pub mod budget;
 pub mod cost;
 pub mod report;
-pub mod srclint;
 pub mod verify;
 
 pub use cost::{cost, CostReport};

@@ -100,6 +100,10 @@ pub struct Compiled {
 impl Compiled {
     /// Serializes the server's private parameters into the evaluator input
     /// bit stream (the OT choice bits).
+    #[expect(
+        clippy::panic,
+        reason = "compiler invariant: the layout is derived from the same Network"
+    )]
     pub fn weight_bits(&self, net: &Network) -> Vec<bool> {
         let mut bits = Vec::with_capacity(self.weight_order.len() * 16);
         for wr in &self.weight_order {

@@ -24,6 +24,12 @@
 //! [`Network`]: deepsecure_nn::Network
 //! [`Circuit`]: deepsecure_circuit::Circuit
 
+// A panic mid-session tears the session down: non-test code returns errors.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod compile;
 pub mod cost;
 pub mod outsource;

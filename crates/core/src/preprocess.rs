@@ -247,6 +247,10 @@ pub fn fit_projection(
 
 /// Grows the first dense layer to accept `l` inputs, preserving learned
 /// weights (new columns start at zero).
+#[expect(
+    clippy::panic,
+    reason = "documented precondition: zoo models always start dense"
+)]
 fn expand_input(net: &mut Network, l: usize) {
     net.input_shape = vec![l];
     for layer in &mut net.layers {

@@ -45,6 +45,12 @@
 //! handle.join().unwrap();
 //! ```
 
+// A panic mid-session tears the session down: non-test code returns errors.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod base;
 pub mod channel;
 pub mod ext;

@@ -44,6 +44,12 @@
 //! [`SenderPrecomp`]: deepsecure_ot::SenderPrecomp
 //! [`ServerSession`]: deepsecure_core::session::ServerSession
 
+// A panic mid-session tears the session down: non-test code returns errors.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod client;
 pub mod demo;
 pub mod metrics;

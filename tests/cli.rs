@@ -5,7 +5,8 @@
 //! the usage text does not mention is rejected by construction
 //! (`Args::next_flag`); this file checks the other direction — everything
 //! the text mentions parses — and that the `--lint` entry point removed in
-//! favour of `circuit_lint --model` stays gone.
+//! favour of `circuit_lint --model`, and `circuit_lint`'s source-scan
+//! flags removed in favour of clippy, stay gone.
 
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -68,9 +69,11 @@ fn every_documented_flag_parses_for_its_role() {
                 "{exe} {flag}"
             );
         }
-        // The lint fork is gone from the parser (and, `--lint` not being
-        // among `flags`, from the text).
-        assert!(!recognised(exe, "--lint"), "{exe} --lint");
+        // The lint fork and `circuit_lint`'s source-scan mode are gone from
+        // the parsers (and, not being among `flags`, from the texts).
+        for gone in ["--lint", "--src-lint", "--allowlist"] {
+            assert!(!recognised(exe, gone), "{exe} {gone}");
+        }
     }
 }
 
@@ -102,4 +105,21 @@ fn value_errors_name_the_flag() {
         let (ok, err) = run(exe, args);
         assert!(!ok && err.contains(want), "{exe} {args:?}: {err}");
     }
+}
+
+#[test]
+fn deeply_nested_json_is_a_clean_error() {
+    // Past the parser's nesting cap: the documented exit code and an error
+    // naming the byte offset, not a stack-overflow abort.
+    let path = std::env::temp_dir().join(format!("deepsecure-deep-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(1_000_000)).expect("writing the deep file");
+    let file = path.to_str().expect("utf-8 temp path");
+    let out = Command::new(env!("CARGO_BIN_EXE_table_budget"))
+        .args(["--baseline", file, "--fresh", file])
+        .output()
+        .expect("spawning");
+    let _ = std::fs::remove_file(&path);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("nesting deeper than 128 at byte 128"), "{err}");
 }
