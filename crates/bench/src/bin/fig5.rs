@@ -3,14 +3,30 @@
 //! and data transfer between them.
 //!
 //! Runs the folded MAC core (§3.5) for several clock cycles through the
-//! real two-party protocol and renders the recorded per-phase spans as a
-//! text Gantt chart.
+//! real two-party protocol with the telemetry sink on, and draws the
+//! drained spans — the timeline `--trace-out` exports — as a text Gantt
+//! chart: per cycle the client's `client.garble` (G), its table, label and
+//! OT-extension sends (T), and the server's `server.eval` (E).
 
 use std::sync::Arc;
 
 use deepsecure_core::compile::{folded_mac, CompileOptions, Compiled};
 use deepsecure_core::protocol::{run_compiled, InferenceConfig};
 use deepsecure_fixed::{Fixed, Format};
+use telemetry::SpanEvent;
+
+/// The client spans that make up a cycle's transfer (T) window.
+const TRANSFER: [&str; 3] = ["client.tables", "client.input_labels", "client.ot_ext"];
+
+/// A span's end, in microseconds since the telemetry epoch.
+fn end(e: &SpanEvent) -> u64 {
+    e.start_us + e.dur_us
+}
+
+/// Microseconds to milliseconds.
+fn ms(us: u64) -> f64 {
+    us as f64 / 1e3
+}
 
 fn bar(start: f64, end: f64, total: f64, width: usize, ch: char) -> String {
     let a = ((start / total) * width as f64) as usize;
@@ -53,63 +69,73 @@ fn main() {
         .map(|i| Fixed::from_f64(0.5 - i as f64 * 0.05, q).to_bits())
         .collect();
     let cfg = InferenceConfig::default();
-    let report = run_compiled(compiled, g_bits, e_bits, &cfg).expect("protocol run");
+    telemetry::set_enabled(true);
+    run_compiled(compiled, g_bits, e_bits, &cfg).expect("protocol run");
+    telemetry::set_enabled(false);
+    let spans = telemetry::drain();
+    let named =
+        |name: &str| -> Vec<&SpanEvent> { spans.iter().filter(|e| e.name == name).collect() };
+    let base_ot = named("client.base_ot")[0];
+    let garbles = named("client.garble");
+    let evals = named("server.eval");
+    assert_eq!(garbles.len(), cycles, "one client.garble span per cycle");
+    assert_eq!(evals.len(), cycles, "one server.eval span per cycle");
 
-    let total = report.total_s;
     let width = 72;
     println!();
     println!(
         "OT setup (base OTs): {:>7.2} ms — one-time, amortized over all cycles",
-        report.ot_setup.duration_s() * 1e3,
+        ms(base_ot.dur_us),
     );
     println!();
     println!("steady-state timeline (time axis starts after OT setup):");
     // Rescale the Gantt chart to the steady-state window so the per-cycle
     // overlap is visible next to the millisecond-scale phases.
-    let t0 = report.ot_setup.end_s;
-    let span = total - t0;
-    for (i, cyc) in report.cycles.iter().enumerate() {
+    let t0 = end(base_ot);
+    let t_end = spans.iter().map(end).max().unwrap_or(t0);
+    let steady = (t_end - t0) as f64;
+    let rel = |us: u64| (us - t0) as f64;
+    let (mut client_work, mut server_work) = (0, 0);
+    for (i, (garble, eval)) in garbles.iter().zip(&evals).enumerate() {
+        // A cycle's sends are the transfer spans from its garbling on,
+        // up to the next cycle's.
+        let next = garbles.get(i + 1).map_or(u64::MAX, |g| g.start_us);
+        let sends = spans.iter().filter(|e| {
+            TRANSFER.contains(&e.name) && (garble.start_us..next).contains(&e.start_us)
+        });
+        let (tx_start, tx_end) = sends.fold((u64::MAX, 0), |(a, b), e| {
+            (a.min(e.start_us), b.max(end(e)))
+        });
+        client_work += garble.dur_us + (tx_end - tx_start);
+        server_work += eval.dur_us;
         println!(
             "cycle {i}: garble {:>6.2} ms  |{}|",
-            cyc.garble.duration_s() * 1e3,
-            bar(
-                cyc.garble.start_s - t0,
-                cyc.garble.end_s - t0,
-                span,
-                width,
-                'G'
-            )
+            ms(garble.dur_us),
+            bar(rel(garble.start_us), rel(end(garble)), steady, width, 'G')
         );
         println!(
             "         ot+tx  {:>6.2} ms  |{}|",
-            cyc.ot.duration_s() * 1e3,
-            bar(cyc.ot.start_s - t0, cyc.ot.end_s - t0, span, width, 'T')
+            ms(tx_end - tx_start),
+            bar(rel(tx_start), rel(tx_end), steady, width, 'T')
         );
         println!(
             "         eval   {:>6.2} ms  |{}|",
-            cyc.eval.duration_s() * 1e3,
-            bar(cyc.eval.start_s - t0, cyc.eval.end_s - t0, span, width, 'E')
+            ms(eval.dur_us),
+            bar(rel(eval.start_us), rel(end(eval)), steady, width, 'E')
         );
     }
     println!();
     println!(
         "total: {:.2} ms (G=garble client, T=OT/transfer, E=evaluate server)",
-        total * 1e3
+        ms(t_end - base_ot.start_us)
     );
 
     // The paper's claim: total execution < sum of both parties' work
     // because garbling cycle c+1 overlaps evaluating cycle c.
-    let client_work: f64 = report
-        .cycles
-        .iter()
-        .map(|c| c.garble.duration_s() + c.ot.duration_s())
-        .sum();
-    let server_work: f64 = report.cycles.iter().map(|c| c.eval.duration_s()).sum();
-    let steady = total - report.ot_setup.duration_s();
     println!(
         "pipelining: client work {:.2} ms + server work {:.2} ms executed in {:.2} ms",
-        client_work * 1e3,
-        server_work * 1e3,
-        steady * 1e3
+        ms(client_work),
+        ms(server_work),
+        ms(t_end - t0)
     );
 }

@@ -7,9 +7,12 @@
 //! never leave her side), matching GC step (iv).
 //!
 //! The runner supports sequential circuits: each clock cycle ships one
-//! table bundle while register labels carry over, and the client garbles
-//! cycle `c+1` while the server is still evaluating cycle `c` — the
-//! pipelining of Fig. 5, whose timeline this module records.
+//! table bundle while register labels carry over (§3.5). Fig. 5 pipelines
+//! the garbling of cycle `c+1` with the evaluation of cycle `c`; here the
+//! client decodes cycle `c` before it garbles cycle `c+1`, and garbling,
+//! transfer and evaluation overlap only within a chunk-streamed cycle.
+//! The timeline is the sessions' telemetry spans (`client.garble`,
+//! `server.eval`, …), the record `--trace-out` exports and `fig5` draws.
 //!
 //! The party halves themselves live in [`crate::session`] as
 //! channel-generic state machines; this module provides the in-process
@@ -150,33 +153,6 @@ impl Default for InferenceConfig {
     }
 }
 
-/// Wall-clock timeline of one protocol phase, relative to protocol start.
-#[derive(Clone, Copy, Debug)]
-pub struct PhaseSpan {
-    /// Phase start (seconds since protocol start).
-    pub start_s: f64,
-    /// Phase end.
-    pub end_s: f64,
-}
-
-impl PhaseSpan {
-    /// Phase duration in seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.end_s - self.start_s
-    }
-}
-
-/// Per-cycle timings recorded on both sides (the Fig. 5 timeline).
-#[derive(Clone, Debug)]
-pub struct CycleTimeline {
-    /// Client garbling span.
-    pub garble: PhaseSpan,
-    /// Client OT span (includes the transfer of tables/labels).
-    pub ot: PhaseSpan,
-    /// Server evaluation span.
-    pub eval: PhaseSpan,
-}
-
 /// The outcome of a secure inference.
 #[derive(Clone, Debug)]
 pub struct InferenceReport {
@@ -200,10 +176,6 @@ pub struct InferenceReport {
     pub wire: WireBreakdown,
     /// Total wall-clock time.
     pub total_s: f64,
-    /// OT setup (base OTs) span.
-    pub ot_setup: PhaseSpan,
-    /// Per-cycle phase spans.
-    pub cycles: Vec<CycleTimeline>,
 }
 
 /// Runs a full two-party secure inference for one sample.
@@ -299,12 +271,12 @@ where
         evaluator_bits_per_cycle.len(),
         "cycle count mismatch"
     );
-    let epoch = Instant::now();
+    let start = Instant::now();
     let server = ServerSession::new(Arc::clone(&compiled), cfg);
     let handle =
-        std::thread::spawn(move || server.run(&mut chan_server, &evaluator_bits_per_cycle, epoch));
+        std::thread::spawn(move || server.run(&mut chan_server, &evaluator_bits_per_cycle));
     let client = ClientSession::new(compiled, cfg);
-    let cout = match client.run(&mut chan_client, &garbler_bits_per_cycle, epoch) {
+    let cout = match client.run(&mut chan_client, &garbler_bits_per_cycle) {
         Ok(cout) => cout,
         Err(client_err) => {
             // Drop our endpoint so a server blocked on recv unblocks,
@@ -327,14 +299,8 @@ where
     let sout = handle
         .join()
         .map_err(|_| ProtocolError::PartyPanic("server"))??;
-    let total_s = epoch.elapsed().as_secs_f64();
+    let total_s = start.elapsed().as_secs_f64();
     debug_assert_eq!(cout.wire, sout.wire, "parties disagree on the wire");
-    let cycles_out = cout
-        .cycles
-        .into_iter()
-        .zip(sout.evals)
-        .map(|((garble, ot), eval)| CycleTimeline { garble, ot, eval })
-        .collect();
     Ok(InferenceReport {
         label: cout.label,
         cycle_labels: cout.cycle_labels,
@@ -344,8 +310,6 @@ where
         peak_material_bytes: cout.peak_material_bytes.max(sout.peak_material_bytes),
         wire: cout.wire,
         total_s,
-        ot_setup: cout.ot_setup,
-        cycles: cycles_out,
     })
 }
 
@@ -474,27 +438,7 @@ mod tests {
         let got = Format::Q3_12.wrap(report.label as i64) as f64 * Format::Q3_12.epsilon();
         let want: f64 = xs.iter().zip(&ws).map(|(x, w)| x * w).sum();
         assert!((got - want).abs() < 0.01, "got {got}, want {want}");
-        assert_eq!(report.cycles.len(), 4);
-    }
-
-    #[test]
-    fn pipeline_overlap_is_recorded() {
-        // With several cycles the garbler should start garbling cycle c+1
-        // before the server finishes evaluating cycle c at least once.
-        let circuit = crate::compile::folded_mac(&CompileOptions::default());
-        let compiled = Arc::new(Compiled {
-            circuit,
-            weight_order: Vec::new(),
-            format: deepsecure_fixed::Format::Q3_12,
-        });
-        let n = 6;
-        let g_bits = vec![vec![false; 17]; n];
-        let e_bits = vec![vec![false; 16]; n];
-        let report = run_compiled(compiled, g_bits, e_bits, &fast_cfg()).unwrap();
-        assert_eq!(report.cycles.len(), n);
-        for w in report.cycles.windows(2) {
-            assert!(w[1].garble.start_s >= w[0].garble.start_s);
-        }
+        assert_eq!(report.cycle_labels.len(), 4);
     }
 
     #[test]

@@ -79,6 +79,13 @@
 //! never attributed to the protocol, and both parties' [`WireBreakdown`]s
 //! describe the same wire regardless of transport.
 //!
+//! Time is recorded once, as telemetry spans: `client.base_ot` /
+//! `server.base_ot` around the setups, one `client.garble` per garbled
+//! cycle and one `server.eval` per evaluated cycle (the Fig. 5 windows),
+//! and a span per metered wire step inside them. With the sink enabled
+//! (`telemetry::set_enabled`) they are the run's timeline; disabled, each
+//! costs one relaxed atomic load.
+//!
 //! [`TcpChannel`]: deepsecure_ot::TcpChannel
 //! [`SimChannel`]: deepsecure_ot::SimChannel
 
@@ -94,7 +101,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::compile::Compiled;
-use crate::protocol::{InferenceConfig, PhaseSpan, ProtocolError};
+use crate::protocol::{InferenceConfig, ProtocolError};
 
 /// Per-phase wire traffic of one protocol run, in bytes.
 ///
@@ -193,8 +200,6 @@ enum Phase {
 /// The books of one online run, shared by both parties' drivers.
 struct Online<'a, C: Channel> {
     chan: &'a mut C,
-    /// What the recorded [`PhaseSpan`]s are relative to.
-    epoch: Instant,
     sent0: u64,
     recv0: u64,
     wire: WireBreakdown,
@@ -209,20 +214,14 @@ struct Online<'a, C: Channel> {
 }
 
 impl<'a, C: Channel> Online<'a, C> {
-    fn begin(chan: &'a mut C, epoch: Instant) -> Online<'a, C> {
+    fn begin(chan: &'a mut C) -> Online<'a, C> {
         Online {
             sent0: chan.bytes_sent(),
             recv0: chan.bytes_received(),
             chan,
-            epoch,
             wire: WireBreakdown::default(),
             peak: 0,
         }
-    }
-
-    /// Seconds since the epoch.
-    fn now(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
     }
 
     /// Runs one step of `phase` on the channel and books the bytes it
@@ -342,7 +341,12 @@ impl GarbledMaterial {
         // Must be read before the first garble_cycle: garbling latches the
         // register labels forward to the next cycle.
         let initial_registers = garbler.initial_register_labels();
-        let cycles = (0..n_cycles).map(|_| garbler.garble_cycle(rng)).collect();
+        let cycles = (0..n_cycles)
+            .map(|_| {
+                let _s = telemetry::span!("client.garble");
+                garbler.garble_cycle(rng)
+            })
+            .collect();
         *labels = garbler.into_labels();
         GarbledMaterial {
             cycles,
@@ -403,10 +407,10 @@ impl MaterialSource {
 }
 
 /// A client session's completed base-OT setup: the live IKNP sender plus
-/// the setup's traffic and timeline. Reused across every
-/// [`ClientSession::run_online`] call on the same connection — and with it
-/// the garbler's wire-label array, so only the first live-garbled query on
-/// a connection allocates one (see [`ClientSetup::resident_bytes`]).
+/// the setup's traffic. Reused across every [`ClientSession::run_online`]
+/// call on the same connection — and with it the garbler's wire-label
+/// array, so only the first live-garbled query on a connection allocates
+/// one (see [`ClientSetup::resident_bytes`]).
 #[derive(Debug)]
 pub struct ClientSetup {
     ot: ExtSender,
@@ -417,8 +421,6 @@ pub struct ClientSetup {
     pub sent: u64,
     /// Bytes this endpoint received during setup.
     pub received: u64,
-    /// Setup span (relative to the epoch passed in).
-    pub span: PhaseSpan,
 }
 
 impl ClientSetup {
@@ -497,7 +499,7 @@ impl ServerSetup {
 }
 
 /// What the client knows after a run: the decoded result plus its side of
-/// the timeline and traffic accounting.
+/// the traffic accounting.
 #[derive(Clone, Debug)]
 pub struct ClientOutcome {
     /// Decoded inference label of the final cycle.
@@ -511,18 +513,13 @@ pub struct ClientOutcome {
     /// Per-phase wire traffic (`wire.tables` is the `α` material term).
     /// Online-only runs report `base_ot == 0`; the setup accounts for it.
     pub wire: WireBreakdown,
-    /// Base-OT setup span (relative to the epoch passed to `run`).
-    pub ot_setup: PhaseSpan,
-    /// Per-cycle `(garble, ot+transfer)` spans. Online-only runs report
-    /// zero-width garble spans (the garbling happened offline).
-    pub cycles: Vec<(PhaseSpan, PhaseSpan)>,
     /// High-water mark of garbled-table bytes this session held at once:
     /// the whole material on buffered runs, one chunk buffer on streamed
     /// live runs — the measured O(chunk) memory claim.
     pub peak_material_bytes: u64,
 }
 
-/// What the server knows after a run: timings and traffic, never outputs.
+/// What the server knows after a run: traffic, never outputs.
 #[derive(Clone, Debug)]
 pub struct ServerOutcome {
     /// Bytes this session sent (delta over the run).
@@ -532,10 +529,6 @@ pub struct ServerOutcome {
     /// Per-phase wire traffic (mirrors the client's view). Online-only
     /// runs report `base_ot == 0`; the setup accounts for it.
     pub wire: WireBreakdown,
-    /// Per-cycle evaluation spans. On chunk-streamed runs the span covers
-    /// feeding the arriving chunks, so it includes table transfer time —
-    /// that interleaving is the point of streaming.
-    pub evals: Vec<PhaseSpan>,
     /// High-water mark of garbled-table bytes this session held at once:
     /// a whole cycle's tables on buffered runs, one chunk on streamed.
     pub peak_material_bytes: u64,
@@ -581,14 +574,12 @@ impl CycleTables<'_, '_> {
     }
 
     /// The table step: ships the cycle's tables as its [`chunk_sizes`]
-    /// chunks. A live source garbles each chunk right before it goes out
-    /// and records the window that interleaving took as the cycle's
-    /// `garble` span.
+    /// chunks. A live source garbles each chunk right before it goes out,
+    /// and the cycle's `client.garble` span covers that interleaving.
     fn ship<C: Channel>(
         &mut self,
         run: &mut Online<'_, C>,
         chunk_gates: usize,
-        garble: &mut PhaseSpan,
     ) -> Result<(), ProtocolError> {
         let span = match chunk_gates {
             0 => "client.tables",
@@ -604,10 +595,7 @@ impl CycleTables<'_, '_> {
                 }
             }
             CycleTables::Live(cycle) => {
-                let start_s = run.now();
-                // Umbrella span co-extensive with the recorded window:
-                // `trace_view --check` reconciles the two measurements.
-                let _umbrella = telemetry::span!("client.garble");
+                let _garble = telemetry::span!("client.garble");
                 let nonfree = cycle.remaining_nonfree();
                 let mut buf: Vec<Block> = Vec::with_capacity(2 * chunk_gates.min(nonfree));
                 for k in chunk_sizes(nonfree, chunk_gates) {
@@ -622,8 +610,6 @@ impl CycleTables<'_, '_> {
                 // A chunk ends at its last non-free gate: walk the free
                 // gates behind the final one (no rows come out).
                 cycle.garble_chunk(usize::MAX, &mut buf);
-                let end_s = run.now();
-                *garble = PhaseSpan { start_s, end_s };
             }
         }
         Ok(())
@@ -650,17 +636,20 @@ impl ClientSession {
     /// Runs the one-time base-OT setup (IKNP sender side), generating the
     /// keypairs on the spot.
     ///
+    /// `_epoch` is unused; the parameter stays only until the benchmark's
+    /// frozen callers stop passing it.
+    ///
     /// # Errors
     ///
     /// Returns [`ProtocolError`] on channel/OT failure.
     pub fn setup<C: Channel>(
         &self,
         chan: &mut C,
-        epoch: Instant,
+        _epoch: Instant,
     ) -> Result<ClientSetup, ProtocolError> {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xa11ce);
         let pre = SenderPrecomp::generate_with(&Ristretto255, &mut rng, self.cfg.pool());
-        self.setup_with(chan, pre, epoch)
+        self.setup_with(chan, pre)
     }
 
     /// Runs the base-OT setup with offline-generated [`SenderPrecomp`]
@@ -673,9 +662,7 @@ impl ClientSession {
         &self,
         chan: &mut C,
         pre: SenderPrecomp,
-        epoch: Instant,
     ) -> Result<ClientSetup, ProtocolError> {
-        let start_s = epoch.elapsed().as_secs_f64();
         let _s = telemetry::span!("client.base_ot");
         let sent0 = chan.bytes_sent();
         let recv0 = chan.bytes_received();
@@ -690,10 +677,6 @@ impl ClientSession {
             labels: Vec::new(),
             sent,
             received,
-            span: PhaseSpan {
-                start_s,
-                end_s: epoch.elapsed().as_secs_f64(),
-            },
         })
     }
 
@@ -709,6 +692,8 @@ impl ClientSession {
     /// request on the same connection. The outcome's `wire.base_ot` is
     /// zero — setup traffic is accounted once, by the [`ClientSetup`].
     ///
+    /// `_epoch` is unused, as in [`ClientSession::setup`].
+    ///
     /// # Errors
     ///
     /// Returns [`ProtocolError`] on channel/OT failure.
@@ -723,7 +708,7 @@ impl ClientSession {
         setup: &mut ClientSetup,
         source: impl Into<MaterialSource>,
         garbler_bits_per_cycle: &[Vec<bool>],
-        epoch: Instant,
+        _epoch: Instant,
     ) -> Result<ClientOutcome, ProtocolError> {
         let source = source.into();
         assert!(
@@ -736,7 +721,7 @@ impl ClientSession {
             "material cycles must match input cycles"
         );
         let chunk_gates = self.cfg.chunk_gates;
-        let mut run = Online::begin(chan, epoch);
+        let mut run = Online::begin(chan);
         let mut stored = Vec::new();
         let mut live = None;
         let initial_registers = match source {
@@ -764,15 +749,8 @@ impl ClientSession {
         // are in flight.
         let tables_first = chunk_gates == 0;
         let mut label = 0;
-        let mut cycles = Vec::with_capacity(garbler_bits_per_cycle.len());
         let mut cycle_labels = Vec::with_capacity(garbler_bits_per_cycle.len());
         for (i, g_bits) in garbler_bits_per_cycle.iter().enumerate() {
-            let t0 = run.now();
-            // Zero-width for precomputed material: it was garbled offline.
-            let mut garble = PhaseSpan {
-                start_s: t0,
-                end_s: t0,
-            };
             let whole;
             let mut tables = match &mut live {
                 None => CycleTables::Stored(&stored[i]),
@@ -783,12 +761,10 @@ impl ClientSession {
                     whole = garbler.garble_cycle(rng);
                     garble_span.end();
                     run.resident(whole.tables.len());
-                    garble.end_s = run.now();
                     CycleTables::Stored(&whole)
                 }
                 Some((garbler, rng)) => CycleTables::Live(garbler.begin_cycle(rng)),
             };
-            let ot_start_s = garble.end_s;
             if i == 0 {
                 let [const0, const1] = tables.constant_labels();
                 run.spanned("client.input_labels", Phase::InputLabels, |chan| {
@@ -798,7 +774,7 @@ impl ClientSession {
                 })?;
             }
             if tables_first {
-                tables.ship(&mut run, chunk_gates, &mut garble)?;
+                tables.ship(&mut run, chunk_gates)?;
             }
             run.spanned("client.input_labels", Phase::InputLabels, |chan| {
                 chan.send_blocks(&tables.garbler_active(g_bits))
@@ -806,14 +782,8 @@ impl ClientSession {
             run.spanned("client.ot_ext", Phase::OtExt, |chan| {
                 setup.ot.send(chan, tables.evaluator_input_labels())
             })?;
-            // Taken before blocking on the returned colors, so the recorded
-            // OT span excludes the server's evaluation time (the Fig. 5
-            // convention).
-            let ot_end_s = run.now();
             if !tables_first {
-                // The garble span of a live source becomes its
-                // chunk-streaming window: garbling and transfer interleave.
-                tables.ship(&mut run, chunk_gates, &mut garble)?;
+                tables.ship(&mut run, chunk_gates)?;
             }
             let output_decode = tables.finish();
             let colors = run.spanned("client.turnaround", Phase::OutputBits, |chan| {
@@ -826,13 +796,6 @@ impl ClientSession {
                 .collect();
             label = self.compiled.decode_label(&label_bits);
             cycle_labels.push(label);
-            cycles.push((
-                garble,
-                PhaseSpan {
-                    start_s: ot_start_s,
-                    end_s: ot_end_s,
-                },
-            ));
             if let Some(shipped) = stored.get_mut(i) {
                 shipped.tables = Vec::new();
             }
@@ -849,26 +812,21 @@ impl ClientSession {
             sent,
             received,
             wire,
-            ot_setup: setup.span,
-            cycles,
             peak_material_bytes,
         })
     }
 
     /// Runs the full client side over any channel: base-OT setup, then per
-    /// cycle garble → ship tables/labels → OT → decode returned colors
-    /// (the garbling of cycle `c+1` overlaps the server's evaluation of
-    /// cycle `c`, the Fig. 5 pipelining). With `chunk_gates > 0` each
-    /// cycle itself streams: garble a chunk, send a chunk — garbling,
-    /// transfer, and the peer's evaluation overlap *within* a cycle, and
-    /// at most one chunk of tables is ever resident.
+    /// cycle garble → ship tables/labels → OT → decode returned colors.
+    /// Cycle `c`'s colors are decoded before cycle `c+1` is garbled, so
+    /// cycles do not overlap. With `chunk_gates > 0` each cycle itself
+    /// streams: garble a chunk, send a chunk — garbling, transfer, and the
+    /// peer's evaluation overlap *within* a cycle, and at most one chunk of
+    /// tables is ever resident.
     ///
     /// Composes [`ClientSession::setup`] with a live-garbling
     /// [`ClientSession::run_online`], which is what keeps the single-shot
     /// and the split serving paths wire-compatible.
-    ///
-    /// `epoch` anchors the recorded [`PhaseSpan`]s; in-process runners
-    /// share one epoch across both parties to get the Fig. 5 overlap.
     ///
     /// # Errors
     ///
@@ -882,13 +840,12 @@ impl ClientSession {
         &self,
         chan: &mut C,
         garbler_bits_per_cycle: &[Vec<bool>],
-        epoch: Instant,
     ) -> Result<ClientOutcome, ProtocolError> {
         assert!(
             !garbler_bits_per_cycle.is_empty(),
             "need at least one cycle"
         );
-        let mut setup = self.setup(chan, epoch)?;
+        let mut setup = self.setup(chan, Instant::now())?;
         let mut out = self.run_online(
             chan,
             &mut setup,
@@ -897,7 +854,7 @@ impl ClientSession {
                 seed: self.cfg.seed ^ 0x9a4b1e,
             },
             garbler_bits_per_cycle,
-            epoch,
+            Instant::now(),
         )?;
         out.wire.base_ot = setup.base_ot_bytes();
         out.sent += setup.sent;
@@ -960,6 +917,8 @@ impl ServerSession {
     /// `wire.base_ot` is zero — setup traffic is accounted once, by the
     /// [`ServerSetup`].
     ///
+    /// `_epoch` is unused, as in [`ClientSession::setup`].
+    ///
     /// # Errors
     ///
     /// Returns [`ProtocolError`] on channel/OT failure.
@@ -973,7 +932,7 @@ impl ServerSession {
         chan: &mut C,
         setup: &mut ServerSetup,
         evaluator_bits_per_cycle: &[Vec<bool>],
-        epoch: Instant,
+        _epoch: Instant,
     ) -> Result<ServerOutcome, ProtocolError> {
         assert!(
             !evaluator_bits_per_cycle.is_empty(),
@@ -983,7 +942,7 @@ impl ServerSession {
         let chunk_gates = self.cfg.chunk_gates;
         // Mirrors the garbling side: the one mode switch of this driver.
         let tables_first = chunk_gates == 0;
-        let mut run = Online::begin(chan, epoch);
+        let mut run = Online::begin(chan);
 
         let (const0, const1, init_regs) =
             run.spanned("server.input_labels", Phase::InputLabels, |chan| {
@@ -1021,7 +980,6 @@ impl ServerSession {
             }
             Ok::<(), ProtocolError>(())
         };
-        let mut evals = Vec::with_capacity(evaluator_bits_per_cycle.len());
         for choice_bits in evaluator_bits_per_cycle {
             if tables_first {
                 recv_tables(&mut run, &mut chunk, None)?;
@@ -1032,10 +990,8 @@ impl ServerSession {
             let e_labels = run.spanned("server.ot_ext", Phase::OtExt, |chan| {
                 setup.ot.receive(chan, choice_bits)
             })?;
-            let start_s = run.now();
-            // Umbrella span co-extensive with the recorded eval
-            // `PhaseSpan`. With labels first it includes table transfer
-            // time — that interleaving is the point of streaming.
+            // With labels first the span includes table transfer time —
+            // that interleaving is the point of streaming.
             let eval_span = telemetry::span!("server.eval");
             let mut cycle = evaluator.begin_cycle(&g_labels, &e_labels);
             if tables_first {
@@ -1045,8 +1001,6 @@ impl ServerSession {
             }
             let colors = cycle.finish(&no_decode);
             eval_span.end();
-            let end_s = run.now();
-            evals.push(PhaseSpan { start_s, end_s });
             run.metered(Phase::OutputBits, |chan| chan.send_bits(&colors))?;
         }
         // Only a completed run hands its buffers on; a failed one drops
@@ -1058,7 +1012,6 @@ impl ServerSession {
             sent,
             received,
             wire,
-            evals,
             peak_material_bytes,
         })
     }
@@ -1079,11 +1032,11 @@ impl ServerSession {
         &self,
         chan: &mut C,
         evaluator_bits_per_cycle: &[Vec<bool>],
-        epoch: Instant,
     ) -> Result<ServerOutcome, ProtocolError> {
         let mut setup = self.setup(chan)?;
         let (setup_sent, setup_received) = (setup.sent, setup.received);
-        let mut out = self.run_online(chan, &mut setup, evaluator_bits_per_cycle, epoch)?;
+        let mut out =
+            self.run_online(chan, &mut setup, evaluator_bits_per_cycle, Instant::now())?;
         out.wire.base_ot = setup_sent + setup_received;
         out.sent += setup_sent;
         out.received += setup_received;
@@ -1113,13 +1066,12 @@ mod tests {
         let compiled = mac_compiled();
         let cfg = InferenceConfig::default();
         let (mut cc, mut cs) = mem_pair();
-        let epoch = Instant::now();
         let server = ServerSession::new(Arc::clone(&compiled), &cfg);
         let e_bits = vec![vec![false; 16]; 2];
-        let handle = std::thread::spawn(move || server.run(&mut cs, &e_bits, epoch));
+        let handle = std::thread::spawn(move || server.run(&mut cs, &e_bits));
         let client = ClientSession::new(Arc::clone(&compiled), &cfg);
         let g_bits = vec![vec![false; 17]; 2];
-        let cout = client.run(&mut cc, &g_bits, epoch).unwrap();
+        let cout = client.run(&mut cc, &g_bits).unwrap();
         let sout = handle.join().unwrap().unwrap();
         // Same wire, observed from either end.
         assert_eq!(cout.wire, sout.wire);
@@ -1138,7 +1090,6 @@ mod tests {
         let compiled = mac_compiled();
         let cfg = InferenceConfig::default();
         let (mut cc, mut cs) = mem_pair();
-        let epoch = Instant::now();
         // A handshake before the sessions start must not be attributed to
         // the protocol.
         let server = ServerSession::new(Arc::clone(&compiled), &cfg);
@@ -1147,12 +1098,12 @@ mod tests {
             assert_eq!(hello, b"hello");
             cs.send(b"again").unwrap();
             let e_bits = vec![vec![false; 16]];
-            server.run(&mut cs, &e_bits, epoch).unwrap()
+            server.run(&mut cs, &e_bits).unwrap()
         });
         cc.send(b"hello").unwrap();
         assert_eq!(cc.recv(5).unwrap(), b"again");
         let client = ClientSession::new(Arc::clone(&compiled), &cfg);
-        let cout = client.run(&mut cc, &[vec![false; 17]], epoch).unwrap();
+        let cout = client.run(&mut cc, &[vec![false; 17]]).unwrap();
         let sout = handle.join().unwrap();
         assert_eq!(cout.sent, cc.bytes_sent() - 5);
         assert_eq!(cout.wire, sout.wire);
@@ -1206,10 +1157,7 @@ mod tests {
             assert_eq!(cout.wire.base_ot, 0, "base OT paid once, not per request");
             assert!(cout.wire.tables > 0);
             assert!(cout.wire.ot_ext > 0);
-            // Zero-width garble spans: material came from offline garbling.
-            for (garble, _) in &cout.cycles {
-                assert_eq!(garble.duration_s(), 0.0);
-            }
+            assert_eq!(cout.cycle_labels.len(), 1);
         }
         // Both requests moved identical byte counts (same circuit shape).
         assert_eq!(couts[0].wire, couts[1].wire);
@@ -1265,13 +1213,12 @@ mod tests {
             ..InferenceConfig::default()
         };
         let (mut cc, mut cs) = mem_pair();
-        let epoch = Instant::now();
         let server = ServerSession::new(Arc::clone(&compiled), &cfg);
         let e_bits = vec![vec![true; 16]; n_cycles];
-        let handle = std::thread::spawn(move || server.run(&mut cs, &e_bits, epoch).unwrap());
+        let handle = std::thread::spawn(move || server.run(&mut cs, &e_bits).unwrap());
         let client = ClientSession::new(Arc::clone(&compiled), &cfg);
         let g_bits = vec![vec![true; 17]; n_cycles];
-        let cout = client.run(&mut cc, &g_bits, epoch).unwrap();
+        let cout = client.run(&mut cc, &g_bits).unwrap();
         let sout = handle.join().unwrap();
         assert_eq!(cout.wire, sout.wire, "parties disagree on the wire");
         (cout, sout)
@@ -1376,13 +1323,12 @@ mod tests {
                 ..InferenceConfig::default()
             };
             let (mut cc, mut cs) = mem_pair();
-            let epoch = Instant::now();
             let server = ServerSession::new(Arc::clone(&compiled), &cfg);
             let e_bits = vec![vec![true; 16]; 3];
-            let handle = std::thread::spawn(move || server.run(&mut cs, &e_bits, epoch).unwrap());
+            let handle = std::thread::spawn(move || server.run(&mut cs, &e_bits).unwrap());
             let client = ClientSession::new(Arc::clone(&compiled), &cfg);
             let g_bits = vec![vec![true; 17]; 3];
-            let cout = client.run(&mut cc, &g_bits, epoch).unwrap();
+            let cout = client.run(&mut cc, &g_bits).unwrap();
             let sout = handle.join().unwrap();
             assert_eq!(cout.wire, sout.wire);
             (
@@ -1427,12 +1373,11 @@ mod tests {
 
         let full = {
             let (mut cc, mut cs) = mem_pair();
-            let epoch = Instant::now();
             let server = ServerSession::new(Arc::clone(&compiled), &cfg);
             let e_bits = vec![vec![true; 16]];
-            let handle = std::thread::spawn(move || server.run(&mut cs, &e_bits, epoch).unwrap());
+            let handle = std::thread::spawn(move || server.run(&mut cs, &e_bits).unwrap());
             let client = ClientSession::new(Arc::clone(&compiled), &cfg);
-            let cout = client.run(&mut cc, &[vec![true; 17]], epoch).unwrap();
+            let cout = client.run(&mut cc, &[vec![true; 17]]).unwrap();
             handle.join().unwrap();
             cout
         };
@@ -1827,11 +1772,10 @@ mod tests {
                 let g_bits = bits(compiled.circuit.garbler_inputs().len(), 3);
                 let e_bits = bits(compiled.circuit.evaluator_inputs().len(), 2);
                 let (mut cc, mut cs) = mem_pair();
-                let epoch = Instant::now();
                 let server = ServerSession::new(Arc::clone(compiled), &cfg);
-                let handle = std::thread::spawn(move || server.run(&mut cs, &e_bits, epoch));
+                let handle = std::thread::spawn(move || server.run(&mut cs, &e_bits));
                 let client = ClientSession::new(Arc::clone(compiled), &cfg);
-                let cout = client.run(&mut cc, &g_bits, epoch).unwrap();
+                let cout = client.run(&mut cc, &g_bits).unwrap();
                 let sout = handle.join().unwrap().unwrap();
                 assert_eq!(cout.wire, want, "{name} chunk {chunk_gates}");
                 assert_eq!(sout.wire, want, "{name} chunk {chunk_gates}");

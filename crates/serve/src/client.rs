@@ -141,7 +141,6 @@ pub struct ServeClient {
     setup: ServerSetup,
     e_bits: Vec<Vec<bool>>,
     samples: usize,
-    epoch: Instant,
     start: Instant,
     addr: String,
     model_name: String,
@@ -417,7 +416,6 @@ impl ServeClient {
                         setup,
                         e_bits: vec![model.weight_bits.clone()],
                         samples: model.demo.dataset.len(),
-                        epoch: start,
                         start,
                         addr: addr.to_string(),
                         model_name: model.demo.name.clone(),
@@ -556,9 +554,12 @@ impl ServeClient {
     /// One issue of a query on the current connection.
     fn try_query(&mut self, sample: usize, t0: Instant) -> Result<QueryOutcome, ServeError> {
         self.chan.send_u64(sample as u64)?;
-        let out =
-            self.session
-                .run_online(&mut self.chan, &mut self.setup, &self.e_bits, self.epoch)?;
+        let out = self.session.run_online(
+            &mut self.chan,
+            &mut self.setup,
+            &self.e_bits,
+            Instant::now(),
+        )?;
         let label = usize::try_from(self.chan.recv_u64()?)
             .map_err(|_| ServeError::Handshake("label does not fit a usize".to_string()))?;
         Ok(QueryOutcome {

@@ -59,8 +59,21 @@ pub mod registry;
 pub mod server;
 pub mod stats;
 
+use std::sync::{Mutex, MutexGuard};
+
 use deepsecure_core::protocol::ProtocolError;
 use deepsecure_ot::ChannelError;
+
+/// Locks with poison recovery. Every mutex in this crate guards plain
+/// data — stats, the session registry, pool queues, the resume stash, a
+/// thread handle — that stays valid after a panic in one holder, so a
+/// panicking session handler, fill worker or scrape handler must not wedge
+/// every later connection behind a `PoisonError`: the pool degrades to
+/// misses and the registry at worst keeps a stale entry the drain logic
+/// already tolerates.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Errors surfaced by the serving layer.
 #[derive(Debug)]

@@ -29,13 +29,8 @@ use std::time::Duration;
 use deepsecure_core::session::wire_metrics;
 use telemetry::prom::PromWriter;
 
+use crate::lock;
 use crate::server::ServerHandle;
-
-/// Locks with poison recovery (a panicking scrape handler must not wedge
-/// the stop path).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 /// Renders the full exposition document for one scrape.
 #[allow(clippy::cast_precision_loss)]

@@ -40,12 +40,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use workpool::ThreadPool;
 
-/// Locks with poison recovery: a fill worker that panicked mid-update must
-/// not wedge every later `take_*` behind a `PoisonError` — the pool
-/// degrades to misses, it never takes the serving path down with it.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
+use crate::lock;
 
 /// Default `material_cap_bytes`: per-instance garbled material above 64
 /// MiB is streamed live instead of pooled (tiny models sit comfortably

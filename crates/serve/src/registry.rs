@@ -9,15 +9,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
-/// Locks with poison recovery: a panicking session handler must not wedge
-/// registration for every later connection — the map holds plain data, so
-/// the worst a panicked writer leaves behind is a stale entry the drain
-/// logic already tolerates.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
+use crate::lock;
 
 /// Registry of live sessions: server-assigned ID → pinned model.
 #[derive(Debug, Default)]

@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use deepsecure_core::protocol::InferenceConfig;
@@ -31,6 +31,7 @@ use deepsecure_core::session::{ClientSession, ClientSetup};
 use deepsecure_ot::{Channel, FramedChannel, TcpChannel};
 
 use crate::demo::{self, DemoModel};
+use crate::lock;
 use crate::pool::{PoolStats, PrecomputePool};
 use crate::proto;
 use crate::registry::SessionRegistry;
@@ -118,12 +119,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Locks with poison recovery: a panicking session handler must not wedge
-/// the stats for every later connection.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// One hosted model plus its precomputed per-sample garbler input bits.
 struct HostedModel {
     demo: DemoModel,
@@ -136,7 +131,6 @@ struct StashedSession {
     token: u64,
     model: String,
     setup: ClientSetup,
-    epoch: Instant,
 }
 
 /// Most stashed sessions kept; beyond it the oldest (lowest session ID)
@@ -654,21 +648,20 @@ fn serve_session(shared: &Shared, stream: TcpStream) -> Result<(), ServeError> {
     let mut chan = framed.into_inner();
 
     let session = ClientSession::new(Arc::clone(&hosted.demo.compiled), &shared.cfg);
-    let (mut setup, epoch) = match resumed_state {
+    let mut setup = match resumed_state {
         // Resumed: the stashed extension state picks up exactly where it
         // left off — zero base-OT group operations, zero extra flights.
-        Some(s) => (s.setup, s.epoch),
+        Some(s) => s.setup,
         None => {
             // One-time setup: the precomputed keypairs keep the offline
             // half of the group work off the wire path; only the two
             // batched flights remain.
-            let epoch = Instant::now();
             let pre = shared.pool.take_base();
             let t_setup = Instant::now();
-            let setup = session.setup_with(&mut chan, pre, epoch)?;
+            let setup = session.setup_with(&mut chan, pre)?;
             lock(&shared.stats)
                 .record_setup(t_setup.elapsed().as_secs_f64(), setup.base_ot_bytes());
-            (setup, epoch)
+            setup
         }
     };
 
@@ -679,7 +672,6 @@ fn serve_session(shared: &Shared, stream: TcpStream) -> Result<(), ServeError> {
         &mut setup,
         hosted,
         &hello.model,
-        epoch,
     );
     if let Err(e) = result {
         // A death at a batch boundary leaves the extension state intact;
@@ -693,7 +685,6 @@ fn serve_session(shared: &Shared, stream: TcpStream) -> Result<(), ServeError> {
                     token,
                     model: hello.model.clone(),
                     setup,
-                    epoch,
                 },
             );
         }
@@ -710,7 +701,6 @@ fn session_request_loop(
     setup: &mut ClientSetup,
     hosted: &HostedModel,
     model_name: &str,
-    epoch: Instant,
 ) -> Result<(), ServeError> {
     loop {
         let req = chan.recv_u64()?;
@@ -731,9 +721,9 @@ fn session_request_loop(
                 "model {model_name:?} disappeared from the precompute pool mid-session"
             ))
         })?;
-        let g_bits = &hosted.input_bits[idx];
+        let g_bits = std::slice::from_ref(&hosted.input_bits[idx]);
         let t_online = Instant::now();
-        let out = session.run_online(chan, setup, material, std::slice::from_ref(g_bits), epoch)?;
+        let out = session.run_online(chan, setup, material, g_bits, Instant::now())?;
         chan.send_u64(out.label as u64)?;
         chan.flush()?;
         lock(&shared.stats).record_request(
@@ -800,7 +790,6 @@ mod tests {
             token: 1,
             model: "mac".to_string(),
             setup,
-            epoch,
         };
         stash_for_resume(&resume, 5, stash);
         let mut resumed = lock(&resume).remove(&5).expect("stashed");

@@ -129,7 +129,7 @@ fn run(args: &[String]) -> Result<(), String> {
         trace_out,
     } = parse(args)?;
     if trace_out.is_some() {
-        let _ = trace::start();
+        trace::start();
     }
     eprintln!(
         "serve: building {} (training + compiling at startup)…",
@@ -169,8 +169,7 @@ fn run(args: &[String]) -> Result<(), String> {
         m.stop();
     }
     if let Some(path) = &trace_out {
-        // No report.* track: the sessions' umbrella spans are the record.
-        trace::write_trace(path, "serve", 0, &[])?;
+        trace::write_trace(path, "serve")?;
         eprintln!("serve: wrote trace to {path}");
     }
     println!("serve: final stats\n{}", stats.summary());

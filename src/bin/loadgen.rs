@@ -48,6 +48,7 @@ usage:
   loadgen --connect HOST:PORT --open-loop --rate R [--duration-s SECS]
           [--model NAME] [--check] [--json] [--seed S] [--threads N]
           [--chaos SEED:PROFILE] [--deadline-s SECS] [--io-timeout-ms MS]
+          [--trace-out FILE]
 
   --connect     the deepsecure_serve address
   --model       zoo model to query (default tiny_mlp)
@@ -301,22 +302,40 @@ fn run(args: &[String]) -> Result<(), String> {
         cli.model
     );
     let model = Arc::new(ClientModel::load(&cli.model)?);
-    if cli.open_loop {
-        return open_loop(&cli, &model);
+    if cli.trace_out.is_some() {
+        trace::start();
     }
-    closed_loop(&cli, &model)
+    let shape = if cli.open_loop {
+        open_loop(&cli, &model)
+    } else {
+        closed_loop(&cli, &model).map(|runs| (runs, Vec::new()))
+    };
+    // Written before the check: its in-memory replays are not the load.
+    if let Some(path) = &cli.trace_out {
+        trace::write_trace(path, "loadgen")?;
+        eprintln!("loadgen: wrote trace to {path}");
+    }
+    let (runs, failures) = shape?;
+    if cli.check {
+        check(&model, &runs)?;
+    }
+    match failures.first() {
+        Some(first) => Err(format!(
+            "{} arrivals failed (first: {first})",
+            failures.len()
+        )),
+        None => Ok(()),
+    }
 }
 
-fn closed_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
+/// Closed-loop mode: every client's sessions, once all have finished.
+fn closed_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<Vec<ClientRun>, String> {
     let samples = model.demo.dataset.len();
     println!(
         "loadgen: model {}, {} clients x {} requests ({} dataset samples)",
         cli.model, cli.clients, cli.requests, samples
     );
 
-    if cli.trace_out.is_some() {
-        let _ = trace::start();
-    }
     let wall = Instant::now();
     let workers: Vec<_> = (0..cli.clients)
         .map(|tid| {
@@ -338,11 +357,6 @@ fn closed_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
         runs.push(worker.join().map_err(|_| "client thread panicked")??);
     }
     let wall_s = wall.elapsed().as_secs_f64();
-    if let Some(path) = &cli.trace_out {
-        // No report.* track: the clients' umbrella spans are the record.
-        trace::write_trace(path, "loadgen", 0, &[])?;
-        eprintln!("loadgen: wrote trace to {path}");
-    }
 
     let n_requests = (cli.clients * cli.requests) as f64;
     let Tally {
@@ -394,11 +408,7 @@ fn closed_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
         );
     }
     print_histogram(&online_us);
-
-    if cli.check {
-        check(model, &runs)?;
-    }
-    Ok(())
+    Ok(runs)
 }
 
 /// How one open-loop arrival ended.
@@ -413,9 +423,10 @@ enum Arrival {
 
 /// Open-loop mode: sessions arrive by a seeded Poisson process for
 /// `--duration-s`, one query each, regardless of how fast the server
-/// drains them. Every arrival is accounted: completed, shed, or failed.
+/// drains them. Every arrival is accounted: the completed sessions and
+/// why each failed one failed come back, and the rest were shed.
 #[allow(clippy::too_many_lines)]
-fn open_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
+fn open_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(Vec<ClientRun>, Vec<String>), String> {
     let samples = model.demo.dataset.len();
     println!(
         "loadgen: open loop, model {}, {:.1} arrivals/s for {:.1} s ({} dataset samples)",
@@ -523,13 +534,7 @@ fn open_loop(cli: &Cli, model: &Arc<ClientModel>) -> Result<(), String> {
             offline_mean,
         );
     }
-    if cli.check {
-        check(model, &completed)?;
-    }
-    if !failures.is_empty() {
-        return Err(format!("{failed} arrivals failed (first: {})", failures[0]));
-    }
-    Ok(())
+    Ok((completed, failures))
 }
 
 /// A seeded exponential inter-arrival draw: `-ln(U)/rate`, the gap

@@ -197,5 +197,5 @@ fn streamed_dense_layer_on_folded_mac() {
         assert_eq!(got, want, "neuron {o}");
     }
     // The whole layer used one constant-size table bundle per cycle.
-    assert_eq!(report.cycles.len(), inputs.len() * weights.len());
+    assert_eq!(report.cycle_labels.len(), inputs.len() * weights.len());
 }
