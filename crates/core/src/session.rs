@@ -82,7 +82,12 @@
 //! Time is recorded once, as telemetry spans: `client.base_ot` /
 //! `server.base_ot` around the setups, one `client.garble` per garbled
 //! cycle and one `server.eval` per evaluated cycle (the Fig. 5 windows),
-//! and a span per metered wire step inside them. With the sink enabled
+//! and a span per metered wire step inside them. Every path opens a
+//! cycle's `client.garble` where that cycle's garbling begins
+//! ([`Garbler::begin_cycle`] / [`Garbler::garble_cycle`]), so in the
+//! labels-first order the span encloses the cycle's `client.input_labels`
+//! and `client.ot_ext` steps, and no cycle's `server.eval` starts before
+//! its `client.garble`. With the sink enabled
 //! (`telemetry::set_enabled`) they are the run's timeline; disabled, each
 //! costs one relaxed atomic load.
 //!
@@ -574,8 +579,9 @@ impl CycleTables<'_, '_> {
     }
 
     /// The table step: ships the cycle's tables as its [`chunk_sizes`]
-    /// chunks. A live source garbles each chunk right before it goes out,
-    /// and the cycle's `client.garble` span covers that interleaving.
+    /// chunks. A live source garbles each chunk right before it goes out;
+    /// the cycle's `client.garble` span, which `run_online` opens at
+    /// `begin_cycle`, covers that interleaving.
     fn ship<C: Channel>(
         &mut self,
         run: &mut Online<'_, C>,
@@ -595,7 +601,6 @@ impl CycleTables<'_, '_> {
                 }
             }
             CycleTables::Live(cycle) => {
-                let _garble = telemetry::span!("client.garble");
                 let nonfree = cycle.remaining_nonfree();
                 let mut buf: Vec<Block> = Vec::with_capacity(2 * chunk_gates.min(nonfree));
                 for k in chunk_sizes(nonfree, chunk_gates) {
@@ -752,6 +757,7 @@ impl ClientSession {
         let mut cycle_labels = Vec::with_capacity(garbler_bits_per_cycle.len());
         for (i, g_bits) in garbler_bits_per_cycle.iter().enumerate() {
             let whole;
+            let mut live_garble = None;
             let mut tables = match &mut live {
                 None => CycleTables::Stored(&stored[i]),
                 // Nothing precedes a whole-cycle chunk on the wire, so the
@@ -763,7 +769,12 @@ impl ClientSession {
                     run.resident(whole.tables.len());
                     CycleTables::Stored(&whole)
                 }
-                Some((garbler, rng)) => CycleTables::Live(garbler.begin_cycle(rng)),
+                // Garbling begins at `begin_cycle`, so the cycle's span
+                // opens there and encloses its labels and OT extension.
+                Some((garbler, rng)) => {
+                    live_garble = Some(telemetry::span!("client.garble"));
+                    CycleTables::Live(garbler.begin_cycle(rng))
+                }
             };
             if i == 0 {
                 let [const0, const1] = tables.constant_labels();
@@ -786,6 +797,7 @@ impl ClientSession {
                 tables.ship(&mut run, chunk_gates)?;
             }
             let output_decode = tables.finish();
+            drop(live_garble);
             let colors = run.spanned("client.turnaround", Phase::OutputBits, |chan| {
                 chan.recv_bits()
             })?;

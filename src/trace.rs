@@ -9,7 +9,13 @@
 //! The spans are the protocol's one timeline: the per-cycle umbrella
 //! spans (`client.garble`, `server.eval`), the base-OT set-ups and the
 //! fine-grained steps inside them (per-chunk garbling, table transfer, OT
-//! extension, turnarounds). `fig5` draws the Fig. 5 chart from the same
+//! extension, turnarounds). A cycle's `client.garble` opens where its
+//! garbling begins: around `garble_cycle` when the tables go first, and
+//! at `begin_cycle` when the cycle streams labels first, so the streamed
+//! window encloses the cycle's input-label and OT-extension steps and
+//! closes after its last chunk has shipped. `tests/telemetry.rs` requires
+//! each cycle's `client.garble` to start no later than its `server.eval`,
+//! in both wire orders. `fig5` draws the Fig. 5 chart from the same
 //! spans, and `trace_view` tabulates a written file.
 
 /// Enables the span sink: every span from here on is recorded until
