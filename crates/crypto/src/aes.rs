@@ -9,9 +9,9 @@
 //!
 //! * **AES-NI** on x86_64 when `is_x86_feature_detected!` sees `aes` and
 //!   `sse4.1`: ten `aesenc` rounds with up to eight independent blocks in
-//!   flight. The rounds are safe `#[target_feature]` functions; the one
-//!   `unsafe` block in the workspace is the call into them, guarded by that
-//!   runtime check (see `hardware`).
+//!   flight. The rounds are safe `#[target_feature]` functions; the calls
+//!   into them are the workspace's only `unsafe` code, all in `hardware`
+//!   under one `allow`, guarded by that runtime check.
 //! * **T-tables** everywhere else (and through [`Aes128::portable`]): a
 //!   32-bit implementation, four 1 KiB tables folding SubBytes + ShiftRows
 //!   + MixColumns into one lookup per state byte.
@@ -21,15 +21,19 @@
 //! implementation — is the oracle both are property-tested against
 //! (FIPS-197 vectors plus random-block equivalence).
 //!
-//! A `#[target_feature]` function cannot inline into its callers, so the
-//! batch entry points ([`Aes128::encrypt_slice`],
-//! [`Aes128::encrypt_blocks`]) exist to amortise that one call over many
-//! blocks; callers with several independent blocks should hand them over
-//! together.
+//! A `#[target_feature]` function inlines only into callers compiled with
+//! the same features. Hot loops therefore come in two shapes: batch entry
+//! points ([`Aes128::encrypt_slice`], [`Aes128::encrypt_blocks`]) that pay
+//! one call for many blocks, and a whole loop handed over as a
+//! [`GateWalk`] and compiled into a `#[target_feature]` frame
+//! ([`crate::FixedKeyHash::run`]), where every hash of the loop inlines.
 //!
 //! The T-table path is not constant-time; within the garbling model the key
 //! and inputs are public, so cache-timing on the tables leaks nothing the
 //! adversary does not already know.
+
+use crate::hash::{GateHash, GateWalk};
+use crate::Block;
 
 /// AES S-box (shared by the key schedules, the T-table final round, and the
 /// reference implementation).
@@ -193,6 +197,17 @@ impl Aes128 {
             Backend::Hardware(hw) => hw.encrypt_slice(blocks),
         }
     }
+
+    /// Runs `walk` with this cipher's backend as its [`GateHash`] kernel;
+    /// see [`crate::FixedKeyHash::run`].
+    #[inline]
+    pub(crate) fn run<W: GateWalk>(&self, walk: W) -> W::Output {
+        match &self.backend {
+            Backend::Portable(p) => walk.walk(p),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hardware(hw) => hw.run(walk),
+        }
+    }
 }
 
 #[inline]
@@ -327,13 +342,29 @@ impl Portable {
     }
 }
 
-/// The AES-NI backend, and the workspace's one `unsafe` block.
+/// The T-table kernel: the batch path, one hash call at a time.
+impl GateHash for Portable {
+    #[inline]
+    fn permute_xor<const N: usize>(&self, x: [Block; N]) -> [Block; N] {
+        let mut pt = x.map(Block::to_bytes);
+        self.encrypt_slice(&mut pt);
+        core::array::from_fn(|i| x[i] ^ Block::from_bytes(pt[i]))
+    }
+}
+
+/// The AES-NI backend: the workspace's only `unsafe` code, three calls
+/// into `#[target_feature]` functions, each justified by the runtime check
+/// a [`Hardware`](hardware::Hardware) value stands for.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod hardware {
     use core::arch::x86_64::{
         __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_extract_epi64, _mm_set_epi64x,
         _mm_xor_si128,
     };
+
+    use crate::hash::{GateHash, GateWalk};
+    use crate::Block;
 
     /// Round keys for the AES-NI rounds, in block byte order. A value of
     /// this type is the proof that the CPU has `aes`, `sse2` and `sse4.1`:
@@ -372,27 +403,96 @@ mod hardware {
             // CPU features and nothing else. `self` can only have come from
             // `Hardware::new`, which returns `None` unless
             // `is_x86_feature_detected!` reported all three on this CPU.
-            #[allow(unsafe_code)]
-            unsafe {
-                encrypt_slice(&self.round_keys, blocks)
-            }
+            unsafe { encrypt_slice(&self.round_keys, blocks) }
         }
+
+        #[inline]
+        pub(super) fn run<W: GateWalk>(&self, walk: W) -> W::Output {
+            // SAFETY: `run` needs `aes`, `sse2` and `sse4.1`, which a
+            // `Hardware` proves this CPU has (see `encrypt_slice` above).
+            unsafe { run(&self.round_keys, walk) }
+        }
+    }
+
+    /// The AES-NI kernel: the round keys, loaded once per walk. Like a
+    /// [`Hardware`], a value is the proof that the CPU has `aes`, `sse2`
+    /// and `sse4.1`: only [`run`] builds one, from a `Hardware`'s keys.
+    struct Kernel {
+        keys: [__m128i; 11],
+    }
+
+    impl GateHash for Kernel {
+        #[inline(always)]
+        fn permute_xor<const N: usize>(&self, x: [Block; N]) -> [Block; N] {
+            // SAFETY: `permute_xor` needs `aes`, `sse2` and `sse4.1`; a
+            // `Kernel` exists only inside `run`, which only a `Hardware`
+            // reaches, so this CPU has all three.
+            unsafe { permute_xor(&self.keys, x) }
+        }
+    }
+
+    /// The walk's frame: compiled with the AES features, so the walk — an
+    /// `#[inline]` generic — and every [`permute_xor`] it makes inline
+    /// into one function, the round keys held in registers throughout.
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    fn run<W: GateWalk>(round_keys: &[[u8; 16]; 11], walk: W) -> W::Output {
+        walk.walk(&Kernel {
+            keys: load_keys(round_keys),
+        })
+    }
+
+    /// `x ↦ π(x) ⊕ x` on `N` blocks, in registers.
+    #[inline]
+    #[target_feature(enable = "aes,sse2,sse4.1")]
+    fn permute_xor<const N: usize>(keys: &[__m128i; 11], x: [Block; N]) -> [Block; N] {
+        let mut state = [keys[0]; N];
+        for (s, b) in state.iter_mut().zip(&x) {
+            *s = to_reg(b.as_u128());
+        }
+        let state = rounds(keys, state);
+        let mut out = x;
+        for (o, s) in out.iter_mut().zip(&state) {
+            *o ^= Block::from(from_reg(*s));
+        }
+        out
+    }
+
+    /// A block's `u128` value is the register's two little-endian lanes.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn to_reg(v: u128) -> __m128i {
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2,sse4.1")]
+    fn from_reg(x: __m128i) -> u128 {
+        let lo = _mm_extract_epi64::<0>(x) as u64;
+        let hi = _mm_extract_epi64::<1>(x) as u64;
+        u128::from(hi) << 64 | u128::from(lo)
     }
 
     /// Block bytes in memory order are the register's little-endian lanes.
     #[inline]
     #[target_feature(enable = "sse2")]
     fn load(block: &[u8; 16]) -> __m128i {
-        let v = u128::from_le_bytes(*block);
-        _mm_set_epi64x((v >> 64) as i64, v as i64)
+        to_reg(u128::from_le_bytes(*block))
     }
 
     #[inline]
     #[target_feature(enable = "sse2,sse4.1")]
     fn store(x: __m128i) -> [u8; 16] {
-        let lo = _mm_extract_epi64::<0>(x) as u64;
-        let hi = _mm_extract_epi64::<1>(x) as u64;
-        (u128::from(hi) << 64 | u128::from(lo)).to_le_bytes()
+        from_reg(x).to_le_bytes()
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load_keys(round_keys: &[[u8; 16]; 11]) -> [__m128i; 11] {
+        let mut keys = [load(&round_keys[0]); 11];
+        for (key, bytes) in keys.iter_mut().zip(round_keys) {
+            *key = load(bytes);
+        }
+        keys
     }
 
     /// Eight blocks per pass while they last (`aesenc` has a latency of a
@@ -400,11 +500,7 @@ mod hardware {
     /// hide each other's latency), then one pass each of 4, 2 and 1.
     #[target_feature(enable = "aes,sse2,sse4.1")]
     fn encrypt_slice(round_keys: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
-        let mut keys = [load(&round_keys[0]); 11];
-        for (key, bytes) in keys.iter_mut().zip(round_keys) {
-            *key = load(bytes);
-        }
-        let keys = &keys;
+        let keys = &load_keys(round_keys);
         let mut wide = blocks.chunks_exact_mut(8);
         for chunk in &mut wide {
             pass::<8>(keys, chunk);
@@ -432,16 +528,30 @@ mod hardware {
     fn pass<const N: usize>(keys: &[__m128i; 11], blocks: &mut [[u8; 16]]) {
         let mut state = [keys[0]; N];
         for (s, block) in state.iter_mut().zip(blocks.iter()) {
-            *s = _mm_xor_si128(load(block), keys[0]);
+            *s = load(block);
+        }
+        let state = rounds(keys, state);
+        for (s, block) in state.iter().zip(blocks.iter_mut()) {
+            *block = store(*s);
+        }
+    }
+
+    /// AES-128 encryption of `N` independent blocks, round by round.
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    fn rounds<const N: usize>(keys: &[__m128i; 11], mut state: [__m128i; N]) -> [__m128i; N] {
+        for s in &mut state {
+            *s = _mm_xor_si128(*s, keys[0]);
         }
         for key in &keys[1..10] {
             for s in &mut state {
                 *s = _mm_aesenc_si128(*s, *key);
             }
         }
-        for (s, block) in state.iter().zip(blocks.iter_mut()) {
-            *block = store(_mm_aesenclast_si128(*s, keys[10]));
+        for s in &mut state {
+            *s = _mm_aesenclast_si128(*s, keys[10]);
         }
+        state
     }
 }
 

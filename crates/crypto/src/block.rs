@@ -58,6 +58,14 @@ impl Block {
         Block((self.0 & !1) | u128::from(bit))
     }
 
+    /// `self` when `bit` is set and zero otherwise, through an all-ones or
+    /// all-zero mask rather than a branch: the gate walks' colour-bit
+    /// selects, so their control flow does not depend on a label.
+    #[inline]
+    pub fn masked(self, bit: bool) -> Block {
+        Block(self.0 & u128::from(bit).wrapping_neg())
+    }
+
     /// Doubling in GF(2^128) with the canonical reduction polynomial
     /// `x^128 + x^7 + x^2 + x + 1`; used to derive the tweakable hash input
     /// `2L` without losing entropy to simple shifts.
@@ -163,6 +171,14 @@ mod tests {
         for _ in 0..64 {
             assert!(Block::random_delta(&mut rng).color());
         }
+    }
+
+    #[test]
+    fn masked_keeps_or_clears_every_bit() {
+        let b = Block::from(0x8000_0000_0000_0000_0000_0000_0000_0001_u128);
+        assert_eq!(b.masked(true), b);
+        assert_eq!(b.masked(false), Block::ZERO);
+        assert_eq!(Block::ONES.masked(true), Block::ONES);
     }
 
     #[test]

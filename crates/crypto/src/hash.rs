@@ -73,38 +73,32 @@ impl FixedKeyHash {
     /// Hashes a single label under tweak `tweak`.
     #[inline]
     pub fn hash(&self, label: Block, tweak: u64) -> Block {
-        let x = label.gf_double() ^ Block::from(u128::from(tweak));
+        let x = hash_input(label, tweak);
         let y = Block::from_bytes(self.cipher.encrypt_block(x.to_bytes()));
         y ^ x
     }
 
-    /// Hashes `N` labels in one batched AES pass; bit-identical to `N`
-    /// scalar [`FixedKeyHash::hash`] calls.
-    ///
-    /// The garbler uses `N = 4` (an AND gate needs exactly the four hashes
-    /// `hg0/hg1/he0/he1`) and the evaluator `N = 2` (one hash per half
-    /// gate); batching lets the independent AES rounds pipeline instead of
-    /// serializing block by block.
+    /// Batched hash of the four labels one AND gate consumes
+    /// (`hg0/hg1/he0/he1`); bit-identical to four scalar
+    /// [`FixedKeyHash::hash`] calls. The gate walks hash through
+    /// [`FixedKeyHash::run`] instead; this is the one-call form.
     #[inline]
-    pub fn hash_batch<const N: usize>(&self, labels: [Block; N], tweaks: [u64; N]) -> [Block; N] {
-        let mut x: [Block; N] =
-            core::array::from_fn(|i| labels[i].gf_double() ^ Block::from(u128::from(tweaks[i])));
-        self.permute_xor(&mut x, &mut [[0u8; 16]; N]);
+    pub fn hash4(&self, labels: [Block; 4], tweaks: [u64; 4]) -> [Block; 4] {
+        let mut x: [Block; 4] = core::array::from_fn(|i| hash_input(labels[i], tweaks[i]));
+        self.permute_xor(&mut x, &mut [[0u8; 16]; 4]);
         x
     }
 
-    /// Batched hash of the four labels one AND gate consumes
-    /// (`hg0/hg1/he0/he1`); see [`FixedKeyHash::hash_batch`].
+    /// Runs `walk` with this hash's AES backend as a [`GateHash`] kernel —
+    /// how a party's gate walk hashes. On AES-NI the whole walk is compiled
+    /// into one `#[target_feature]` frame: the round keys stay in
+    /// registers for the call and `2L ⊕ T(t)`, the ten rounds and the
+    /// feed-forward XOR inline into the walk. On the T-tables it runs as
+    /// ordinary code. Either way every hash is bit-identical to
+    /// [`FixedKeyHash::hash`].
     #[inline]
-    pub fn hash4(&self, labels: [Block; 4], tweaks: [u64; 4]) -> [Block; 4] {
-        self.hash_batch(labels, tweaks)
-    }
-
-    /// Batched hash of the two labels the evaluator's half-gates step
-    /// consumes; see [`FixedKeyHash::hash_batch`].
-    #[inline]
-    pub fn hash2(&self, labels: [Block; 2], tweaks: [u64; 2]) -> [Block; 2] {
-        self.hash_batch(labels, tweaks)
+    pub fn run<W: GateWalk>(&self, walk: W) -> W::Output {
+        self.cipher.run(walk)
     }
 
     /// Hashes every label of `labels` in place under the tweak at the same
@@ -123,18 +117,10 @@ impl FixedKeyHash {
         let mut pt = [[0u8; 16]; MANY_WIDTH];
         for (xs, ts) in labels.chunks_mut(MANY_WIDTH).zip(tweaks.chunks(MANY_WIDTH)) {
             for (x, &t) in xs.iter_mut().zip(ts) {
-                *x = x.gf_double() ^ Block::from(u128::from(t));
+                *x = hash_input(*x, t);
             }
             self.permute_xor(xs, &mut pt);
         }
-    }
-
-    /// Hashes two labels jointly (used by 4-row garbling schemes and tests):
-    /// `H(A, B, t) = π(4A ⊕ 2B ⊕ T(t)) ⊕ (4A ⊕ 2B ⊕ T(t))`.
-    pub fn hash_pair(&self, a: Block, b: Block, tweak: u64) -> Block {
-        let x = a.gf_double().gf_double() ^ b.gf_double() ^ Block::from(u128::from(tweak));
-        let y = Block::from_bytes(self.cipher.encrypt_block(x.to_bytes()));
-        y ^ x
     }
 
     /// Hashes an arbitrary byte string to one block via Matyas–Meyer–Oseas
@@ -163,6 +149,39 @@ impl Default for FixedKeyHash {
     }
 }
 
+/// The cipher input of `H(L, t)`: `2L ⊕ T(t)`.
+#[inline(always)]
+fn hash_input(label: Block, tweak: u64) -> Block {
+    label.gf_double() ^ Block::from(u128::from(tweak))
+}
+
+/// One AES backend's fixed-key hash as a gate walk sees it: the kernel
+/// [`FixedKeyHash::run`] hands to a [`GateWalk`].
+pub trait GateHash {
+    /// `x ↦ π(x) ⊕ x` on each of `N` blocks: the backend's part of the
+    /// hash.
+    fn permute_xor<const N: usize>(&self, x: [Block; N]) -> [Block; N];
+
+    /// `H(L, t)` of `N` labels at once; bit-identical to `N` scalar
+    /// [`FixedKeyHash::hash`] calls. The garbler hashes four labels per
+    /// AND gate, the evaluator two.
+    #[inline(always)]
+    fn hash<const N: usize>(&self, labels: [Block; N], tweaks: [u64; N]) -> [Block; N] {
+        self.permute_xor(core::array::from_fn(|i| hash_input(labels[i], tweaks[i])))
+    }
+}
+
+/// Code that hashes through whichever [`GateHash`] kernel this CPU's AES
+/// backend provides — a party's gate walk, written once and compiled once
+/// per kernel. Run it with [`FixedKeyHash::run`].
+pub trait GateWalk {
+    /// What the walk returns.
+    type Output;
+
+    /// Runs the walk with `hash` as its fixed-key hash.
+    fn walk<H: GateHash>(self, hash: &H) -> Self::Output;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,14 +196,6 @@ mod tests {
     fn label_sensitivity() {
         let h = FixedKeyHash::new();
         assert_ne!(h.hash(Block::from(1u128), 0), h.hash(Block::from(2u128), 0));
-    }
-
-    #[test]
-    fn pair_order_matters() {
-        let h = FixedKeyHash::new();
-        let a = Block::from(0xaaaa_u128);
-        let b = Block::from(0xbbbb_u128);
-        assert_ne!(h.hash_pair(a, b, 0), h.hash_pair(b, a, 0));
     }
 
     proptest::proptest! {
@@ -233,13 +244,31 @@ mod tests {
     }
 
     #[test]
-    fn hash2_equals_two_scalar_hashes() {
-        let h = FixedKeyHash::new();
-        let ls = [Block::from(0x1234_u128), Block::from(0x5678_u128)];
-        let ts = [7u64, 8u64];
-        let batched = h.hash2(ls, ts);
-        assert_eq!(batched[0], h.hash(ls[0], ts[0]));
-        assert_eq!(batched[1], h.hash(ls[1], ts[1]));
+    fn kernels_hash_like_the_scalar_hash_on_both_backends() {
+        // What `run` hands a walk, at the garbler's and the evaluator's
+        // batch widths; the portable scalar hash is the reference.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        struct Walk([Block; 4], [u64; 4]);
+        impl GateWalk for Walk {
+            type Output = ([Block; 4], [Block; 2]);
+            fn walk<H: GateHash>(self, hash: &H) -> Self::Output {
+                let Walk(l, t) = self;
+                (hash.hash(l, t), hash.hash([l[0], l[1]], [t[0], t[1]]))
+            }
+        }
+        let portable = FixedKeyHash::portable();
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..64 {
+            let labels: [Block; 4] = core::array::from_fn(|_| Block::random(&mut rng));
+            let tweaks: [u64; 4] = core::array::from_fn(|_| rng.gen());
+            let want: [Block; 4] = core::array::from_fn(|i| portable.hash(labels[i], tweaks[i]));
+            for hash in [FixedKeyHash::new(), FixedKeyHash::portable()] {
+                let (four, two) = hash.run(Walk(labels, tweaks));
+                assert_eq!(four, want, "{}", hash.backend_name());
+                assert_eq!(two, [want[0], want[1]], "{}", hash.backend_name());
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //!   property-test oracle for both.
 //! * [`FixedKeyHash`] — the correlation-robust hash
 //!   `H(L, t) = π(2L ⊕ t) ⊕ 2L` used by half-gates garbling and by the
-//!   IKNP OT extension, with batched variants ([`FixedKeyHash::hash4`] for
-//!   the garbler's four hashes per AND gate, [`FixedKeyHash::hash2`] for
-//!   the evaluator's two, [`FixedKeyHash::hash_many`] for a tile of OT
-//!   rows) that ride the multi-block AES.
+//!   IKNP OT extension. [`FixedKeyHash::run`] runs a whole gate walk (a
+//!   [`GateWalk`]) against the backend's [`GateHash`] kernel, inside one
+//!   `#[target_feature]` frame on AES-NI; [`FixedKeyHash::hash4`] and
+//!   [`FixedKeyHash::hash_many`] (a tile of OT rows) ride the multi-block
+//!   AES one call at a time.
 //! * [`Prg`] — an AES-CTR pseudorandom generator for label sampling and OT
 //!   extension matrices.
 //!
@@ -39,5 +40,5 @@ mod hash;
 mod prg;
 
 pub use block::Block;
-pub use hash::FixedKeyHash;
+pub use hash::{FixedKeyHash, GateHash, GateWalk};
 pub use prg::Prg;

@@ -1,5 +1,5 @@
-use deepsecure_circuit::{Circuit, GateKind, CONST_0, CONST_1};
-use deepsecure_crypto::{Block, FixedKeyHash};
+use deepsecure_circuit::{Circuit, Gate, GateKind, CONST_0, CONST_1};
+use deepsecure_crypto::{Block, FixedKeyHash, GateHash, GateWalk};
 
 /// The evaluation state machine (the server/Bob role in DeepSecure).
 ///
@@ -57,6 +57,14 @@ impl<'c> Evaluator<'c> {
     /// [`Evaluator::begin_cycle`] for why stale contents are harmless).
     pub fn with_labels(mut self, labels: Vec<Block>) -> Self {
         self.labels = labels;
+        self
+    }
+
+    /// Swaps the fixed-key hash for `hash` — how the kernel-equivalence
+    /// test runs the T-table kernel on an AES-NI host.
+    #[cfg(test)]
+    pub(crate) fn with_hash(mut self, hash: FixedKeyHash) -> Self {
+        self.hash = hash;
         self
     }
 
@@ -222,57 +230,18 @@ impl CycleEval<'_, '_> {
     /// the material allows: every free gate, plus each non-free gate whose
     /// two rows are available.
     pub fn feed(&mut self, tables: &[Block]) {
-        let mut pos = 0usize;
         let ev = &mut *self.evaluator;
-        let gates = ev.circuit.gates();
-        let labels = &mut self.labels;
-        while self.next_gate < gates.len() {
-            let gate = &gates[self.next_gate];
-            let a = labels[gate.a.index()];
-            let b = labels[gate.b.index()];
-            let out = match gate.kind {
-                GateKind::Xor | GateKind::Xnor => a ^ b,
-                GateKind::Not | GateKind::Buf => a,
-                kind => {
-                    // Half-gates evaluation; input/output inversions are
-                    // garbler-side bookkeeping, invisible here.
-                    let _ = kind;
-                    // Assemble the row pair from the orphan (if any) plus
-                    // the fed slice; rows are never copied ahead of use.
-                    debug_assert!(self.pending.len() <= 1, "orphan invariant");
-                    let avail = self.pending.len() + (tables.len() - pos);
-                    if avail < 2 {
-                        // Blocked on material still in flight.
-                        break;
-                    }
-                    let (table_g, table_e) = if let Some(&orphan) = self.pending.first() {
-                        self.pending.clear();
-                        pos += 1;
-                        (orphan, tables[pos - 1])
-                    } else {
-                        pos += 2;
-                        (tables[pos - 2], tables[pos - 1])
-                    };
-                    let t_g = ev.tweak;
-                    let t_e = ev.tweak + 1;
-                    ev.tweak += 2;
-                    // Both half-gate hashes in one batched AES pass.
-                    let [mut w_g, mut w_e] = ev.hash.hash2([a, b], [t_g, t_e]);
-                    if a.color() {
-                        w_g ^= table_g;
-                    }
-                    if b.color() {
-                        w_e ^= table_e ^ a;
-                    }
-                    w_g ^ w_e
-                }
-            };
-            labels[gate.out.index()] = out;
-            self.next_gate += 1;
-        }
+        let used = ev.hash.run(EvalWalk {
+            gates: ev.circuit.gates(),
+            tweak: &mut ev.tweak,
+            labels: &mut self.labels,
+            next_gate: &mut self.next_gate,
+            pending: &mut self.pending,
+            tables,
+        });
         // Stash the unconsumed tail: at most one row while gates remain;
         // everything left over (an error) once the gate walk is complete.
-        self.pending.extend_from_slice(&tables[pos..]);
+        self.pending.extend_from_slice(&tables[used..]);
     }
 
     /// Whether every gate of the cycle has been evaluated.
@@ -318,6 +287,74 @@ impl CycleEval<'_, '_> {
             .collect();
         ev.labels = labels;
         outputs
+    }
+}
+
+/// The evaluator's gate walk over one feed: every gate from `next_gate` on
+/// until the walk completes or a non-free gate lacks its two rows.
+/// [`FixedKeyHash::run`] compiles it once per hash kernel; it returns how
+/// many rows of `tables` it consumed.
+struct EvalWalk<'w> {
+    gates: &'w [Gate],
+    tweak: &'w mut u64,
+    labels: &'w mut [Block],
+    next_gate: &'w mut usize,
+    /// The orphan row a previous feed left, if any.
+    pending: &'w mut Vec<Block>,
+    tables: &'w [Block],
+}
+
+impl GateWalk for EvalWalk<'_> {
+    type Output = usize;
+
+    #[inline(always)]
+    fn walk<H: GateHash>(self, hash: &H) -> usize {
+        let (gates, labels, tables) = (self.gates, self.labels, self.tables);
+        let mut tweak = *self.tweak;
+        let mut next = *self.next_gate;
+        let mut pos = 0usize;
+        while next < gates.len() {
+            let gate = &gates[next];
+            let a = labels[gate.a.index()];
+            let b = labels[gate.b.index()];
+            let out = match gate.kind {
+                GateKind::Xor | GateKind::Xnor => a ^ b,
+                GateKind::Not | GateKind::Buf => a,
+                // Half-gates evaluation; input/output inversions are
+                // garbler-side bookkeeping, invisible here.
+                _ => {
+                    // Assemble the row pair from the orphan (if any) plus
+                    // the fed slice; rows are never copied ahead of use.
+                    debug_assert!(self.pending.len() <= 1, "orphan invariant");
+                    let avail = self.pending.len() + (tables.len() - pos);
+                    if avail < 2 {
+                        // Blocked on material still in flight.
+                        break;
+                    }
+                    let (table_g, table_e) = if let Some(&orphan) = self.pending.first() {
+                        self.pending.clear();
+                        pos += 1;
+                        (orphan, tables[pos - 1])
+                    } else {
+                        pos += 2;
+                        (tables[pos - 2], tables[pos - 1])
+                    };
+                    let (t_g, t_e) = (tweak, tweak + 1);
+                    tweak += 2;
+                    // Both half-gate hashes in one batch; the colour-bit
+                    // selects are masks, not branches.
+                    let [h_g, h_e] = hash.hash([a, b], [t_g, t_e]);
+                    let w_g = h_g ^ table_g.masked(a.color());
+                    let w_e = h_e ^ (table_e ^ a).masked(b.color());
+                    w_g ^ w_e
+                }
+            };
+            labels[gate.out.index()] = out;
+            next += 1;
+        }
+        *self.tweak = tweak;
+        *self.next_gate = next;
+        pos
     }
 }
 

@@ -1,5 +1,5 @@
-use deepsecure_circuit::{Circuit, GateKind, CONST_0, CONST_1};
-use deepsecure_crypto::{Block, FixedKeyHash};
+use deepsecure_circuit::{Circuit, Gate, GateKind, CONST_0, CONST_1};
+use deepsecure_crypto::{Block, FixedKeyHash, GateHash, GateWalk};
 use rand::Rng;
 
 /// The material and label metadata for one garbled clock cycle.
@@ -117,6 +117,14 @@ impl<'c> Garbler<'c> {
         self
     }
 
+    /// Swaps the fixed-key hash for `hash` — how the kernel-equivalence
+    /// test runs the T-table kernel on an AES-NI host.
+    #[cfg(test)]
+    pub(crate) fn with_hash(mut self, hash: FixedKeyHash) -> Self {
+        self.hash = hash;
+        self
+    }
+
     /// Gives up the wire-label array for the next garbler's
     /// [`Garbler::with_labels`]. It holds this garbler's false labels:
     /// keep it inside the garbling party.
@@ -218,39 +226,6 @@ impl<'c> Garbler<'c> {
         }
     }
 
-    /// Half-gates AND garbling (Zahur–Rosulek–Evans): two ciphertexts,
-    /// returns the output false label. The four hashes an AND gate needs
-    /// (`hg0/hg1/he0/he1`) go through one batched AES pass.
-    fn garble_and(&mut self, a0: Block, b0: Block, tables: &mut Vec<Block>) -> Block {
-        let delta = self.delta;
-        let t_g = self.tweak;
-        let t_e = t_g + 1;
-        self.tweak += 2;
-        let p_a = a0.color();
-        let p_b = b0.color();
-        let a1 = a0 ^ delta;
-        let b1 = b0 ^ delta;
-        let [hg0, hg1, he0, he1] = self.hash.hash4([a0, a1, b0, b1], [t_g, t_g, t_e, t_e]);
-        // Generator half gate.
-        let mut table_g = hg0 ^ hg1;
-        if p_b {
-            table_g ^= delta;
-        }
-        let mut w_g = hg0;
-        if p_a {
-            w_g ^= table_g;
-        }
-        // Evaluator half gate.
-        let table_e = he0 ^ he1 ^ a0;
-        let mut w_e = he0;
-        if p_b {
-            w_e ^= table_e ^ a0;
-        }
-        tables.push(table_g);
-        tables.push(table_e);
-        w_g ^ w_e
-    }
-
     /// Label sanity helper: every wire pair must differ by exactly Δ.
     /// (Used by invariant tests.)
     pub fn labels_differ_by_delta(&self, l0: Block, l1: Block) -> bool {
@@ -340,35 +315,16 @@ impl CycleGarbling<'_, '_> {
     /// complete and [`CycleGarbling::finish`] may be called.
     pub fn garble_chunk(&mut self, max_nonfree: usize, out: &mut Vec<Block>) -> usize {
         let g = &mut *self.garbler;
-        let gates = g.circuit.gates();
-        let labels = &mut self.labels;
-        let mut done = 0usize;
-        while self.next_gate < gates.len() && done < max_nonfree {
-            let gate = &gates[self.next_gate];
-            let a = labels[gate.a.index()];
-            let b = labels[gate.b.index()];
-            let out_label = match gate.kind {
-                GateKind::Xor => a ^ b,
-                GateKind::Xnor => a ^ b ^ g.delta,
-                GateKind::Not => a ^ g.delta,
-                GateKind::Buf => a,
-                kind => {
-                    let (alpha, beta, gamma) = kind.and_form();
-                    let a_eff = if alpha { a ^ g.delta } else { a };
-                    let b_eff = if beta { b ^ g.delta } else { b };
-                    let w = g.garble_and(a_eff, b_eff, out);
-                    done += 1;
-                    self.rows_emitted += 2;
-                    if gamma {
-                        w ^ g.delta
-                    } else {
-                        w
-                    }
-                }
-            };
-            labels[gate.out.index()] = out_label;
-            self.next_gate += 1;
-        }
+        let done = g.hash.run(GarbleWalk {
+            gates: g.circuit.gates(),
+            delta: g.delta,
+            tweak: &mut g.tweak,
+            labels: &mut self.labels,
+            next_gate: &mut self.next_gate,
+            max_nonfree,
+            out,
+        });
+        self.rows_emitted += 2 * done;
         done
     }
 
@@ -410,6 +366,72 @@ impl CycleGarbling<'_, '_> {
             .collect();
         g.labels = labels;
         output_decode
+    }
+}
+
+/// The garbler's gate walk over one chunk: every gate from `next_gate` on,
+/// stopping after `max_nonfree` non-free ones. [`FixedKeyHash::run`]
+/// compiles it once per hash kernel; it returns the non-free gates
+/// garbled.
+struct GarbleWalk<'w> {
+    gates: &'w [Gate],
+    delta: Block,
+    tweak: &'w mut u64,
+    labels: &'w mut [Block],
+    next_gate: &'w mut usize,
+    max_nonfree: usize,
+    out: &'w mut Vec<Block>,
+}
+
+impl GateWalk for GarbleWalk<'_> {
+    type Output = usize;
+
+    #[inline(always)]
+    fn walk<H: GateHash>(self, hash: &H) -> usize {
+        let (gates, delta, labels) = (self.gates, self.delta, self.labels);
+        let mut tweak = *self.tweak;
+        let mut next = *self.next_gate;
+        let mut done = 0usize;
+        while next < gates.len() && done < self.max_nonfree {
+            let gate = &gates[next];
+            let a = labels[gate.a.index()];
+            let b = labels[gate.b.index()];
+            let out_label = match gate.kind {
+                GateKind::Xor => a ^ b,
+                GateKind::Xnor => a ^ b ^ delta,
+                GateKind::Not => a ^ delta,
+                GateKind::Buf => a,
+                kind => {
+                    // Half-gates (Zahur–Rosulek–Evans) on the gate's AND
+                    // form ((a ⊕ α) ∧ (b ⊕ β)) ⊕ γ: two ciphertexts, the
+                    // four hashes `hg0/hg1/he0/he1` in one batch. Every
+                    // select is a mask, so no branch depends on a colour.
+                    let (alpha, beta, gamma) = kind.and_form();
+                    let a0 = a ^ delta.masked(alpha);
+                    let b0 = b ^ delta.masked(beta);
+                    let (p_a, p_b) = (a0.color(), b0.color());
+                    let (t_g, t_e) = (tweak, tweak + 1);
+                    tweak += 2;
+                    let [hg0, hg1, he0, he1] =
+                        hash.hash([a0, a0 ^ delta, b0, b0 ^ delta], [t_g, t_g, t_e, t_e]);
+                    // Generator half gate.
+                    let table_g = hg0 ^ hg1 ^ delta.masked(p_b);
+                    let w_g = hg0 ^ table_g.masked(p_a);
+                    // Evaluator half gate.
+                    let table_e = he0 ^ he1 ^ a0;
+                    let w_e = he0 ^ (table_e ^ a0).masked(p_b);
+                    self.out.push(table_g);
+                    self.out.push(table_e);
+                    done += 1;
+                    w_g ^ w_e ^ delta.masked(gamma)
+                }
+            };
+            labels[gate.out.index()] = out_label;
+            next += 1;
+        }
+        *self.tweak = tweak;
+        *self.next_gate = next;
+        done
     }
 }
 

@@ -351,7 +351,7 @@ mod streaming_tests {
         )
     }
 
-    use deepsecure_crypto::Block;
+    use deepsecure_crypto::{Block, FixedKeyHash};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -560,6 +560,110 @@ mod streaming_tests {
         let g = cy.garbler_active(&vec![false; c.garbler_inputs().len()]);
         let e = cy.evaluator_active(&vec![false; c.evaluator_inputs().len()]);
         let _ = ev.eval_cycle(&cy.tables, &g, &e, &cy.output_decode);
+    }
+
+    /// A random circuit with registers: the mixed-gate family of
+    /// [`random_circuit`] over inputs and 1–4 register outputs, each
+    /// register latching a random pool wire.
+    fn random_sequential_circuit(seed: u64) -> Circuit {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = Builder::new();
+        let ng = rng.gen_range(1..4);
+        let ne = rng.gen_range(1..4);
+        let mut pool: Vec<_> = b.garbler_inputs(ng);
+        pool.extend(b.evaluator_inputs(ne));
+        let regs: Vec<_> = (0..rng.gen_range(1..5))
+            .map(|_| b.register(rng.gen()))
+            .collect();
+        pool.extend(&regs);
+        for _ in 0..rng.gen_range(8..60) {
+            let a = pool[rng.gen_range(0..pool.len())];
+            let c = pool[rng.gen_range(0..pool.len())];
+            let w = match rng.gen_range(0..7) {
+                0 => b.xor(a, c),
+                1 => b.and(a, c),
+                2 => b.or(a, c),
+                3 => b.xnor(a, c),
+                4 => b.nand(a, c),
+                5 => b.nor(a, c),
+                _ => b.not(a),
+            };
+            pool.push(w);
+        }
+        for &q in &regs {
+            let d = pool[rng.gen_range(0..pool.len())];
+            b.connect_register(q, d);
+        }
+        for _ in 0..3 {
+            let w = pool[rng.gen_range(0..pool.len())];
+            b.output(w);
+        }
+        b.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn aes_ni_and_t_table_kernels_garble_and_evaluate_identically(
+            circuit_seed in 0u64..1u64 << 48,
+            rng_seed in 0u64..1u64 << 48,
+            chunk_sel in 0usize..3,
+        ) {
+            // Both walks are compiled once per hash kernel; the two
+            // compilations must agree bit for bit. Chunk sizes: 1 gate, a
+            // handful, and the whole cycle.
+            if FixedKeyHash::new().backend_name() != "aes-ni" {
+                static NOTE: std::sync::Once = std::sync::Once::new();
+                NOTE.call_once(|| {
+                    eprintln!("note: no AES-NI on this host — kernel-equivalence cases skipped");
+                });
+                return Ok(());
+            }
+            let chunk = [1, 5, usize::MAX][chunk_sel];
+            let c = random_sequential_circuit(circuit_seed);
+            let cycles = 3;
+            let mut bit_rng = StdRng::seed_from_u64(rng_seed ^ 0xb17);
+            let inputs: Vec<(Vec<bool>, Vec<bool>)> = (0..cycles)
+                .map(|_| {
+                    let g = (0..c.garbler_inputs().len()).map(|_| bit_rng.gen()).collect();
+                    let e = (0..c.evaluator_inputs().len()).map(|_| bit_rng.gen()).collect();
+                    (g, e)
+                })
+                .collect();
+            let garble = |hash: FixedKeyHash| {
+                let mut rng = StdRng::seed_from_u64(rng_seed);
+                let mut garbler = Garbler::new(&c, &mut rng).with_hash(hash);
+                let registers = garbler.initial_register_labels();
+                let cycles: Vec<_> = (0..cycles)
+                    .map(|_| garble_chunked(&mut garbler, &mut rng, chunk))
+                    .collect();
+                (registers, cycles)
+            };
+            let (registers, on_aes_ni) = garble(FixedKeyHash::new());
+            let (_, on_t_tables) = garble(FixedKeyHash::portable());
+            for ((hw_chunks, hw), (tt_chunks, tt)) in on_aes_ni.iter().zip(&on_t_tables) {
+                prop_assert_eq!(hw_chunks, tt_chunks);
+                prop_assert_eq!(&hw.garbler_input_labels, &tt.garbler_input_labels);
+                prop_assert_eq!(&hw.evaluator_input_labels, &tt.evaluator_input_labels);
+                prop_assert_eq!(hw.constant_labels, tt.constant_labels);
+                prop_assert_eq!(&hw.output_decode, &tt.output_decode);
+            }
+            for hash in [FixedKeyHash::new(), FixedKeyHash::portable()] {
+                let backend = hash.backend_name();
+                let mut ev = Evaluator::new(&c).with_hash(hash);
+                ev.set_initial_registers(registers.clone());
+                let mut sim = deepsecure_circuit::Simulator::new(&c);
+                for ((chunks, cy), (g, e)) in on_aes_ni.iter().zip(&inputs) {
+                    ev.set_constant_labels(cy.constant_labels[0], cy.constant_labels[1]);
+                    let mut cyc = ev.begin_cycle(&cy.garbler_active(g), &cy.evaluator_active(e));
+                    for part in chunks {
+                        cyc.feed(part);
+                    }
+                    let got = cyc.finish(&cy.output_decode);
+                    prop_assert_eq!(got, sim.step(g, e), "evaluated on {}", backend);
+                }
+            }
+        }
     }
 
     #[test]
