@@ -9,10 +9,7 @@
 //! garbler's measured counters so the predictions can never drift from
 //! runtime.
 
-use deepsecure_circuit::{passes, Circuit};
-
-/// Bytes per non-free gate: two 128-bit half-gate ciphertexts.
-pub const TABLE_BYTES_PER_NONFREE_GATE: u64 = 32;
+use deepsecure_circuit::{passes, Circuit, GATE_TABLE_BYTES};
 
 /// Statically-predicted garbling cost of one circuit (one clock cycle for
 /// sequential circuits).
@@ -26,7 +23,8 @@ pub struct CostReport {
     pub free_gates: u64,
     /// Non-free gates (AND/NAND/OR/NOR).
     pub non_free_gates: u64,
-    /// Garbled-table bytes per cycle: `32 × non_free_gates`. Equals the
+    /// Garbled-table bytes per cycle, [`Circuit::table_bytes`]
+    /// (`32 × non_free_gates` under half-gates). Equals the
     /// protocol's measured `WireBreakdown::tables` for a one-cycle run and
     /// the garbler's `GarbledCycle` table length in bytes.
     pub table_bytes: u64,
@@ -69,7 +67,7 @@ impl CostReport {
         if chunk_gates == 0 {
             self.table_bytes
         } else {
-            TABLE_BYTES_PER_NONFREE_GATE * (chunk_gates as u64).min(self.non_free_gates)
+            GATE_TABLE_BYTES * (chunk_gates as u64).min(self.non_free_gates)
         }
     }
 
@@ -108,13 +106,12 @@ pub fn cost(circuit: &Circuit) -> CostReport {
     for i in 0..levels.gate_count() {
         level_widths[(levels.gate_level(i) - 1) as usize] += 1;
     }
-    let non_free_gates = stats.non_xor;
     CostReport {
         wires: circuit.wire_count() as u64,
         gates: stats.total(),
         free_gates: stats.xor,
-        non_free_gates,
-        table_bytes: TABLE_BYTES_PER_NONFREE_GATE * non_free_gates,
+        non_free_gates: stats.non_xor,
+        table_bytes: circuit.table_bytes(),
         depth: levels.max_level(),
         non_xor_depth: passes::non_xor_depth(circuit) as u32,
         level_widths,

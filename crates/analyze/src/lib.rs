@@ -14,13 +14,14 @@
 //!   the numbers are cross-checked in tests against the garbler's measured
 //!   `nonfree_gate_count`, wire-byte breakdown and `peak_material_bytes`,
 //!   so the analyzer can never drift from runtime.
-//! * [`budget`] compares a fresh analyzer report with the committed
-//!   `BENCH_RESULTS.json` snapshot: the table-byte ratchet behind
-//!   `table_budget`.
+//! * [`report`] renders an analysis as text or as the stable
+//!   `deepsecure-analyze/1` JSON document; [`json`] reads such documents
+//!   (and Chrome traces) back.
 //!
 //! The `circuit_lint` binary (in the `deepsecure` facade package) exposes
-//! all of this on the command line; CI runs it over every zoo model with
-//! warnings denied.
+//! all of this on the command line. CI runs it over every zoo model with
+//! warnings denied and writes its `--json` output over the committed
+//! `BENCH_RESULTS.json`: any change to a model's costs shows up as a diff.
 //!
 //! # Example
 //!
@@ -42,8 +43,8 @@
 //! assert_eq!(cost.table_bytes, 32); // two 128-bit ciphertexts
 //! ```
 
-pub mod budget;
 pub mod cost;
+pub mod json;
 pub mod report;
 pub mod verify;
 

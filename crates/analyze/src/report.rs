@@ -3,8 +3,8 @@
 //! Shared by the `circuit_lint` and `deepsecure_serve` binaries so every
 //! surface prints identical numbers. The JSON emitter is
 //! hand-rolled (the workspace is offline and carries no serde); the schema
-//! is flat and stable so shell pipelines can `grep`/`jq` the output and
-//! `BENCH_RESULTS.json` can track the perf trajectory across PRs.
+//! is flat and stable so shell pipelines can `grep`/`jq` the output, and
+//! `BENCH_RESULTS.json` is exactly `circuit_lint --model all --json`.
 
 use std::fmt::Write as _;
 

@@ -16,6 +16,7 @@ use std::ops::ControlFlow;
 
 use deepsecure_circuit::{
     Circuit, DiagCode, DiagLoc, Diagnostic, Gate, GateKind, Wire, CONST_0, CONST_1,
+    GATE_TABLE_BYTES,
 };
 
 /// Cap on materialized diagnostics per [`DiagCode`]; a million-gate import
@@ -40,7 +41,7 @@ impl Savings {
         self.gates += 1;
         if !g.kind.is_free() {
             self.non_free_gates += 1;
-            self.table_bytes += 32;
+            self.table_bytes += GATE_TABLE_BYTES;
         }
     }
 }

@@ -5,8 +5,10 @@
 
 use std::sync::Arc;
 
-use deepsecure_analyze::cost::{cost, TABLE_BYTES_PER_NONFREE_GATE};
-use deepsecure_circuit::{Builder, Circuit};
+use deepsecure_analyze::cost::cost;
+use deepsecure_analyze::json::Json;
+use deepsecure_analyze::{analyze, report};
+use deepsecure_circuit::{Builder, Circuit, GATE_TABLE_BYTES};
 use deepsecure_core::compile::plain_label;
 use deepsecure_core::protocol::{run_circuit, run_compiled, InferenceConfig};
 use deepsecure_core::session::{ClientSession, GarbledMaterial, MaterialSource, ServerSession};
@@ -38,7 +40,7 @@ fn prediction_matches_live_protocol_at_chunk_0_and_1024() {
     let c = chain_circuit(2500);
     let report = cost(&c);
     assert_eq!(report.non_free_gates, 2500);
-    assert_eq!(report.table_bytes, 2500 * TABLE_BYTES_PER_NONFREE_GATE);
+    assert_eq!(report.table_bytes, 2500 * GATE_TABLE_BYTES);
 
     let g_bits = vec![true; 8];
     let e_bits = vec![false; 8];
@@ -68,9 +70,30 @@ fn prediction_matches_live_protocol_at_chunk_0_and_1024() {
 
 #[test]
 fn prediction_matches_garbler_on_small_zoo_models() {
+    // `BENCH_RESULTS.json` is `circuit_lint --model all --json`; CI
+    // regenerates and diffs it, this catches a stale pin locally.
+    let pinned = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_RESULTS.json"
+    ))
+    .expect("reading BENCH_RESULTS.json");
+    let pinned = Json::parse(&pinned).expect("parsing BENCH_RESULTS.json");
     for name in ["tiny_mlp", "tiny_cnn"] {
         let model = demo::load(name).expect("demo model");
         let c = &model.compiled.circuit;
+        let fresh = report::render_json(
+            &[(name.to_string(), analyze(c))],
+            report::DEFAULT_CHUNK_SIZES,
+        );
+        let fresh = Json::parse(&fresh).expect("parsing render_json");
+        let model_entry = |doc: &Json| doc.get("models").and_then(|m| m.get(name)).cloned();
+        assert_eq!(
+            model_entry(&pinned),
+            model_entry(&fresh),
+            "{name}: BENCH_RESULTS.json is stale; regenerate it with \
+             `circuit_lint --model all --deny-warnings --json`"
+        );
+
         let report = cost(c);
 
         // The garbler's own static count agrees...

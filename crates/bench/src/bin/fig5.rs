@@ -1,12 +1,19 @@
 //! Regenerates **Figure 5**: the timing diagram of sequential GC execution
-//! — garbling of cycle `c+1` overlapping evaluation of cycle `c`, with OT
-//! and data transfer between them.
+//! — per clock cycle, garbling, then OT and data transfer, then
+//! evaluation.
 //!
 //! Runs the folded MAC core (§3.5) for several clock cycles through the
 //! real two-party protocol with the telemetry sink on, and draws the
 //! drained spans — the timeline `--trace-out` exports — as a text Gantt
 //! chart: per cycle the client's `client.garble` (G), its table, label and
 //! OT-extension sends (T), and the server's `server.eval` (E).
+//!
+//! The paper's figure overlaps garbling of cycle `c+1` with evaluation of
+//! cycle `c`. This protocol does not: the client receives cycle `c`'s
+//! output colours before it garbles `c+1`, so the chart shows G, T and E
+//! within each cycle and no overlap across cycles. The closing
+//! `pipelining:` line makes that checkable: with nothing overlapping, the
+//! wall time is at least client work plus server work.
 
 use std::sync::Arc;
 
@@ -90,7 +97,7 @@ fn main() {
     println!();
     println!("steady-state timeline (time axis starts after OT setup):");
     // Rescale the Gantt chart to the steady-state window so the per-cycle
-    // overlap is visible next to the millisecond-scale phases.
+    // phases are visible next to the millisecond-scale OT setup.
     let t0 = end(base_ot);
     let t_end = spans.iter().map(end).max().unwrap_or(t0);
     let steady = (t_end - t0) as f64;
@@ -130,8 +137,9 @@ fn main() {
         ms(t_end - base_ot.start_us)
     );
 
-    // The paper's claim: total execution < sum of both parties' work
-    // because garbling cycle c+1 overlaps evaluating cycle c.
+    // The paper's pipeline would execute in less than the sum of both
+    // parties' work; with no cross-cycle overlap the wall time is at least
+    // that sum.
     println!(
         "pipelining: client work {:.2} ms + server work {:.2} ms executed in {:.2} ms",
         ms(client_work),

@@ -15,6 +15,10 @@ pub const CONST_0: Wire = Wire(0);
 /// The constant-true wire.
 pub const CONST_1: Wire = Wire(1);
 
+/// Garbled-table bytes of one non-free gate: two 128-bit half-gate
+/// ciphertexts. Free gates (XOR/XNOR/NOT/BUF) cost none.
+pub const GATE_TABLE_BYTES: u64 = 32;
+
 impl Wire {
     /// The wire's dense index.
     pub fn index(self) -> usize {
@@ -308,6 +312,14 @@ impl Circuit {
     /// `mnist_mlp`).
     pub fn nonfree_gate_count(&self) -> usize {
         self.nonfree
+    }
+
+    /// Garbled-table bytes per cycle: [`GATE_TABLE_BYTES`] for each
+    /// non-free gate. The analyzer's cost report and the serving pool's
+    /// material cap both read this, so a new garbling scheme changes the
+    /// size in one place.
+    pub fn table_bytes(&self) -> u64 {
+        GATE_TABLE_BYTES * self.nonfree as u64
     }
 
     /// Whether any gate, output, or register data input reads the constant

@@ -43,5 +43,7 @@ mod sim;
 
 pub use builder::Builder;
 pub use diag::{DiagCode, DiagLoc, Diagnostic, Severity};
-pub use ir::{Circuit, Gate, GateKind, GateStats, Register, Wire, CONST_0, CONST_1};
+pub use ir::{
+    Circuit, Gate, GateKind, GateStats, Register, Wire, CONST_0, CONST_1, GATE_TABLE_BYTES,
+};
 pub use sim::Simulator;

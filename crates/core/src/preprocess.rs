@@ -21,7 +21,7 @@
 //! [`deepsecure_nn::prune`]; [`preprocess_network`] runs the combined
 //! pipeline and reports the compaction fold.
 
-use deepsecure_circuit::passes;
+use deepsecure_circuit::{passes, GATE_TABLE_BYTES};
 use deepsecure_linalg::{vec_ops, Matrix};
 use deepsecure_nn::data::Dataset;
 use deepsecure_nn::train::{self, TrainConfig};
@@ -348,10 +348,10 @@ pub struct CircuitPreprocessReport {
 }
 
 impl CircuitPreprocessReport {
-    /// Garbled-table bytes the pass removed (32 B per non-free gate under
-    /// half-gates).
+    /// Garbled-table bytes the pass removed ([`GATE_TABLE_BYTES`] per
+    /// non-free gate).
     pub fn table_bytes_saved(&self) -> u64 {
-        32 * (self.non_free_before - self.non_free_after)
+        GATE_TABLE_BYTES * (self.non_free_before - self.non_free_after)
     }
 }
 

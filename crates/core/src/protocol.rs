@@ -23,7 +23,7 @@
 //! `deepsecure_serve` and `loadgen` binaries).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use deepsecure_circuit::Circuit;
 use deepsecure_nn::{Network, Tensor};
@@ -121,12 +121,6 @@ pub struct InferenceConfig {
     /// bytes, so the parties need not agree on it. Defaults to the
     /// `DEEPSECURE_THREADS` env var, else `1`.
     pub threads: usize,
-    /// Session-level deadline. `None` (the default) never times out;
-    /// `Some(d)` is a wall-clock budget for the whole session that
-    /// transports can translate into per-phase I/O timeouts and that
-    /// retry loops must stop at. A local policy knob — the parties need
-    /// not agree on it and it moves no wire bytes.
-    pub deadline: Option<Duration>,
 }
 
 impl InferenceConfig {
@@ -148,7 +142,6 @@ impl Default for InferenceConfig {
             seed: 0,
             chunk_gates: 0,
             threads: workpool::threads_from_env("DEEPSECURE_THREADS").unwrap_or(1),
-            deadline: None,
         }
     }
 }

@@ -336,7 +336,6 @@ fn fresh_setup(
         seed,
         chunk_gates,
         threads: opts.threads,
-        deadline: opts.deadline,
         ..demo::inference_config()
     };
     let session = ServerSession::new(Arc::clone(compiled), &cfg);

@@ -179,7 +179,7 @@ impl PrecomputePool {
             models: models
                 .into_iter()
                 .map(|(name, compiled, cycles)| {
-                    let table_bytes = (compiled.circuit.nonfree_gate_count() * 32 * cycles) as u64;
+                    let table_bytes = compiled.circuit.table_bytes() * cycles as u64;
                     (
                         name,
                         ModelSlot {

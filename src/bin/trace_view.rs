@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use deepsecure::analyze::budget::Json;
+use deepsecure::analyze::json::Json;
 
 const USAGE: &str = "\
 usage:

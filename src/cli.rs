@@ -1,5 +1,5 @@
 //! Command-line parsing shared by the workspace binaries
-//! (`deepsecure_serve`, `loadgen`, `circuit_lint`, `table_budget`).
+//! (`deepsecure_serve`, `loadgen`, `circuit_lint`).
 //!
 //! [`Args`] is a typed cursor over the argument list. A binary's parser is
 //! a `while let Some(flag) = args.next_flag()?` loop whose arms pull each

@@ -17,7 +17,7 @@
 //! | [`garble`] | `deepsecure-garble` | half-gates garbler/evaluator |
 //! | [`core`] | `deepsecure-core` | compiler, protocol, pre-processing, cost model |
 //! | [`serve`] | `deepsecure-serve` | concurrent inference server + precompute pool |
-//! | [`analyze`] | `deepsecure-analyze` | circuit verifier, cost analyzer, table-byte budget |
+//! | [`analyze`] | `deepsecure-analyze` | circuit verifier, cost analyzer, JSON report |
 //! | [`trace`] | (this crate) | Chrome trace-event export shared by the binaries |
 //! | [`cli`] | (this crate) | typed argument cursor + shared flag parsers of the binaries |
 //!
