@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use deepsecure_circuit::{Builder, GateStats};
+use deepsecure_circuit::{Builder, GateStats, GATE_TABLE_BYTES};
 use deepsecure_fixed::Format;
 use deepsecure_garble::Garbler;
 use deepsecure_nn::{Layer, Network};
@@ -86,9 +86,11 @@ pub struct NetworkCost {
 }
 
 impl CostModel {
-    /// Applies the Table 2 formulas to a gate count.
+    /// Applies the Table 2 formulas to a gate count. Table bytes are
+    /// [`GATE_TABLE_BYTES`] per non-XOR gate, scaled by `label_bits / 128`
+    /// (two ciphertexts of one label each).
     pub fn cost(&self, stats: GateStats) -> NetworkCost {
-        let comm_bytes = stats.non_xor * 2 * u64::from(self.label_bits) / 8;
+        let comm_bytes = stats.non_xor * GATE_TABLE_BYTES * u64::from(self.label_bits) / 128;
         let comp_s = (stats.xor as f64 * self.timings.xor_clks
             + stats.non_xor as f64 * self.timings.non_xor_clks)
             / self.cpu_hz;
@@ -293,7 +295,7 @@ mod tests {
             non_xor: 500_000,
         };
         let cost = model.cost(stats);
-        assert_eq!(cost.comm_bytes, 500_000 * 32);
+        assert_eq!(cost.comm_bytes, 500_000 * GATE_TABLE_BYTES);
         let expect_comp = (1_000_000.0 * 62.0 + 500_000.0 * 164.0) / 3.4e9;
         assert!((cost.comp_s - expect_comp).abs() < 1e-12);
         assert!(cost.exec_s > cost.comp_s);

@@ -334,7 +334,7 @@ pub fn preprocess_network(
 /// What the circuit pre-processing pass removed, in the same units the
 /// static analyzer's `OptReport` predicts — gate-exact, so a pipeline can
 /// assert `analyzer-predicted savings == applied savings` and the live
-/// protocol's `material_bytes` delta follows bit for bit.
+/// protocol's `wire.tables` delta follows bit for bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CircuitPreprocessReport {
     /// Gates before / after the pass.

@@ -158,14 +158,13 @@ pub struct InferenceReport {
     pub client_sent: u64,
     /// Bytes the server sent (OT matrix + result colors).
     pub server_sent: u64,
-    /// Garbled-table bytes alone (the `α` term).
-    pub material_bytes: u64,
     /// High-water mark of garbled-table bytes either party held at once
-    /// (max over both sides): equals `material_bytes` on buffered runs,
+    /// (max over both sides): equals `wire.tables` on buffered runs,
     /// one chunk on streamed live runs — the O(chunk) memory measurement.
     pub peak_material_bytes: u64,
     /// Per-phase wire traffic (base OT / OT-ext / tables / labels /
-    /// output bits; both directions per phase).
+    /// output bits; both directions per phase). `wire.tables` is the
+    /// garbled-table `α` term.
     pub wire: WireBreakdown,
     /// Total wall-clock time.
     pub total_s: f64,
@@ -299,7 +298,6 @@ where
         cycle_labels: cout.cycle_labels,
         client_sent: cout.sent,
         server_sent: sout.sent,
-        material_bytes: cout.wire.tables,
         peak_material_bytes: cout.peak_material_bytes.max(sout.peak_material_bytes),
         wire: cout.wire,
         total_s,
@@ -374,8 +372,8 @@ mod tests {
         for x in set.inputs.iter().take(3) {
             let report = run_secure_inference(&net, x, &cfg).unwrap();
             assert_eq!(report.label, plain_label(&compiled, &net, x));
-            assert!(report.material_bytes > 0);
-            assert!(report.client_sent > report.material_bytes);
+            assert!(report.wire.tables > 0);
+            assert!(report.client_sent > report.wire.tables);
         }
     }
 
@@ -388,15 +386,14 @@ mod tests {
         // Tables must be the majority of client traffic (the paper's
         // premise that transfer of garbled tables dominates).
         assert!(
-            report.material_bytes * 2 > report.client_sent,
+            report.wire.tables * 2 > report.client_sent,
             "tables {} of {}",
-            report.material_bytes,
+            report.wire.tables,
             report.client_sent
         );
         // The per-phase breakdown partitions the wire: every byte either
         // party sent lands in exactly one phase bucket.
         assert_eq!(report.wire.total(), report.client_sent + report.server_sent);
-        assert_eq!(report.wire.tables, report.material_bytes);
         assert!(report.wire.base_ot > 0);
         assert!(report.wire.ot_ext > 0);
         assert!(report.wire.output_bits > 0);

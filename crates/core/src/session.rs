@@ -77,7 +77,10 @@
 //! Sessions measure their own traffic as *deltas* of the channel's byte
 //! counters, so pre-protocol traffic (e.g. the `DSRV/4` serving handshake) is
 //! never attributed to the protocol, and both parties' [`WireBreakdown`]s
-//! describe the same wire regardless of transport.
+//! describe the same wire regardless of transport. An outcome's breakdown
+//! and a setup's `sent` / `received` are the only byte counts a session
+//! keeps: whoever wants a total (a server's statistics, a report) sums
+//! those values, and nothing else counts bytes on the side.
 //!
 //! Time is recorded once, as telemetry spans: `client.base_ot` /
 //! `server.base_ot` around the setups, one `client.garble` per garbled
@@ -136,6 +139,19 @@ impl WireBreakdown {
     pub fn total(&self) -> u64 {
         self.base_ot + self.ot_ext + self.tables + self.input_labels + self.output_bits
     }
+
+    /// The fields as `(phase_label, bytes)` rows, in field order — the
+    /// labels `/metrics` exports them under.
+    #[must_use]
+    pub fn phases(&self) -> [(&'static str, u64); 5] {
+        [
+            ("base_ot", self.base_ot),
+            ("ot_ext", self.ot_ext),
+            ("tables", self.tables),
+            ("input_labels", self.input_labels),
+            ("output_bits", self.output_bits),
+        ]
+    }
 }
 
 impl std::ops::AddAssign for WireBreakdown {
@@ -154,47 +170,7 @@ fn traffic<C: Channel>(chan: &C) -> u64 {
     chan.bytes_sent() + chan.bytes_received()
 }
 
-/// Process-global live wire counters: every phase delta a session measures
-/// is also added here the moment it is measured (per chunk on streamed
-/// table transfers), so a scraper sees the [`WireBreakdown`] decomposition
-/// *while* requests run instead of waiting for end-of-run reports. The
-/// counters observe the same deltas the breakdown records — they never
-/// touch the channel, so wire bytes are bit-identical with telemetry on or
-/// off.
-pub mod wire_metrics {
-    use telemetry::Counter;
-
-    /// Base-OT setup bytes (both directions).
-    pub static BASE_OT: Counter = Counter::new();
-    /// OT-extension bytes (both directions).
-    pub static OT_EXT: Counter = Counter::new();
-    /// Garbled-table bytes.
-    pub static TABLES: Counter = Counter::new();
-    /// Active input-label bytes.
-    pub static INPUT_LABELS: Counter = Counter::new();
-    /// Output color-bit bytes.
-    pub static OUTPUT_BITS: Counter = Counter::new();
-    /// Bytes sent by sessions in this process (direction counter).
-    pub static SENT: Counter = Counter::new();
-    /// Bytes received by sessions in this process (direction counter).
-    pub static RECEIVED: Counter = Counter::new();
-
-    /// The per-phase counters as `(phase_label, value)` rows, in
-    /// [`super::WireBreakdown`] field order — the `/metrics` family body.
-    #[must_use]
-    pub fn phases() -> [(&'static str, u64); 5] {
-        [
-            ("base_ot", BASE_OT.get()),
-            ("ot_ext", OT_EXT.get()),
-            ("tables", TABLES.get()),
-            ("input_labels", INPUT_LABELS.get()),
-            ("output_bits", OUTPUT_BITS.get()),
-        ]
-    }
-}
-
-/// A phase of the online run: one [`WireBreakdown`] field and its live
-/// counter in [`wire_metrics`].
+/// A phase of the online run: one [`WireBreakdown`] field.
 enum Phase {
     OtExt,
     Tables,
@@ -202,7 +178,9 @@ enum Phase {
     OutputBits,
 }
 
-/// The books of one online run, shared by both parties' drivers.
+/// The books of one online run, shared by both parties' drivers: the
+/// [`WireBreakdown`] every metered step adds to, handed back by
+/// [`Online::close`] in the run's outcome.
 struct Online<'a, C: Channel> {
     chan: &'a mut C,
     sent0: u64,
@@ -230,9 +208,7 @@ impl<'a, C: Channel> Online<'a, C> {
     }
 
     /// Runs one step of `phase` on the channel and books the bytes it
-    /// moved (both directions) to the breakdown field and the matching
-    /// live counter — the single point keeping [`WireBreakdown`] and
-    /// [`wire_metrics`] in agreement.
+    /// moved (both directions) to the matching breakdown field.
     fn metered<T, E>(
         &mut self,
         phase: Phase,
@@ -240,15 +216,13 @@ impl<'a, C: Channel> Online<'a, C> {
     ) -> Result<T, E> {
         let before = traffic(self.chan);
         let out = step(self.chan)?;
-        let delta = traffic(self.chan) - before;
-        let (field, counter) = match phase {
-            Phase::OtExt => (&mut self.wire.ot_ext, &wire_metrics::OT_EXT),
-            Phase::Tables => (&mut self.wire.tables, &wire_metrics::TABLES),
-            Phase::InputLabels => (&mut self.wire.input_labels, &wire_metrics::INPUT_LABELS),
-            Phase::OutputBits => (&mut self.wire.output_bits, &wire_metrics::OUTPUT_BITS),
+        let field = match phase {
+            Phase::OtExt => &mut self.wire.ot_ext,
+            Phase::Tables => &mut self.wire.tables,
+            Phase::InputLabels => &mut self.wire.input_labels,
+            Phase::OutputBits => &mut self.wire.output_bits,
         };
-        *field += delta;
-        counter.add(delta);
+        *field += traffic(self.chan) - before;
         Ok(out)
     }
 
@@ -281,8 +255,6 @@ impl<'a, C: Channel> Online<'a, C> {
             sent + received,
             "breakdown must cover all online traffic"
         );
-        wire_metrics::SENT.add(sent);
-        wire_metrics::RECEIVED.add(received);
         Ok((sent, received, self.wire, self.peak))
     }
 }
@@ -674,9 +646,6 @@ impl ClientSession {
         let ot = ExtSender::setup_with_pool(chan, pre, self.cfg.pool())?;
         let sent = chan.bytes_sent() - sent0;
         let received = chan.bytes_received() - recv0;
-        wire_metrics::BASE_OT.add(sent + received);
-        wire_metrics::SENT.add(sent);
-        wire_metrics::RECEIVED.add(received);
         Ok(ClientSetup {
             ot,
             labels: Vec::new(),
@@ -904,9 +873,6 @@ impl ServerSession {
         let ot = ExtReceiver::setup_with_pool(chan, &Ristretto255, &mut rng, self.cfg.pool())?;
         let sent = chan.bytes_sent() - sent0;
         let received = chan.bytes_received() - recv0;
-        wire_metrics::BASE_OT.add(sent + received);
-        wire_metrics::SENT.add(sent);
-        wire_metrics::RECEIVED.add(received);
         Ok(ServerSetup {
             ot,
             labels: Vec::new(),
@@ -1186,7 +1152,6 @@ mod tests {
         let mut cs = SimChannel::new(cs, NetModel::ideal());
         let epoch = Instant::now();
 
-        let counted_before = wire_metrics::BASE_OT.get();
         let server = ServerSession::new(Arc::clone(&compiled), &cfg);
         let handle = std::thread::spawn(move || {
             let setup = server.setup(&mut cs).unwrap();
@@ -1207,14 +1172,8 @@ mod tests {
             "batched base OT must stay 2 flights"
         );
 
-        // Both endpoints feed the process-global phase counter (sent +
-        // received each), so one setup adds twice the per-party total.
-        // Concurrent tests may add more in between, never less.
+        // Each endpoint counts both directions, so the two agree.
         assert_eq!(setup.base_ot_bytes(), server_bytes);
-        assert!(
-            wire_metrics::BASE_OT.get() - counted_before >= 2 * server_bytes,
-            "wire_metrics::BASE_OT must observe the setup traffic"
-        );
     }
 
     /// One full run over `mem_pair` with the given chunk setting.

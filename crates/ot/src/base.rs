@@ -523,15 +523,15 @@ mod tests {
     /// A channel spy counting direction changes (send→recv and recv→send
     /// transitions) — the round-trip yardstick the batching satellite
     /// targets.
-    struct TurnCounter {
+    struct TurnSpy {
         inner: MemChannel,
         last_was_send: Option<bool>,
         turnarounds: u32,
     }
 
-    impl TurnCounter {
-        fn new(inner: MemChannel) -> TurnCounter {
-            TurnCounter {
+    impl TurnSpy {
+        fn new(inner: MemChannel) -> TurnSpy {
+            TurnSpy {
                 inner,
                 last_was_send: None,
                 turnarounds: 0,
@@ -546,7 +546,7 @@ mod tests {
         }
     }
 
-    impl Channel for TurnCounter {
+    impl Channel for TurnSpy {
         fn send(&mut self, data: &[u8]) -> Result<(), ChannelError> {
             self.note(true);
             self.inner.send(data)
@@ -572,7 +572,7 @@ mod tests {
             let (ca, mut cb) = mem_pair();
             let sender = std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(9);
-                let mut chan = TurnCounter::new(ca);
+                let mut chan = TurnSpy::new(ca);
                 send(&mut chan, &Ristretto255, n, &mut rng).unwrap();
                 chan.turnarounds
             });

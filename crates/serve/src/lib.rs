@@ -24,11 +24,11 @@
 //! * [`registry`] — per-session IDs and their models: the table behind
 //!   per-model admission, `RESUME` claims, and graceful shutdown (stop
 //!   accepting, drain the sessions in flight).
-//! * [`stats`] — per-request `WireBreakdown`/latency aggregation into
-//!   one server-level accumulator of counters and latency histograms.
+//! * [`stats`] — per-setup and per-request `WireBreakdown`/latency
+//!   aggregation into one server-level accumulator of counters and
+//!   latency histograms: the server's only byte ledger.
 //! * [`metrics`] — a scrapeable Prometheus `/metrics` endpoint over the
-//!   same [`stats`] snapshot, plus live pool/connection gauges and the
-//!   process-wide per-phase wire-byte counters.
+//!   same [`stats`] snapshot, plus live pool/connection gauges.
 //! * [`proto`] — the framed request protocol shared by server and
 //!   clients.
 //! * [`client`] — [`client::ServeClient`]: the evaluator side of a

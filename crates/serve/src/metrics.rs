@@ -3,18 +3,19 @@
 //! A minimal `std::net` HTTP/1.1 responder — no routing framework, no
 //! keep-alive, one short-lived connection per scrape — serving the text
 //! exposition format (version 0.0.4) rendered by [`render`]. The document
-//! combines three sources:
+//! combines two sources, each family declared once:
 //!
-//! * the server's one [`ServeStats`] snapshot (every family the shutdown
-//!   summary also reduces — requests, sessions, latency histograms, wire
-//!   bytes, pool hit/miss counters), each family declared once;
+//! * the server's one [`ServeStats`] snapshot — every family the shutdown
+//!   summary also reduces: requests, sessions, latency histograms, pool
+//!   hit/miss counters, and the wire bytes by phase
+//!   (`deepsecure_wire_bytes_total`) and by direction
+//!   (`deepsecure_io_bytes_total`). The byte counters cover this server's
+//!   completed setups and requests and advance when one finishes, as
+//!   `deepsecure_requests_total` does; once the clients are done they
+//!   equal the sum of the clients' own `WireBreakdown`s to the byte;
 //! * live gauges read at scrape time: active sessions, open connections
 //!   (what `--queue-cap` bounds), resume-stash and precompute-pool stock
-//!   depths;
-//! * the process-global per-phase wire-byte counters that the protocol
-//!   sessions feed in `deepsecure_core::session::wire_metrics` — the
-//!   `WireBreakdown` as a live metric family, covering setup traffic
-//!   and in-flight requests that no per-request record has seen yet.
+//!   depths.
 //!
 //! [`Server`]: crate::server::Server
 //! [`ServeStats`]: crate::stats::ServeStats
@@ -26,13 +27,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use deepsecure_core::session::wire_metrics;
 use telemetry::prom::PromWriter;
 
 use crate::lock;
 use crate::server::ServerHandle;
 
-/// Renders the full exposition document for one scrape.
+/// Renders the full exposition document for one scrape: the stats
+/// snapshot's families, then the live gauges.
 #[allow(clippy::cast_precision_loss)]
 #[must_use]
 pub fn render(handle: &ServerHandle) -> String {
@@ -84,36 +85,6 @@ pub fn render(handle: &ServerHandle) -> String {
             "deepsecure_pool_depth",
             &[("queue", "material"), ("model", model)],
             *depth as f64,
-        );
-    }
-    // Process-global phase counters fed by the protocol sessions
-    // themselves: the live WireBreakdown, including setup traffic and
-    // requests still in flight.
-    w.family(
-        "deepsecure_wire_bytes_total",
-        "counter",
-        "Protocol wire bytes by phase, both directions, process-wide.",
-    );
-    for (phase, bytes) in wire_metrics::phases() {
-        w.sample(
-            "deepsecure_wire_bytes_total",
-            &[("phase", phase)],
-            bytes as f64,
-        );
-    }
-    w.family(
-        "deepsecure_io_bytes_total",
-        "counter",
-        "Protocol channel bytes by direction, process-wide.",
-    );
-    for (direction, bytes) in [
-        ("sent", wire_metrics::SENT.get()),
-        ("received", wire_metrics::RECEIVED.get()),
-    ] {
-        w.sample(
-            "deepsecure_io_bytes_total",
-            &[("direction", direction)],
-            bytes as f64,
         );
     }
     w.finish()

@@ -143,29 +143,19 @@ impl std::fmt::Debug for PrecomputePool {
 }
 
 impl PrecomputePool {
-    /// Starts the pool and its fill worker thread. `models` maps a name to
-    /// its compiled circuit and per-run cycle count; `target` is the stock
-    /// level kept per queue (base stock and each model's material stock);
-    /// models whose per-instance table bytes exceed `material_cap_bytes`
-    /// are served as live-garbling seeds instead of pooled material
-    /// ([`DEFAULT_MATERIAL_CAP`] is the conventional cap).
+    /// Starts the pool and its `fill_workers` fill threads. `models` maps
+    /// a name to its compiled circuit and per-run cycle count; `target` is
+    /// the stock level kept per queue (base stock and each model's
+    /// material stock); models whose per-instance table bytes exceed
+    /// `material_cap_bytes` are served as live-garbling seeds instead of
+    /// pooled material ([`DEFAULT_MATERIAL_CAP`] is the conventional cap).
+    ///
+    /// In-flight items count against each queue's deficit, so N workers
+    /// never overshoot `target`. Fill workers parallelize *across* items
+    /// (each garbles sequentially); an inline base-OT **miss** — a caller
+    /// alone on its critical path — instead fans its scalar
+    /// multiplications across a `fill_workers`-wide pool.
     pub fn start(
-        models: Vec<(String, Arc<Compiled>, usize)>,
-        target: usize,
-        seed: u64,
-        material_cap_bytes: u64,
-    ) -> PrecomputePool {
-        PrecomputePool::start_with_workers(models, target, seed, material_cap_bytes, 1)
-    }
-
-    /// [`PrecomputePool::start`] with `fill_workers` concurrent fill
-    /// threads refilling the stocks. In-flight items count against each
-    /// queue's deficit, so N workers never overshoot `target`. Fill
-    /// workers parallelize *across* items (each garbles sequentially);
-    /// an inline base-OT **miss** — a caller alone on its critical path —
-    /// instead fans its scalar multiplications across a
-    /// `fill_workers`-wide pool.
-    pub fn start_with_workers(
         models: Vec<(String, Arc<Compiled>, usize)>,
         target: usize,
         seed: u64,
@@ -444,6 +434,7 @@ mod tests {
             2,
             99,
             DEFAULT_MATERIAL_CAP,
+            1,
         );
         assert!(pool.wait_warm(Duration::from_secs(60)), "pool never warmed");
         let _base = pool.take_base();
@@ -473,6 +464,7 @@ mod tests {
             0,
             7,
             DEFAULT_MATERIAL_CAP,
+            1,
         );
         let _base = pool.take_base();
         let m = pool.take_material("mac").unwrap();
@@ -488,7 +480,7 @@ mod tests {
         // Four workers racing to fill: in-flight claims must keep each
         // queue at exactly `target` once warm (no worker double-fills a
         // deficit another worker already claimed).
-        let pool = PrecomputePool::start_with_workers(
+        let pool = PrecomputePool::start(
             vec![("mac".to_string(), mac_compiled(), 1)],
             3,
             21,
@@ -516,7 +508,7 @@ mod tests {
         // before returning, and a stopped pool's take_* must still serve
         // inline — never wedge on a poisoned lock or a half-torn-down
         // worker set (the shutdown-ordering regression).
-        let pool = PrecomputePool::start_with_workers(
+        let pool = PrecomputePool::start(
             vec![("mac".to_string(), mac_compiled(), 200)],
             2,
             23,
@@ -545,7 +537,7 @@ mod tests {
         // Cap 0 pushes even the MAC core over the limit: takes hand out
         // distinct live seeds, the worker never garbles for the slot, and
         // wait_warm doesn't wait on it.
-        let pool = PrecomputePool::start(vec![("mac".to_string(), mac_compiled(), 3)], 2, 13, 0);
+        let pool = PrecomputePool::start(vec![("mac".to_string(), mac_compiled(), 3)], 2, 13, 0, 1);
         assert!(
             pool.wait_warm(Duration::from_secs(60)),
             "a live-only slot must not block warm-up"

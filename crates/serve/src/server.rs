@@ -239,7 +239,7 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let pool = PrecomputePool::start_with_workers(
+        let pool = PrecomputePool::start(
             models
                 .iter()
                 .map(|(name, hosted)| (name.clone(), Arc::clone(&hosted.demo.compiled), 1))
@@ -659,8 +659,11 @@ fn serve_session(shared: &Shared, stream: TcpStream) -> Result<(), ServeError> {
             let pre = shared.pool.take_base();
             let t_setup = Instant::now();
             let setup = session.setup_with(&mut chan, pre)?;
-            lock(&shared.stats)
-                .record_setup(t_setup.elapsed().as_secs_f64(), setup.base_ot_bytes());
+            lock(&shared.stats).record_setup(
+                t_setup.elapsed().as_secs_f64(),
+                setup.sent,
+                setup.received,
+            );
             setup
         }
     };
@@ -726,12 +729,7 @@ fn session_request_loop(
         let out = session.run_online(chan, setup, material, g_bits, Instant::now())?;
         chan.send_u64(out.label as u64)?;
         chan.flush()?;
-        lock(&shared.stats).record_request(
-            model_name,
-            t_online.elapsed().as_secs_f64(),
-            out.wire,
-            out.peak_material_bytes,
-        );
+        lock(&shared.stats).record_request(model_name, t_online.elapsed().as_secs_f64(), &out);
     }
 }
 

@@ -3,6 +3,10 @@
 //! Every request's [`WireBreakdown`] and online latency, and every
 //! session's setup cost, fold into one [`ServeStats`] — the serving
 //! analogue of a single run's `InferenceReport`, summed across clients.
+//! It is the server's only byte ledger: the sessions count their own
+//! traffic, and nothing else in the process adds up wire bytes, so the
+//! shutdown summary, the `/metrics` scrape and the clients' own reports
+//! agree to the byte once the clients are done.
 //!
 //! Latencies are held as [`HistSnapshot`]s from the vendored `telemetry`
 //! crate rather than scalar sums: the same snapshot that the shutdown
@@ -12,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use deepsecure_core::session::WireBreakdown;
+use deepsecure_core::session::{ClientOutcome, WireBreakdown};
 use telemetry::prom::PromWriter;
 use telemetry::HistSnapshot;
 
@@ -42,19 +46,22 @@ pub struct ServeStats {
     /// Connections shed with a `BUSY` frame because an over-cap model
     /// missed the pool and live-garble capacity was saturated.
     pub shed_live_capacity: u64,
-    /// Requests served across all sessions.
-    pub requests: u64,
-    /// Sum of every request's online-phase wire traffic (`base_ot` stays
-    /// 0 here; setup traffic is in `setup_bytes`).
+    /// Wire traffic of every completed setup and request, by protocol
+    /// phase, both directions: `base_ot` sums the setups, the other
+    /// fields the requests. A setup or request adds to it when it
+    /// finishes, never while it runs.
     pub wire: WireBreakdown,
-    /// Sum of every session's base-OT setup traffic, both directions.
-    pub setup_bytes: u64,
-    /// Sessions that actually completed a base-OT setup (sessions that
-    /// die during the handshake never reach one).
-    pub setups: u64,
-    /// Per-request online-phase latency distribution, microseconds.
+    /// Bytes the server sent over the same setups and requests.
+    pub sent: u64,
+    /// Bytes the server received over the same setups and requests
+    /// (`sent + received == wire.total()`).
+    pub received: u64,
+    /// Per-request online-phase latency distribution, microseconds; its
+    /// count is the number of requests served.
     pub online_us: HistSnapshot,
-    /// Per-session setup latency distribution, microseconds.
+    /// Per-session setup latency distribution, microseconds; its count
+    /// is the number of completed base-OT setups (sessions that die
+    /// during the handshake never reach one).
     pub setup_us: HistSnapshot,
     /// High-water mark, across all requests, of garbled-table bytes one
     /// session held at once — O(cycle tables) when serving buffered,
@@ -103,28 +110,29 @@ impl ServeStats {
         self.shed_queue_full + self.shed_model_limit + self.shed_live_capacity
     }
 
-    /// A session finished its base-OT setup.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    pub fn record_setup(&mut self, setup_s: f64, bytes: u64) {
-        self.setup_us.record((setup_s.max(0.0) * US_PER_S) as u64);
-        self.setup_bytes += bytes;
-        self.setups += 1;
+    /// Requests served across all sessions.
+    pub fn requests(&self) -> u64 {
+        self.online_us.count()
     }
 
-    /// A request finished its online phase; `peak_material_bytes` is the
-    /// most garbled-table bytes its session held at once while serving it.
+    /// A session finished its base-OT setup, having sent and received
+    /// the given bytes (a `ClientSetup`'s `sent` / `received`).
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    pub fn record_request(
-        &mut self,
-        model: &str,
-        online_s: f64,
-        wire: WireBreakdown,
-        peak_material_bytes: u64,
-    ) {
-        self.requests += 1;
+    pub fn record_setup(&mut self, setup_s: f64, sent: u64, received: u64) {
+        self.setup_us.record((setup_s.max(0.0) * US_PER_S) as u64);
+        self.wire.base_ot += sent + received;
+        self.sent += sent;
+        self.received += received;
+    }
+
+    /// A request finished its online phase with outcome `out`.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    pub fn record_request(&mut self, model: &str, online_s: f64, out: &ClientOutcome) {
         self.online_us.record((online_s.max(0.0) * US_PER_S) as u64);
-        self.wire += wire;
-        self.peak_material_bytes = self.peak_material_bytes.max(peak_material_bytes);
+        self.wire += out.wire;
+        self.sent += out.sent;
+        self.received += out.received;
+        self.peak_material_bytes = self.peak_material_bytes.max(out.peak_material_bytes);
         *self.per_model.entry(model.to_string()).or_insert(0) += 1;
     }
 
@@ -167,7 +175,7 @@ impl ServeStats {
             ),
             format!(
                 "requests     {} total (mean online {:.3} s; mean session setup {:.3} s)",
-                self.requests,
+                self.requests(),
                 self.mean_online_s(),
                 self.mean_setup_s()
             ),
@@ -184,7 +192,11 @@ impl ServeStats {
                 self.wire.tables,
                 self.wire.input_labels,
                 self.wire.output_bits,
-                self.setup_bytes
+                self.wire.base_ot
+            ),
+            format!(
+                "io bytes     sent {} | received {} (setups and requests)",
+                self.sent, self.received
             ),
             format!(
                 "peak tables  {} B resident per session (max over requests)",
@@ -261,7 +273,7 @@ impl ServeStats {
             "counter",
             "Online inference requests served.",
         );
-        w.sample("deepsecure_requests_total", &[], self.requests as f64);
+        w.sample("deepsecure_requests_total", &[], self.requests() as f64);
         w.family(
             "deepsecure_requests_by_model_total",
             "counter",
@@ -275,25 +287,22 @@ impl ServeStats {
             );
         }
         w.family(
-            "deepsecure_setup_bytes_total",
+            "deepsecure_wire_bytes_total",
             "counter",
-            "Base-OT setup traffic, both directions, summed over sessions.",
+            "Protocol wire bytes of completed setups and requests, by phase, both directions.",
         );
-        w.sample("deepsecure_setup_bytes_total", &[], self.setup_bytes as f64);
+        for (phase, n) in self.wire.phases() {
+            w.sample("deepsecure_wire_bytes_total", &[("phase", phase)], n as f64);
+        }
         w.family(
-            "deepsecure_online_wire_bytes_total",
+            "deepsecure_io_bytes_total",
             "counter",
-            "Online-phase wire traffic by protocol phase, summed over requests.",
+            "Protocol wire bytes of completed setups and requests, by direction.",
         );
-        for (phase, n) in [
-            ("ot_ext", self.wire.ot_ext),
-            ("tables", self.wire.tables),
-            ("input_labels", self.wire.input_labels),
-            ("output_bits", self.wire.output_bits),
-        ] {
+        for (direction, n) in [("sent", self.sent), ("received", self.received)] {
             w.sample(
-                "deepsecure_online_wire_bytes_total",
-                &[("phase", phase)],
+                "deepsecure_io_bytes_total",
+                &[("direction", direction)],
                 n as f64,
             );
         }
@@ -351,19 +360,31 @@ impl ServeStats {
 mod tests {
     use super::*;
 
+    /// A request outcome that moved `wire`, split `sent`/rest by direction.
+    fn outcome(wire: WireBreakdown, sent: u64, peak_material_bytes: u64) -> ClientOutcome {
+        ClientOutcome {
+            label: 0,
+            cycle_labels: Vec::new(),
+            sent,
+            received: wire.total() - sent,
+            wire,
+            peak_material_bytes,
+        }
+    }
+
     #[test]
     fn aggregation_sums_requests_and_sessions() {
         let mut stats = ServeStats::default();
         stats.open_session();
-        stats.record_setup(0.5, 1000);
+        stats.record_setup(0.5, 400, 600);
         let wire = WireBreakdown {
             tables: 100,
             ot_ext: 10,
             ..WireBreakdown::default()
         };
-        stats.record_request("tiny_mlp", 0.2, wire, 640);
-        stats.record_request("tiny_mlp", 0.4, wire, 96);
-        stats.record_request("mnist_mlp", 0.3, wire, 900);
+        stats.record_request("tiny_mlp", 0.2, &outcome(wire, 70, 640));
+        stats.record_request("tiny_mlp", 0.4, &outcome(wire, 70, 96));
+        stats.record_request("mnist_mlp", 0.3, &outcome(wire, 70, 900));
         stats.complete_session();
         // A handshake-only failure must not dilute the setup mean.
         stats.open_session();
@@ -372,12 +393,12 @@ mod tests {
         assert_eq!(stats.sessions_opened, 2);
         assert_eq!(stats.sessions_completed, 1);
         assert_eq!(stats.sessions_failed, 1);
-        assert_eq!(stats.requests, 3);
-        assert_eq!(stats.online_us.count(), 3);
+        assert_eq!(stats.requests(), 3);
         assert_eq!(stats.wire.tables, 300);
         assert_eq!(stats.wire.ot_ext, 30);
-        assert_eq!(stats.wire.base_ot, 0, "setup bytes live in setup_bytes");
-        assert_eq!(stats.setup_bytes, 1000);
+        assert_eq!(stats.wire.base_ot, 1000, "setup bytes book to base_ot");
+        assert_eq!([stats.sent, stats.received], [400 + 3 * 70, 600 + 3 * 40]);
+        assert_eq!(stats.sent + stats.received, stats.wire.total());
         assert!((stats.mean_online_s() - 0.3).abs() < 1e-6);
         // Nearest-rank on log-scale buckets: within the bucket width.
         assert!((stats.online_quantile_s(0.5) - 0.3).abs() < 0.3 * 0.13);
@@ -412,8 +433,15 @@ mod tests {
     fn prometheus_rendering_matches_the_accumulator() {
         let mut stats = ServeStats::default();
         stats.open_session();
-        stats.record_setup(0.5, 1000);
-        stats.record_request("tiny_mlp", 0.2, WireBreakdown::default(), 64);
+        stats.record_setup(0.5, 2064, 2064);
+        let wire = WireBreakdown {
+            base_ot: 0,
+            ot_ext: 200,
+            tables: 3000,
+            input_labels: 40,
+            output_bits: 5,
+        };
+        stats.record_request("tiny_mlp", 0.2, &outcome(wire, 3040, 64));
         stats.complete_session();
         stats.pool.base_hits = 1;
         let mut w = PromWriter::new();
@@ -425,9 +453,21 @@ mod tests {
             "deepsecure_requests_by_model_total{model=\"tiny_mlp\"} 1",
             "deepsecure_online_latency_seconds_count 1",
             "deepsecure_pool_events_total{kind=\"base_hit\"} 1",
+            "deepsecure_wire_bytes_total{phase=\"base_ot\"} 4128",
+            "deepsecure_wire_bytes_total{phase=\"ot_ext\"} 200",
+            "deepsecure_wire_bytes_total{phase=\"tables\"} 3000",
+            "deepsecure_wire_bytes_total{phase=\"input_labels\"} 40",
+            "deepsecure_wire_bytes_total{phase=\"output_bits\"} 5",
+            "deepsecure_io_bytes_total{direction=\"sent\"} 5104",
+            "deepsecure_io_bytes_total{direction=\"received\"} 2269",
         ] {
             assert!(text.contains(line), "{line} missing from:\n{text}");
         }
+        assert!(
+            !text.contains("deepsecure_setup_bytes_total")
+                && !text.contains("deepsecure_online_wire_bytes_total"),
+            "the wire families are declared once:\n{text}"
+        );
     }
 
     #[test]

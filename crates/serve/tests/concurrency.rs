@@ -106,13 +106,13 @@ fn four_concurrent_clients_match_replays_and_reports_are_independent() {
     assert_eq!(stats.sessions_opened, CLIENTS as u64);
     assert_eq!(stats.sessions_completed, CLIENTS as u64);
     assert_eq!(stats.sessions_failed, 0);
-    assert_eq!(stats.requests, (CLIENTS * REQUESTS) as u64);
+    assert_eq!(stats.requests(), (CLIENTS * REQUESTS) as u64);
     assert_eq!(stats.per_model["tiny_mlp"], (CLIENTS * REQUESTS) as u64);
     assert_eq!(
         stats.wire.tables,
         replay.wire.tables * (CLIENTS * REQUESTS) as u64
     );
-    assert_eq!(stats.setup_bytes, replay.wire.base_ot * CLIENTS as u64);
+    assert_eq!(stats.wire.base_ot, replay.wire.base_ot * CLIENTS as u64);
     assert_eq!(handle.active_sessions(), 0, "registry must drain");
     // The pool actually served: every take was either a hit or an inline
     // miss, and the worker produced stock.
@@ -268,10 +268,10 @@ fn sharded_server_serves_concurrent_clients_and_merges_shard_stats() {
     assert_eq!(stats.sessions_opened, CLIENTS as u64);
     assert_eq!(stats.sessions_completed, CLIENTS as u64);
     assert_eq!(stats.sessions_failed, 0);
-    assert_eq!(stats.requests, CLIENTS as u64);
+    assert_eq!(stats.requests(), CLIENTS as u64);
     assert_eq!(stats.per_model["tiny_mlp"], CLIENTS as u64);
     assert_eq!(stats.wire.tables, replay.wire.tables * CLIENTS as u64);
-    assert_eq!(stats.setup_bytes, replay.wire.base_ot * CLIENTS as u64);
+    assert_eq!(stats.wire.base_ot, replay.wire.base_ot * CLIENTS as u64);
     assert_eq!(handle.active_sessions(), 0, "registry must drain");
 }
 
@@ -302,7 +302,7 @@ fn sharded_max_sessions_auto_shutdown_counts_across_shards() {
     // No handle.shutdown(): the session count alone must end the run.
     let stats = join.join().unwrap();
     assert_eq!(stats.sessions_completed, 2);
-    assert_eq!(stats.requests, 2);
+    assert_eq!(stats.requests(), 2);
 }
 
 #[test]
@@ -371,7 +371,7 @@ fn mid_handshake_disconnects_leave_the_server_serving_others() {
         stats.sessions_failed >= 4,
         "expected the four broken sessions to be counted: {stats:?}"
     );
-    assert_eq!(stats.requests, 1);
+    assert_eq!(stats.requests(), 1);
 }
 
 /// Sends a well-formed `old`-version hello with a matching model and
@@ -398,7 +398,7 @@ fn assert_refused_before_any_base_ot_byte(old: &str) {
     handle.shutdown();
     let stats = join.join().unwrap();
     assert_eq!(stats.sessions_completed, 0);
-    assert_eq!(stats.requests, 0);
+    assert_eq!(stats.requests(), 0);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Scrapes the Prometheus endpoint while a multi-threaded server is
 //! serving: the exposition text must parse, declare every advertised
 //! family exactly once, and — once the clients are done — report exactly
-//! the request/session counts the clients observed on their side of the
-//! wire.
+//! the request/session counts and the per-phase wire bytes the clients
+//! observed on their side of the wire.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use deepsecure_core::session::WireBreakdown;
 use deepsecure_serve::client::{ClientModel, ServeClient};
 use deepsecure_serve::metrics::MetricsServer;
 use deepsecure_serve::server::{ServeConfig, Server};
@@ -77,10 +78,19 @@ fn scraping_a_sharded_server_matches_the_clients_view() {
                 let mut client =
                     ServeClient::connect(&addr, &model, 300 + tid as u64, Duration::from_secs(10))
                         .expect("connect");
+                // The client's own tally: its setup, then every request.
+                let mut wire = WireBreakdown {
+                    base_ot: client.setup_bytes(),
+                    ..WireBreakdown::default()
+                };
                 for q in 0..REQUESTS {
-                    client.query(q % model.demo.dataset.len()).expect("query");
+                    wire += client
+                        .query(q % model.demo.dataset.len())
+                        .expect("query")
+                        .wire;
                 }
                 client.finish().expect("finish");
+                wire
             })
         })
         .collect();
@@ -108,8 +118,9 @@ fn scraping_a_sharded_server_matches_the_clients_view() {
     }
     assert_families_declared_once(&body);
 
+    let mut clients_wire = WireBreakdown::default();
     for w in workers {
-        w.join().expect("client thread");
+        clients_wire += w.join().expect("client thread");
     }
 
     // Settled scrape: the counters must equal the client-side
@@ -169,10 +180,27 @@ fn scraping_a_sharded_server_matches_the_clients_view() {
         ),
         Some(requests)
     );
-    // Wire-byte families are live counters: table bytes moved.
-    let tables =
-        sample(&body, "deepsecure_wire_bytes_total{phase=\"tables\"}").expect("tables wire family");
-    assert!(tables > 0.0, "no table bytes counted: {tables}");
+    // Every phase's wire bytes equal the clients' own tally to the byte,
+    // and the two directions add up to the same total.
+    for (phase, bytes) in clients_wire.phases() {
+        assert_eq!(
+            sample(
+                &body,
+                &format!("deepsecure_wire_bytes_total{{phase=\"{phase}\"}}")
+            ),
+            Some(bytes as f64),
+            "{phase} bytes diverge from the clients' tally:\n{body}"
+        );
+    }
+    assert!(clients_wire.tables > 0, "no table bytes moved");
+    let io = |direction: &str| {
+        sample(
+            &body,
+            &format!("deepsecure_io_bytes_total{{direction=\"{direction}\"}}"),
+        )
+        .expect("io family")
+    };
+    assert_eq!(io("sent") + io("received"), clients_wire.total() as f64);
 
     // Unknown paths 404; the endpoint stays up until stopped.
     let (status, _) = http_get(&metrics_addr, "/nope");
@@ -180,7 +208,11 @@ fn scraping_a_sharded_server_matches_the_clients_view() {
 
     handle.shutdown();
     let stats = join.join().expect("server thread");
-    assert_eq!(stats.requests, CLIENTS as u64 * REQUESTS as u64);
+    assert_eq!(stats.requests(), CLIENTS as u64 * REQUESTS as u64);
+    assert_eq!(
+        stats.wire, clients_wire,
+        "the returned stats are the scrape's"
+    );
     metrics.stop();
     // Stopped endpoint refuses further scrapes.
     assert!(

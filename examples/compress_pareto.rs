@@ -120,7 +120,7 @@ fn sparsity_sweep() -> Vec<ParetoPoint> {
         let stats = compiled.circuit.stats();
         eprintln!(
             "compress_pareto: running {label} over the simulated WAN ({} table B)...",
-            32 * stats.non_xor
+            compiled.circuit.table_bytes()
         );
         let expected = plain_label(&compiled, &net, &held_out.inputs[0]);
         let report = wan_inference(&net, &held_out.inputs[0], compiled);
@@ -133,7 +133,7 @@ fn sparsity_sweep() -> Vec<ParetoPoint> {
             sparsity: prune::sparsity(&net),
             holdout_accuracy: accuracy,
             non_free_gates: stats.non_xor,
-            table_bytes: report.material_bytes,
+            table_bytes: report.wire.tables,
             sim_wan_s: report.total_s,
         });
     }
@@ -206,12 +206,12 @@ fn activation_menu() {
             tanh,
             ..CompileOptions::default()
         };
-        let stats = compile(&net, &options).circuit.stats();
+        let circuit = compile(&net, &options).circuit;
         println!(
             "| {} | {} | {} |",
             tanh.name(),
-            stats.non_xor,
-            32 * stats.non_xor
+            circuit.stats().non_xor,
+            circuit.table_bytes()
         );
     }
 }

@@ -74,6 +74,6 @@ fn main() {
         "secure inference on the pruned net: label {} (plaintext {}), {:.2} MB of tables",
         report.label,
         net.predict(x),
-        report.material_bytes as f64 / 1e6
+        report.wire.tables as f64 / 1e6
     );
 }

@@ -52,7 +52,7 @@ fn main() {
             report.label,
             plain,
             label,
-            report.material_bytes as f64 / 1e6,
+            report.wire.tables as f64 / 1e6,
             report.total_s * 1e3
         );
         agree += usize::from(report.label == plain);

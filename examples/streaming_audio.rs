@@ -87,7 +87,7 @@ fn main() {
             report.label,
             outcome.net.predict(&y),
             label,
-            report.material_bytes as f64 / 1e6
+            report.wire.tables as f64 / 1e6
         );
     }
     println!();

@@ -60,7 +60,8 @@ usage:
                  (GET /metrics; port 0 picks an ephemeral port): request
                  and session counters, online/setup latency histograms,
                  precompute-pool depth and hit/miss counters, the open
-                 connection count, and live per-phase wire bytes
+                 connection count, and the wire bytes of completed
+                 setups and requests by phase and direction
   --trace-out    record wall-time spans of every session's protocol
                  phases and write a Chrome trace-event JSON file at
                  shutdown (view at https://ui.perfetto.dev)

@@ -44,7 +44,7 @@ fn measured_tables_equal_alpha_formula() {
     let compiled = compile(&net, &cfg.options);
     let report = run_secure_inference(&net, &set.inputs[0], &cfg).expect("protocol");
     assert_eq!(
-        report.material_bytes,
+        report.wire.tables,
         compiled.circuit.stats().non_xor * 2 * 128 / 8
     );
 }

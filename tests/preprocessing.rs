@@ -164,7 +164,7 @@ fn combined_pipeline_prune_then_compile() {
 /// The analyzer's predicted saving from circuit pre-processing must equal
 /// the *live* garbled-material delta: run the same redundant netlist
 /// through the real protocol before and after [`preprocess_compiled`] and
-/// compare `material_bytes` against the report's `table_bytes_saved`.
+/// compare `wire.tables` against the report's `table_bytes_saved`.
 #[test]
 fn preprocess_savings_match_live_material_delta() {
     use deepsecure::circuit::{Circuit, Gate, GateKind, Wire};
@@ -233,13 +233,13 @@ fn preprocess_savings_match_live_material_delta() {
         .expect("protocol (preprocessed)");
     assert_eq!(before.cycle_labels, after.cycle_labels);
     assert_eq!(
-        before.material_bytes - after.material_bytes,
+        before.wire.tables - after.wire.tables,
         prep.table_bytes_saved(),
         "analyzer-predicted saving must equal the live material delta"
     );
     // And both live runs must match the analyzer's absolute prediction.
-    assert_eq!(before.material_bytes, 32 * prep.non_free_before);
-    assert_eq!(after.material_bytes, 32 * prep.non_free_after);
+    assert_eq!(before.wire.tables, 32 * prep.non_free_before);
+    assert_eq!(after.wire.tables, 32 * prep.non_free_after);
 }
 
 mod properties {

@@ -99,7 +99,7 @@ fn cnn_pipeline_end_to_end() {
     assert_eq!(report.label, plain_label(&compiled, &net, x));
     // Communication accounting: tables dominate and match the non-XOR count.
     assert_eq!(
-        report.material_bytes,
+        report.wire.tables,
         compiled.circuit.stats().non_xor * 32,
         "2 x 16-byte rows per non-XOR gate"
     );
@@ -151,7 +151,6 @@ fn secure_inference_over_tcp_loopback_matches_in_memory() {
     // Transport must not change what crosses the wire, only how.
     assert_eq!(tcp.client_sent, mem.client_sent);
     assert_eq!(tcp.server_sent, mem.server_sent);
-    assert_eq!(tcp.material_bytes, mem.material_bytes);
     assert_eq!(tcp.wire, mem.wire);
     assert_eq!(tcp.wire.total(), tcp.client_sent + tcp.server_sent);
 }

@@ -113,5 +113,5 @@ fn run_secure_inference_smoke() {
     let report = run_secure_inference(&net, x, &cfg).expect("protocol");
     assert_eq!(report.label, plain_label(&compiled, &net, x));
     assert!(report.label < set.num_classes);
-    assert!(report.material_bytes > 0 && report.client_sent > report.material_bytes);
+    assert!(report.wire.tables > 0 && report.client_sent > report.wire.tables);
 }

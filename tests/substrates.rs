@@ -51,5 +51,5 @@ fn fixed_point_multiplier_through_real_protocol() {
     let cfg = InferenceConfig::default();
     let (bits, report) = run_circuit(&circuit, &a.to_bits(), &c.to_bits(), &cfg).expect("run");
     assert_eq!(Fixed::from_bits(&bits, q), a.mul(c));
-    assert_eq!(report.material_bytes, circuit.stats().non_xor * 32);
+    assert_eq!(report.wire.tables, circuit.stats().non_xor * 32);
 }
