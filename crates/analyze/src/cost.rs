@@ -15,6 +15,8 @@ use deepsecure_circuit::{passes, Circuit, GATE_TABLE_BYTES};
 /// sequential circuits).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CostReport {
+    /// [`Circuit::digest`]: pins the exact gate list, not just its counts.
+    pub digest: u64,
     /// Total wires, including the two constants.
     pub wires: u64,
     /// Total gates.
@@ -107,6 +109,7 @@ pub fn cost(circuit: &Circuit) -> CostReport {
         level_widths[(levels.gate_level(i) - 1) as usize] += 1;
     }
     CostReport {
+        digest: circuit.digest(),
         wires: circuit.wire_count() as u64,
         gates: stats.total(),
         free_gates: stats.xor,

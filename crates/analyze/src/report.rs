@@ -114,7 +114,8 @@ pub fn render_json(models: &[(String, Analysis)], chunks: &[usize]) -> String {
         if let Some(c) = &a.cost {
             let _ = write!(
                 s,
-                ",\n      \"wires\": {},\n      \"gates\": {},\n      \"free_gates\": {},\n      \"non_free_gates\": {},\n      \"table_bytes\": {},\n      \"depth\": {},\n      \"non_xor_depth\": {},\n      \"levels\": {},\n      \"max_level_width\": {}",
+                ",\n      \"digest\": \"{:016x}\",\n      \"wires\": {},\n      \"gates\": {},\n      \"free_gates\": {},\n      \"non_free_gates\": {},\n      \"table_bytes\": {},\n      \"depth\": {},\n      \"non_xor_depth\": {},\n      \"levels\": {},\n      \"max_level_width\": {}",
+                c.digest,
                 c.wires,
                 c.gates,
                 c.free_gates,
@@ -215,7 +216,9 @@ mod tests {
     #[test]
     fn json_report_is_stable_and_escaped() {
         let a = sample();
+        let digest = a.cost.as_ref().map(|c| c.digest);
         let json = render_json(&[("m\"1".to_string(), a)], &[0, 1024]);
+        assert!(json.contains(&format!("\"digest\": \"{:016x}\"", digest.unwrap())));
         assert!(json.contains("\"schema\": \"deepsecure-analyze/1\""));
         assert!(json.contains("\"m\\\"1\""));
         assert!(json.contains("\"non_free_gates\": 1"));

@@ -1,6 +1,14 @@
-use std::collections::HashMap;
-
 use crate::ir::{Circuit, Gate, GateKind, Register, Wire, CONST_0, CONST_1};
+
+/// "No gate" / "no wire" in the builder's index tables.
+const NONE: u32 = u32::MAX;
+
+/// Reader count from which a wire is a *hub*. A gate whose two inputs are
+/// both hubs is found through [`HubTable`]; any other gate by walking the
+/// reader chain of its less-read input, which is then shorter than this.
+/// At 16 every `mnist_mlp` weight bit becomes a hub and the table fills
+/// with 2.6 M gates that are probed 12 k times; at 32 it holds 7 k.
+const HUB_READERS: u32 = 32;
 
 /// An incremental circuit builder with online logic optimization.
 ///
@@ -11,6 +19,13 @@ use crate::ir::{Circuit, Gate, GateKind, Register, Wire, CONST_0, CONST_1};
 /// shared. The result is a netlist with the minimum non-XOR count these
 /// local rules can reach — the area objective of setting "XOR area = 0" in
 /// a commercial synthesis flow.
+///
+/// Hash-consing indexes the gate list itself rather than hashing every
+/// `(kind, a, b)` triple: each wire heads a chain of the gates that read
+/// it, and a lookup walks the chain of whichever input has fewer readers.
+/// Only gates between two hubs (wires with at least 32 readers — a
+/// convolution weight bit, an input pixel) go into a small hash table.
+/// Every lookup is therefore at most 31 chain steps or one probe.
 ///
 /// Sequential circuits use the two-phase register API: [`Builder::register`]
 /// creates the `q` source up front (so feedback loops can be expressed) and
@@ -32,21 +47,109 @@ use crate::ir::{Circuit, Gate, GateKind, Register, Wire, CONST_0, CONST_1};
 /// ```
 #[derive(Debug, Default)]
 pub struct Builder {
-    next: u32,
     gates: Vec<Gate>,
     garbler_inputs: Vec<Wire>,
     evaluator_inputs: Vec<Wire>,
     outputs: Vec<Wire>,
     registers: Vec<(Wire, Option<Wire>, bool)>,
-    cse: HashMap<(GateKind, Wire, Wire), Wire>,
-    complement: HashMap<Wire, Wire>,
+    /// One entry per wire, so its length is the number of wires.
+    wires: Vec<WireEntry>,
+    /// Per gate: the next-older gate in its `a` input's reader chain and in
+    /// its `b` input's (unary gates sit in `a`'s chain only).
+    links: Vec<[u32; 2]>,
+    hubs: HubTable,
+}
+
+/// What the builder knows about one wire, in one entry so the complement
+/// check and the lookup that follows it load it once.
+#[derive(Clone, Copy, Debug)]
+struct WireEntry {
+    /// The wire known to be its complement, or [`NONE`].
+    complement: u32,
+    /// The latest gate reading it, or [`NONE`]: the head of its chain.
+    head: u32,
+    /// How many gates read it.
+    readers: u32,
+}
+
+const FRESH_WIRE: WireEntry = WireEntry {
+    complement: NONE,
+    head: NONE,
+    readers: 0,
+};
+
+/// Open-addressed set of the gates whose inputs are both hubs, keyed by
+/// `(kind, a, b)` and compared against the gate list it indexes.
+///
+/// The hash is a fixed multiply: the keys are wire ids this builder
+/// numbered itself, and the only outside input that reaches it is a
+/// netlist a local tool replays through [`crate::passes::optimize`]. A
+/// keyed SipHash here made loading `tiny_cnn` ~40 % slower: its
+/// convolution weights make most of its lookups hub probes.
+#[derive(Debug, Default)]
+struct HubTable {
+    /// Gate indices, [`NONE`] for empty; the length is zero or a power of
+    /// two at most half full.
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl HubTable {
+    /// First slot of `(kind, a, b)`'s linear probe.
+    fn home(&self, kind: GateKind, a: Wire, b: Wire) -> usize {
+        let key = (u64::from(a.0) | u64::from(b.0) << 32) ^ kind as u64;
+        let bits = self.slots.len().trailing_zeros();
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
+    }
+
+    fn find(&self, gates: &[Gate], kind: GateKind, a: Wire, b: Wire) -> Option<Wire> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(kind, a, b);
+        loop {
+            let g = self.slots[i];
+            if g == NONE {
+                return None;
+            }
+            let gate = gates[g as usize];
+            if (gate.kind, gate.a, gate.b) == (kind, a, b) {
+                return Some(gate.out);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Adds gate `g`; adding it again is a no-op.
+    fn insert(&mut self, gates: &[Gate], g: u32) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let grown = vec![NONE; (2 * self.slots.len()).max(64)];
+            let old = std::mem::replace(&mut self.slots, grown);
+            self.len = 0;
+            for h in old.into_iter().filter(|&h| h != NONE) {
+                self.insert(gates, h);
+            }
+        }
+        let gate = gates[g as usize];
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(gate.kind, gate.a, gate.b);
+        while self.slots[i] != NONE {
+            if self.slots[i] == g {
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = g;
+        self.len += 1;
+    }
 }
 
 impl Builder {
     /// Creates an empty builder with the two constant wires pre-allocated.
     pub fn new() -> Builder {
         Builder {
-            next: 2,
+            wires: vec![FRESH_WIRE; 2],
             ..Builder::default()
         }
     }
@@ -71,8 +174,8 @@ impl Builder {
     }
 
     fn fresh(&mut self) -> Wire {
-        let w = Wire(self.next);
-        self.next += 1;
+        let w = Wire(u32::try_from(self.wires.len()).expect("wire ids exhausted"));
+        self.wires.push(FRESH_WIRE);
         w
     }
 
@@ -143,27 +246,84 @@ impl Builder {
     }
 
     fn are_complements(&self, a: Wire, b: Wire) -> bool {
-        self.complement.get(&a) == Some(&b)
+        self.wires[a.index()].complement == b.0
+    }
+
+    fn set_complements(&mut self, a: Wire, b: Wire) {
+        self.wires[a.index()].complement = b.0;
+        self.wires[b.index()].complement = a.0;
+    }
+
+    /// The output of the existing `kind(a, b)` gate (inputs in canonical
+    /// order), if any.
+    fn find(&self, kind: GateKind, a: Wire, b: Wire) -> Option<Wire> {
+        let (ea, eb) = (self.wires[a.index()], self.wires[b.index()]);
+        if ea.readers.min(eb.readers) >= HUB_READERS {
+            return self.hubs.find(&self.gates, kind, a, b);
+        }
+        let (w, mut g) = if ea.readers <= eb.readers {
+            (a, ea.head)
+        } else {
+            (b, eb.head)
+        };
+        while g != NONE {
+            let gate = self.gates[g as usize];
+            if (gate.kind, gate.a, gate.b) == (kind, a, b) {
+                return Some(gate.out);
+            }
+            g = self.links[g as usize][usize::from(gate.a != w)];
+        }
+        None
     }
 
     fn emit(&mut self, kind: GateKind, a: Wire, b: Wire) -> Wire {
-        let (ka, kb) = if kind.is_binary() && a > b {
+        let (a, b) = if kind.is_binary() && a > b {
             (b, a)
         } else {
             (a, b)
         };
-        if let Some(&w) = self.cse.get(&(kind, ka, kb)) {
+        if let Some(w) = self.find(kind, a, b) {
             return w;
         }
+        let g = u32::try_from(self.gates.len()).expect("gate ids exhausted");
         let out = self.fresh();
-        self.gates.push(Gate {
-            kind,
-            a: ka,
-            b: kb,
-            out,
-        });
-        self.cse.insert((kind, ka, kb), out);
+        self.gates.push(Gate { kind, a, b, out });
+        let head = |w: Wire| self.wires[w.index()].head;
+        let next_b = if b == a { NONE } else { head(b) };
+        self.links.push([head(a), next_b]);
+        self.add_reader(a, g);
+        if b != a {
+            self.add_reader(b, g);
+        }
+        let readers = |w: Wire| self.wires[w.index()].readers;
+        if readers(a).min(readers(b)) >= HUB_READERS {
+            self.hubs.insert(&self.gates, g);
+        }
         out
+    }
+
+    /// Puts gate `g`, already linked, at the head of `w`'s reader chain.
+    fn add_reader(&mut self, w: Wire, g: u32) {
+        let e = &mut self.wires[w.index()];
+        e.head = g;
+        e.readers += 1;
+        if e.readers == HUB_READERS {
+            self.promote(w);
+        }
+    }
+
+    /// `w` just became a hub: files every gate on its chain whose other
+    /// input is a hub too.
+    fn promote(&mut self, w: Wire) {
+        let mut g = self.wires[w.index()].head;
+        while g != NONE {
+            let gate = self.gates[g as usize];
+            let other = if gate.a == w { gate.b } else { gate.a };
+            if self.wires[other.index()].readers >= HUB_READERS {
+                self.hubs.insert(&self.gates, g);
+            }
+            g = self.links[g as usize][usize::from(gate.a != w)];
+        }
     }
 
     /// Logical NOT (free under Free-XOR).
@@ -171,12 +331,12 @@ impl Builder {
         if let Some(c) = Self::known_const(a) {
             return self.constant(!c);
         }
-        if let Some(&w) = self.complement.get(&a) {
-            return w;
+        let c = self.wires[a.index()].complement;
+        if c != NONE {
+            return Wire(c);
         }
         let out = self.emit(GateKind::Not, a, a);
-        self.complement.insert(a, out);
-        self.complement.insert(out, a);
+        self.set_complements(a, out);
         out
     }
 
@@ -219,10 +379,8 @@ impl Builder {
             (None, Some(false)) => self.not(a),
             (None, None) => {
                 let out = self.emit(GateKind::Xnor, a, b);
-                let x = self.cse.get(&(GateKind::Xor, a.min(b), a.max(b))).copied();
-                if let Some(x) = x {
-                    self.complement.insert(x, out);
-                    self.complement.insert(out, x);
+                if let Some(x) = self.find(GateKind::Xor, a.min(b), a.max(b)) {
+                    self.set_complements(x, out);
                 }
                 out
             }
@@ -312,18 +470,21 @@ impl Builder {
     ///
     /// Panics if any register was left unconnected.
     pub fn finish(self) -> Circuit {
-        // Destructuring drops the hash-consing maps here — on a
-        // multi-million-gate circuit they are hundreds of MB the rest of
-        // finish() must not sit on top of.
+        // Drop the hash-consing index here — ~20 B per wire the rest of
+        // finish() must not sit on top of. (Fields a `..` pattern leaves
+        // behind would live until finish() returns.)
         let Builder {
-            next,
             mut gates,
             garbler_inputs,
             evaluator_inputs,
             outputs,
             registers,
-            ..
+            wires,
+            links,
+            hubs,
         } = self;
+        let next = wires.len();
+        drop((wires, links, hubs));
         // Return the growth slack of the gate list before allocating the
         // finish-phase structures (a doubling Vec holds up to ~2× its
         // final size).
@@ -335,7 +496,7 @@ impl Builder {
             .collect();
 
         // Liveness: outputs are roots; a live register's d is a root.
-        let mut live = vec![false; next as usize];
+        let mut live = vec![false; next];
         for w in &outputs {
             live[w.index()] = true;
         }
@@ -363,7 +524,7 @@ impl Builder {
         // gate outputs. Wire ids are dense already, so a flat Vec is the
         // map — a HashMap here costs ~6× the memory on big circuits.
         const UNMAPPED: u32 = u32::MAX;
-        let mut map: Vec<u32> = vec![UNMAPPED; next as usize];
+        let mut map: Vec<u32> = vec![UNMAPPED; next];
         let mut next_id = 0u32;
         let mut assign = |w: Wire, map: &mut Vec<u32>| {
             let nw = next_id;
@@ -437,6 +598,9 @@ impl Builder {
         circuit
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

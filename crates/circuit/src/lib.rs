@@ -10,9 +10,14 @@
 //! with a custom GC library: the [`Builder`] hash-conses structurally
 //! identical gates, folds constants, and rewrites every gate into the
 //! `{XOR, XNOR, NOT, AND}` basis so that the *non-XOR gate count* — the only
-//! quantity that costs communication under Free-XOR — is minimized. The
-//! [`passes`] module re-optimizes imported netlists, [`Simulator`] provides
-//! plaintext reference evaluation, and [`netlist`] a text serialization.
+//! quantity that costs communication under Free-XOR — is minimized. Its
+//! hash-consing is an index over the gate list it builds (per-wire reader
+//! chains, plus a small table for gates between two heavily read wires),
+//! so every lookup is a bounded number of steps and compiling `mnist_mlp`'s
+//! 15 M gates takes ~1.5 s. The [`passes`] module re-optimizes imported
+//! netlists, [`Simulator`] provides plaintext reference evaluation, and
+//! [`netlist`] a text serialization. [`Circuit::digest`] pins an exact
+//! gate list, for the serving handshake and `BENCH_RESULTS.json`.
 //!
 //! # Example
 //!

@@ -6,8 +6,6 @@
 //! constant folding, complement cancellation, common-subexpression
 //! elimination and dead-gate removal in one sweep.
 
-use std::collections::HashMap;
-
 use crate::ir::{Circuit, GateKind, Wire, CONST_0, CONST_1};
 use crate::Builder;
 
@@ -32,21 +30,28 @@ use crate::Builder;
 /// ```
 pub fn optimize(circuit: &Circuit) -> Circuit {
     let mut b = Builder::new();
-    let mut map: HashMap<Wire, Wire> = HashMap::new();
-    map.insert(CONST_0, CONST_0);
-    map.insert(CONST_1, CONST_1);
+    // Old wire → new wire. Wire ids are dense, so a flat Vec is the map.
+    const UNMAPPED: u32 = u32::MAX;
+    let mut map = vec![UNMAPPED; circuit.wire_count()];
+    let get = |map: &[u32], w: Wire| {
+        let nw = map[w.index()];
+        assert_ne!(nw, UNMAPPED, "wire {w:?} used before defined");
+        Wire(nw)
+    };
+    map[CONST_0.index()] = CONST_0.0;
+    map[CONST_1.index()] = CONST_1.0;
     for w in circuit.garbler_inputs() {
-        map.insert(*w, b.garbler_input());
+        map[w.index()] = b.garbler_input().0;
     }
     for w in circuit.evaluator_inputs() {
-        map.insert(*w, b.evaluator_input());
+        map[w.index()] = b.evaluator_input().0;
     }
     for r in circuit.registers() {
-        map.insert(r.q, b.register(r.init));
+        map[r.q.index()] = b.register(r.init).0;
     }
     for g in circuit.gates() {
-        let a = map[&g.a];
-        let bw = map[&g.b];
+        let a = get(&map, g.a);
+        let bw = get(&map, g.b);
         let out = match g.kind {
             GateKind::Xor => b.xor(a, bw),
             GateKind::Xnor => b.xnor(a, bw),
@@ -57,13 +62,13 @@ pub fn optimize(circuit: &Circuit) -> Circuit {
             GateKind::Not => b.not(a),
             GateKind::Buf => b.buf(a),
         };
-        map.insert(g.out, out);
+        map[g.out.index()] = out.0;
     }
     for w in circuit.outputs() {
-        b.output(map[w]);
+        b.output(get(&map, *w));
     }
     for r in circuit.registers() {
-        b.connect_register(map[&r.q], map[&r.d]);
+        b.connect_register(get(&map, r.q), get(&map, r.d));
     }
     b.finish()
 }

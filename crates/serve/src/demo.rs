@@ -2,9 +2,10 @@
 //!
 //! Both endpoints of a session derive the same trained network from the
 //! same synthetic dataset and training seed — standing in for a model the
-//! parties pre-shared out of band. The compiled circuit's shape is hashed
-//! into a fingerprint so two processes that drifted (different `--model`,
-//! different code version) fail the handshake before any labels move.
+//! parties pre-shared out of band. The compiled circuit's shape and gate
+//! list are hashed into a fingerprint so two processes that drifted
+//! (different `--model`, different code version) fail the handshake before
+//! any labels move.
 
 use std::sync::Arc;
 
@@ -18,7 +19,8 @@ use deepsecure_synth::activation::Activation;
 /// The zoo models every binary can serve. `mnist_mlp` is the paper-scale
 /// one: ≈163 MB of garbled tables per inference, the workload that makes
 /// the streaming pipeline's O(chunk) memory visible (building it trains
-/// and compiles for ~a minute — the small models stay the default).
+/// and compiles for ~2 s on a 2-vCPU host — the small models stay the
+/// default).
 /// `mnist_mlp_c` is its compressed twin: the same architecture
 /// magnitude-pruned to 90 % sparsity with masked re-training (§3.2.2),
 /// compiled with the same [`inference_config`] options and run through
@@ -27,7 +29,7 @@ use deepsecure_synth::activation::Activation;
 pub const MODEL_NAMES: &[&str] = &["tiny_mlp", "tiny_cnn", "mnist_mlp", "mnist_mlp_c"];
 
 /// One deterministic demo model: network, dataset, compiled circuit and
-/// its shape fingerprint.
+/// its fingerprint.
 #[derive(Debug)]
 pub struct DemoModel {
     /// Zoo name (`tiny_mlp`, `tiny_cnn`).
@@ -38,7 +40,7 @@ pub struct DemoModel {
     pub dataset: data::Dataset,
     /// The compiled argmax circuit.
     pub compiled: Arc<Compiled>,
-    /// Order-sensitive hash of the circuit's shape.
+    /// [`circuit_fingerprint`] of `compiled`.
     pub fingerprint: u64,
 }
 
@@ -239,8 +241,10 @@ pub fn compressed_accuracy(name: &str) -> Result<AccuracyBudget, String> {
     })
 }
 
-/// Order-sensitive FNV-1a over the circuit's shape: enough to catch two
-/// processes compiling different circuits before any labels move.
+/// Order-sensitive FNV-1a over the circuit's shape and its gate-list
+/// digest (`Circuit::digest`): two processes whose builds compile
+/// different gate lists — even with every count equal — disagree here,
+/// before any labels move.
 pub fn circuit_fingerprint(compiled: &Compiled) -> u64 {
     let c = &compiled.circuit;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -251,6 +255,7 @@ pub fn circuit_fingerprint(compiled: &Compiled) -> u64 {
         c.registers().len() as u64,
         c.nonfree_gate_count() as u64,
         compiled.weight_order.len() as u64,
+        c.digest(),
     ] {
         for byte in v.to_le_bytes() {
             h ^= u64::from(byte);
@@ -312,6 +317,36 @@ mod tests {
             budget.compressed,
             budget.dense
         );
+    }
+
+    #[test]
+    fn fingerprint_covers_the_gate_list() {
+        // Swapping one gate's inputs leaves every count equal; only the
+        // gate-list digest sees it.
+        let model = load("tiny_mlp").unwrap();
+        let c = &model.compiled.circuit;
+        let mut gates = c.gates().to_vec();
+        let g = gates
+            .iter_mut()
+            .find(|g| !g.kind.is_free() && g.a != g.b)
+            .unwrap();
+        (g.a, g.b) = (g.b, g.a);
+        let swapped = Compiled {
+            circuit: deepsecure_circuit::Circuit::from_raw_parts(
+                c.wire_count() as u32,
+                c.garbler_inputs().to_vec(),
+                c.evaluator_inputs().to_vec(),
+                c.outputs().to_vec(),
+                gates,
+                c.registers().to_vec(),
+            ),
+            weight_order: model.compiled.weight_order.clone(),
+            format: model.compiled.format,
+        };
+        assert_eq!(swapped.circuit.validate(), Ok(()));
+        assert_eq!(swapped.circuit.stats(), c.stats());
+        assert_eq!(swapped.circuit.nonfree_gate_count(), c.nonfree_gate_count());
+        assert_ne!(circuit_fingerprint(&swapped), model.fingerprint);
     }
 
     #[test]
