@@ -45,7 +45,7 @@ const HUB_READERS: u32 = 32;
 /// let z = b.xor(x, x); // folded to constant 0
 /// assert_eq!(z, deepsecure_circuit::CONST_0);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Builder {
     gates: Vec<Gate>,
     garbler_inputs: Vec<Wire>,
@@ -145,12 +145,25 @@ impl HubTable {
     }
 }
 
+impl Default for Builder {
+    /// The same as [`Builder::new`]: the two constant wires come first.
+    fn default() -> Builder {
+        Builder::new()
+    }
+}
+
 impl Builder {
     /// Creates an empty builder with the two constant wires pre-allocated.
     pub fn new() -> Builder {
         Builder {
+            gates: Vec::new(),
+            garbler_inputs: Vec::new(),
+            evaluator_inputs: Vec::new(),
+            outputs: Vec::new(),
+            registers: Vec::new(),
             wires: vec![FRESH_WIRE; 2],
-            ..Builder::default()
+            links: Vec::new(),
+            hubs: HubTable::default(),
         }
     }
 
@@ -620,6 +633,23 @@ mod tests {
         assert_eq!(b.and(x, nx), CONST_0, "x AND NOT x = 0");
         assert_eq!(b.or(x, nx), CONST_1);
         assert_eq!(b.xor(x, nx), CONST_1);
+    }
+
+    #[test]
+    fn default_reserves_the_constant_wires_like_new() {
+        // Without the two constant wires the first inputs would be w0/w1,
+        // and `and` of them would fold to CONST_0 as if they were constants.
+        let build = |mut b: Builder| {
+            let x = b.garbler_input();
+            let y = b.garbler_input();
+            let z = b.and(x, y);
+            assert_ne!(z, CONST_0, "a real gate, not a folded constant");
+            b.output(z);
+            b.finish()
+        };
+        let c = build(Builder::default());
+        assert_eq!(c.gates().len(), 1);
+        assert_eq!(c, build(Builder::new()));
     }
 
     #[test]

@@ -114,23 +114,12 @@ impl Levels {
         self.gate_level[i]
     }
 
-    /// Deepest gate level (equals [`depth`] of the circuit).
+    /// Deepest gate level: the circuit's depth (longest gate chain of the
+    /// combinational core), the metric that bounds garbling latency per
+    /// clock cycle.
     pub fn max_level(&self) -> u32 {
         self.max_level
     }
-}
-
-/// Computes the depth (longest gate chain) of the combinational core —
-/// the metric that bounds garbling latency per clock cycle.
-pub fn depth(circuit: &Circuit) -> usize {
-    let mut d = vec![0usize; circuit.wire_count()];
-    let mut max = 0;
-    for g in circuit.gates() {
-        let dd = d[g.a.index()].max(d[g.b.index()]) + 1;
-        d[g.out.index()] = dd;
-        max = max.max(dd);
-    }
-    max
 }
 
 /// Counts non-XOR gates along the critical path (the "multiplicative depth"
@@ -231,7 +220,7 @@ mod tests {
         let c = b.finish();
         let lv = levelize(&c);
         assert_eq!(lv.gate_count(), c.gates().len());
-        assert_eq!(lv.max_level() as usize, depth(&c));
+        assert_eq!(lv.max_level(), 4, "t1 → t2 → t3 → t5");
         // Levels respect topological dependencies.
         for g in 0..lv.gate_count() {
             let gate = &c.gates()[g];
@@ -253,7 +242,7 @@ mod tests {
         let t3 = b.and(t2, y);
         b.output(t3);
         let c = b.finish();
-        assert_eq!(depth(&c), 3);
+        assert_eq!(levelize(&c).max_level(), 3);
         assert_eq!(non_xor_depth(&c), 2);
     }
 }

@@ -14,7 +14,6 @@
 use std::sync::Arc;
 
 use deepsecure_circuit::Builder;
-use deepsecure_fixed::Fixed;
 use deepsecure_nn::{Network, Tensor};
 use deepsecure_synth::activation::softmax_argmax;
 use deepsecure_synth::{word, Word};
@@ -60,11 +59,7 @@ pub fn share_input<R: Rng + ?Sized>(
     x: &Tensor,
     rng: &mut R,
 ) -> (Vec<bool>, Vec<bool>) {
-    let plain: Vec<bool> = x
-        .data()
-        .iter()
-        .flat_map(|&v| Fixed::from_f64(f64::from(v), compiled.format).to_bits())
-        .collect();
+    let plain = compiled.input_bits(x);
     let pad: Vec<bool> = (0..plain.len()).map(|_| rng.gen()).collect();
     let masked: Vec<bool> = plain.iter().zip(&pad).map(|(&p, &s)| p ^ s).collect();
     (pad, masked)

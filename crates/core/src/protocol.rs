@@ -113,26 +113,17 @@ pub struct InferenceConfig {
     /// docs). **Both parties must agree** — chunk boundaries are derived,
     /// not framed, which is what keeps every chunking byte-identical.
     pub chunk_gates: usize,
-    /// Worker threads for the base-OT scalar multiplications of the OT
-    /// set-up; garbling and evaluation are one sequential gate walk per
-    /// party whatever the value. `0` means auto (one per available core).
+    /// Fan-out width of the base-OT scalar multiplications of the OT
+    /// set-up, the only parallel work in a session; garbling and
+    /// evaluation are one sequential gate walk per party whatever the
+    /// value. `0` means one worker per available core
+    /// ([`deepsecure_ot::resolve_threads`]).
     ///
-    /// A pure perf knob: every thread count moves **bit-identical** wire
-    /// bytes, so the parties need not agree on it. Defaults to the
-    /// `DEEPSECURE_THREADS` env var, else `1`.
+    /// A pure perf knob: every width moves **bit-identical** wire bytes,
+    /// so the parties need not agree on it. Defaults to
+    /// [`deepsecure_ot::threads_from_env`]: the `DEEPSECURE_THREADS` env
+    /// var, else `1`.
     pub threads: usize,
-}
-
-impl InferenceConfig {
-    /// The worker pool `threads` selects (resolving `0` to the core
-    /// count) for the run's base-OT scalar multiplications.
-    pub fn pool(&self) -> workpool::ThreadPool {
-        if self.threads == 0 {
-            workpool::ThreadPool::new(workpool::auto_threads())
-        } else {
-            workpool::ThreadPool::new(self.threads)
-        }
-    }
 }
 
 impl Default for InferenceConfig {
@@ -141,7 +132,7 @@ impl Default for InferenceConfig {
             options: CompileOptions::default(),
             seed: 0,
             chunk_gates: 0,
-            threads: workpool::threads_from_env("DEEPSECURE_THREADS").unwrap_or(1),
+            threads: deepsecure_ot::threads_from_env(),
         }
     }
 }

@@ -625,7 +625,7 @@ impl ClientSession {
         _epoch: Instant,
     ) -> Result<ClientSetup, ProtocolError> {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xa11ce);
-        let pre = SenderPrecomp::generate_with(&Ristretto255, &mut rng, self.cfg.pool());
+        let pre = SenderPrecomp::generate(&Ristretto255, &mut rng, self.cfg.threads);
         self.setup_with(chan, pre)
     }
 
@@ -643,7 +643,7 @@ impl ClientSession {
         let _s = telemetry::span!("client.base_ot");
         let sent0 = chan.bytes_sent();
         let recv0 = chan.bytes_received();
-        let ot = ExtSender::setup_with_pool(chan, pre, self.cfg.pool())?;
+        let ot = ExtSender::setup_with(chan, pre, self.cfg.threads)?;
         let sent = chan.bytes_sent() - sent0;
         let received = chan.bytes_received() - recv0;
         Ok(ClientSetup {
@@ -768,7 +768,7 @@ impl ClientSession {
             let output_decode = tables.finish();
             drop(live_garble);
             let colors = run.spanned("client.turnaround", Phase::OutputBits, |chan| {
-                chan.recv_bits()
+                chan.recv_bits(output_decode.len())
             })?;
             let label_bits: Vec<bool> = colors
                 .iter()
@@ -870,7 +870,7 @@ impl ServerSession {
         let _s = telemetry::span!("server.base_ot");
         let sent0 = chan.bytes_sent();
         let recv0 = chan.bytes_received();
-        let ot = ExtReceiver::setup_with_pool(chan, &Ristretto255, &mut rng, self.cfg.pool())?;
+        let ot = ExtReceiver::setup_with(chan, &Ristretto255, &mut rng, self.cfg.threads)?;
         let sent = chan.bytes_sent() - sent0;
         let received = chan.bytes_received() - recv0;
         Ok(ServerSetup {

@@ -54,11 +54,10 @@
 use deepsecure_bigint::{DhGroup, Ubig};
 use deepsecure_crypto::{Block, FixedKeyHash};
 use rand::Rng;
-use workpool::ThreadPool;
 
 use crate::channel::Channel;
 use crate::ristretto::Ristretto255;
-use crate::OtError;
+use crate::{fan_out, OtError};
 
 pub(crate) mod sealed {
     /// Keeps [`super::Group`] closed: the base OT's validation rules are
@@ -185,23 +184,20 @@ impl<G: Group> std::fmt::Debug for ReceiverKeys<G> {
 
 impl<G: Group> ReceiverKeys<G> {
     /// Generates keypairs for `n` transfers (one scalar multiplication
-    /// each) — runnable long before any connection exists.
-    pub fn generate<R: Rng + ?Sized>(group: &G, n: usize, rng: &mut R) -> ReceiverKeys<G> {
-        ReceiverKeys::generate_with(group, n, rng, ThreadPool::sequential())
-    }
-
-    /// [`ReceiverKeys::generate`] with the multiplications fanned out
-    /// across `pool`. Scalars are drawn sequentially first, so the RNG
-    /// stream — and therefore the generated keys — are identical to the
-    /// sequential path's for the same seed.
-    pub fn generate_with<R: Rng + ?Sized>(
+    /// each, fanned out across `threads` workers, `0` = one per core) —
+    /// runnable long before any connection exists. Scalars are drawn
+    /// sequentially first, so the keys for a seed are the same at every
+    /// width.
+    pub fn generate<R: Rng + ?Sized>(
         group: &G,
         n: usize,
         rng: &mut R,
-        pool: ThreadPool,
+        threads: usize,
     ) -> ReceiverKeys<G> {
         let scalars: Vec<G::Scalar> = (0..n).map(|_| group.random_scalar(rng)).collect();
-        let keys = pool.map(n, |i| (scalars[i].clone(), group.mul_base(&scalars[i])));
+        let keys = fan_out(threads, n, |i| {
+            (scalars[i].clone(), group.mul_base(&scalars[i]))
+        });
         ReceiverKeys {
             group: group.clone(),
             keys,
@@ -242,34 +238,21 @@ fn key<G: Group>(
 }
 
 /// Runs the sender side of `n` random base OTs (two flights in all) and
-/// returns both keys of every transfer.
-///
-/// # Errors
-///
-/// Fails on channel breakdown or invalid group elements.
-pub fn send<C: Channel, G: Group, R: Rng + ?Sized>(
-    channel: &mut C,
-    group: &G,
-    n: usize,
-    rng: &mut R,
-) -> Result<Vec<(Block, Block)>, OtError> {
-    send_with_pool(channel, group, n, rng, ThreadPool::sequential())
-}
-
-/// [`send`] with the per-transfer work (decoding `B_i`, one
-/// variable-base multiplication, two hashes) fanned out across `pool`.
-/// The keys are identical to the sequential path's for the same seed.
+/// returns both keys of every transfer. The per-transfer work (decoding
+/// `B_i`, one variable-base multiplication, two hashes) is fanned out
+/// across `threads` workers (`0` = one per core); the keys for a seed are
+/// the same at every width.
 ///
 /// # Errors
 ///
 /// Fails on channel breakdown or invalid group elements — every `B_i` is
 /// validated before any key is derived.
-pub fn send_with_pool<C: Channel, G: Group, R: Rng + ?Sized>(
+pub fn send<C: Channel, G: Group, R: Rng + ?Sized>(
     channel: &mut C,
     group: &G,
     n: usize,
     rng: &mut R,
-    pool: ThreadPool,
+    threads: usize,
 ) -> Result<Vec<(Block, Block)>, OtError> {
     let elem = group.element_len();
     let a = group.random_scalar(rng);
@@ -281,7 +264,7 @@ pub fn send_with_pool<C: Channel, G: Group, R: Rng + ?Sized>(
     let a_a = group.mul(&big_a, &a);
     let flight = channel.recv(n * elem)?;
     let b_bytes: Vec<&[u8]> = flight.chunks_exact(elem).collect();
-    let decoded = pool.map(n, |i| group.decode(b_bytes[i]));
+    let decoded = fan_out(threads, n, |i| group.decode(b_bytes[i]));
     let mut bs = Vec::with_capacity(n);
     for (i, (bytes, b)) in b_bytes.iter().zip(decoded).enumerate() {
         let b = b.ok_or_else(|| {
@@ -298,7 +281,7 @@ pub fn send_with_pool<C: Channel, G: Group, R: Rng + ?Sized>(
         bs.push(b);
     }
     let hash = FixedKeyHash::new();
-    Ok(pool.map(n, |i| {
+    Ok(fan_out(threads, n, |i| {
         let ab = group.mul(&bs[i], &a);
         let k0 = key(&hash, group, &a_bytes, b_bytes[i], &ab, i);
         let k1 = key(&hash, group, &a_bytes, b_bytes[i], &group.sub(&ab, &a_a), i);
@@ -308,7 +291,9 @@ pub fn send_with_pool<C: Channel, G: Group, R: Rng + ?Sized>(
 
 /// Runs the receiver side with precomputed keypairs; returns the chosen
 /// key per transfer. The keys are consumed: a discrete log must never
-/// serve two protocol runs.
+/// serve two protocol runs. The online work — the `B_i` selections and the
+/// table multiplications — is fanned out across `threads` workers (`0` =
+/// one per core); the wire transcript is the same at every width.
 ///
 /// # Errors
 ///
@@ -317,30 +302,11 @@ pub fn send_with_pool<C: Channel, G: Group, R: Rng + ?Sized>(
 /// # Panics
 ///
 /// Panics if `keys` does not cover exactly `choices.len()` transfers.
-pub fn receive_with<C: Channel, G: Group>(
+pub fn receive<C: Channel, G: Group>(
     channel: &mut C,
     choices: &[bool],
     keys: ReceiverKeys<G>,
-) -> Result<Vec<Block>, OtError> {
-    receive_with_pool(channel, choices, keys, ThreadPool::sequential())
-}
-
-/// [`receive_with`] with the online work — the `B_i` selections and the
-/// table multiplications — fanned out across `pool`. The wire transcript
-/// is byte-identical to the sequential path's.
-///
-/// # Errors
-///
-/// Fails on channel breakdown or an invalid `A`.
-///
-/// # Panics
-///
-/// Panics if `keys` does not cover exactly `choices.len()` transfers.
-pub fn receive_with_pool<C: Channel, G: Group>(
-    channel: &mut C,
-    choices: &[bool],
-    keys: ReceiverKeys<G>,
-    pool: ThreadPool,
+    threads: usize,
 ) -> Result<Vec<Block>, OtError> {
     assert_eq!(
         keys.keys.len(),
@@ -358,42 +324,25 @@ pub fn receive_with_pool<C: Channel, G: Group>(
     })?;
     // Every B_i in one flight: both candidates computed, one selected
     // without a branch on the choice bit.
-    let b_flight = pool
-        .map(choices.len(), |i| {
-            let bg = &keys.keys[i].1;
-            let mut b = Vec::with_capacity(elem);
-            group.encode(
-                &group.select(bg, &group.add(bg, &big_a), choices[i]),
-                &mut b,
-            );
-            b
-        })
-        .concat();
+    let b_flight = fan_out(threads, choices.len(), |i| {
+        let bg = &keys.keys[i].1;
+        let mut b = Vec::with_capacity(elem);
+        group.encode(
+            &group.select(bg, &group.add(bg, &big_a), choices[i]),
+            &mut b,
+        );
+        b
+    })
+    .concat();
     channel.send(&b_flight)?;
     // Every b_i·A from one table of A, built once the flight is out.
     let table = group.table(&big_a);
     let hash = FixedKeyHash::new();
-    Ok(pool.map(choices.len(), |i| {
+    Ok(fan_out(threads, choices.len(), |i| {
         let shared = group.mul_table(&table, &keys.keys[i].0);
         let b = &b_flight[i * elem..(i + 1) * elem];
         key(&hash, group, &a_bytes, b, &shared, i)
     }))
-}
-
-/// Runs the receiver side, generating keypairs on the spot; returns the
-/// chosen key per transfer.
-///
-/// # Errors
-///
-/// Fails on channel breakdown or an invalid `A`.
-pub fn receive<C: Channel, G: Group, R: Rng + ?Sized>(
-    channel: &mut C,
-    group: &G,
-    choices: &[bool],
-    rng: &mut R,
-) -> Result<Vec<Block>, OtError> {
-    let keys = ReceiverKeys::generate(group, choices.len(), rng);
-    receive_with(channel, choices, keys)
 }
 
 #[cfg(test)]
@@ -414,10 +363,10 @@ mod tests {
         let g = group.clone();
         let sender = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(100);
-            send(&mut ca, &g, n, &mut rng).unwrap()
+            send(&mut ca, &g, n, &mut rng, 1).unwrap()
         });
-        let mut rng = StdRng::seed_from_u64(200);
-        let got = receive(&mut cb, &group, choices, &mut rng).unwrap();
+        let keys = ReceiverKeys::generate(&group, n, &mut StdRng::seed_from_u64(200), 1);
+        let got = receive(&mut cb, choices, keys, 1).unwrap();
         (sender.join().unwrap(), got)
     }
 
@@ -471,15 +420,17 @@ mod tests {
             .collect();
         let (mut ca, mut cb) = mem_pair();
         let sender = std::thread::spawn(move || {
-            send(&mut ca, &Ristretto255, 4, &mut StdRng::seed_from_u64(101)).unwrap()
+            send(
+                &mut ca,
+                &Ristretto255,
+                4,
+                &mut StdRng::seed_from_u64(101),
+                1,
+            )
+            .unwrap()
         });
-        receive(
-            &mut cb,
-            &Ristretto255,
-            &choices,
-            &mut StdRng::seed_from_u64(201),
-        )
-        .unwrap();
+        let keys = ReceiverKeys::generate(&Ristretto255, 4, &mut StdRng::seed_from_u64(201), 1);
+        receive(&mut cb, &choices, keys, 1).unwrap();
         all.extend(
             sender
                 .join()
@@ -503,15 +454,15 @@ mod tests {
             let choices = vec![true, false, true];
             let (pairs, inline) = run_in(group.clone(), &choices);
             let keys =
-                ReceiverKeys::generate(&group, choices.len(), &mut StdRng::seed_from_u64(200));
+                ReceiverKeys::generate(&group, choices.len(), &mut StdRng::seed_from_u64(200), 1);
             assert_eq!(keys.len(), 3);
             assert!(!keys.is_empty());
             let (mut ca, mut cb) = mem_pair();
             let g = group.clone();
             let sender = std::thread::spawn(move || {
-                send(&mut ca, &g, 3, &mut StdRng::seed_from_u64(100)).unwrap()
+                send(&mut ca, &g, 3, &mut StdRng::seed_from_u64(100), 1).unwrap()
             });
-            let got = receive_with(&mut cb, &choices, keys).unwrap();
+            let got = receive(&mut cb, &choices, keys, 1).unwrap();
             assert_eq!(sender.join().unwrap(), pairs);
             assert_eq!(got, inline, "{}", group.name());
             assert_chosen(&pairs, &choices, &got);
@@ -573,11 +524,11 @@ mod tests {
             let sender = std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(9);
                 let mut chan = TurnSpy::new(ca);
-                send(&mut chan, &Ristretto255, n, &mut rng).unwrap();
+                send(&mut chan, &Ristretto255, n, &mut rng, 1).unwrap();
                 chan.turnarounds
             });
-            let mut rng = StdRng::seed_from_u64(10);
-            let _ = receive(&mut cb, &Ristretto255, &vec![false; n], &mut rng).unwrap();
+            let keys = ReceiverKeys::generate(&Ristretto255, n, &mut StdRng::seed_from_u64(10), 1);
+            let _ = receive(&mut cb, &vec![false; n], keys, 1).unwrap();
             let bytes = cb.bytes_sent() + cb.bytes_received();
             (sender.join().unwrap(), bytes)
         };
@@ -591,53 +542,44 @@ mod tests {
 
     #[test]
     fn pooled_paths_match_sequential_bit_for_bit() {
-        // The pool is a pure perf knob: same seeds, same keys, same wire
+        // The width is a pure perf knob: same seeds, same keys, same wire
         // bytes, same outputs on both sides — whatever the worker count.
         let encoded = |keys: &ReceiverKeys| -> Vec<[u8; 32]> {
             keys.keys.iter().map(|(_, gk)| gk.encode()).collect()
         };
-        let keys_digest = |pool: ThreadPool| {
+        let keys_digest = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(42);
-            encoded(&ReceiverKeys::generate_with(
-                &Ristretto255,
-                5,
-                &mut rng,
-                pool,
-            ))
+            encoded(&ReceiverKeys::generate(&Ristretto255, 5, &mut rng, threads))
         };
-        let seq_keys = keys_digest(ThreadPool::sequential());
-        assert_eq!(seq_keys, keys_digest(ThreadPool::new(4)));
+        assert_eq!(keys_digest(1), keys_digest(4));
 
-        let run = |pool: ThreadPool| {
+        let run = |threads: usize| {
             let choices = vec![true, false, true, true, false];
             let (mut ca, mut cb) = mem_pair();
             let n = choices.len();
             let sender = std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(31);
-                send_with_pool(&mut ca, &Ristretto255, n, &mut rng, pool).unwrap()
+                send(&mut ca, &Ristretto255, n, &mut rng, threads).unwrap()
             });
             let mut rng = StdRng::seed_from_u64(32);
-            let keys = ReceiverKeys::generate_with(&Ristretto255, n, &mut rng, pool);
-            let got = receive_with_pool(&mut cb, &choices, keys, pool).unwrap();
+            let keys = ReceiverKeys::generate(&Ristretto255, n, &mut rng, threads);
+            let got = receive(&mut cb, &choices, keys, threads).unwrap();
             let pairs = sender.join().unwrap();
             assert_chosen(&pairs, &choices, &got);
             (pairs, got)
         };
-        assert_eq!(run(ThreadPool::sequential()), run(ThreadPool::new(4)));
+        assert_eq!(run(1), run(4));
 
         // Byte-level: script the sender's A and compare the receiver's
-        // flight across pools.
-        let receiver_flight = |pool: ThreadPool| {
+        // flight across widths.
+        let receiver_flight = |threads: usize| {
             let (mut ca, mut cb) = mem_pair();
             ca.send(&random_point(55).encode()).unwrap();
-            let keys = ReceiverKeys::generate(&Ristretto255, 4, &mut StdRng::seed_from_u64(56));
-            receive_with_pool(&mut cb, &[true, false, false, true], keys, pool).unwrap();
+            let keys = ReceiverKeys::generate(&Ristretto255, 4, &mut StdRng::seed_from_u64(56), 1);
+            receive(&mut cb, &[true, false, false, true], keys, threads).unwrap();
             ca.recv(4 * 32).unwrap()
         };
-        assert_eq!(
-            receiver_flight(ThreadPool::sequential()),
-            receiver_flight(ThreadPool::new(4))
-        );
+        assert_eq!(receiver_flight(1), receiver_flight(4));
     }
 
     /// Encodings a peer may not send: the identity, the field prime `p`
@@ -667,8 +609,8 @@ mod tests {
         for (what, bad) in invalid_encodings() {
             let (mut ca, mut cb) = mem_pair();
             ca.send(&bad).unwrap();
-            let keys = ReceiverKeys::generate(&Ristretto255, 2, &mut StdRng::seed_from_u64(1));
-            let err = receive_with(&mut cb, &[true, false], keys).unwrap_err();
+            let keys = ReceiverKeys::generate(&Ristretto255, 2, &mut StdRng::seed_from_u64(1), 1);
+            let err = receive(&mut cb, &[true, false], keys, 1).unwrap_err();
             assert!(matches!(err, OtError::Protocol(_)), "{what} A: {err}");
             assert!(err.to_string().contains("sender element A"), "{err}");
             assert_eq!(cb.bytes_sent(), 0, "{what}: no B flight");
@@ -690,7 +632,7 @@ mod tests {
             let (mut ca, mut cb) = mem_pair();
             let sender = std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(4);
-                let err = send(&mut ca, &Ristretto255, 2, &mut rng).unwrap_err();
+                let err = send(&mut ca, &Ristretto255, 2, &mut rng, 1).unwrap_err();
                 (err, ca)
             });
             let big_a = cb.recv(32).unwrap();
@@ -712,8 +654,9 @@ mod tests {
         let flight = |seed: u64, choices: &[bool]| {
             let (mut ca, mut cb) = mem_pair();
             ca.send(&random_point(7).encode()).unwrap();
-            let keys = ReceiverKeys::generate(&Ristretto255, 2, &mut StdRng::seed_from_u64(seed));
-            receive_with(&mut cb, choices, keys).unwrap();
+            let keys =
+                ReceiverKeys::generate(&Ristretto255, 2, &mut StdRng::seed_from_u64(seed), 1);
+            receive(&mut cb, choices, keys, 1).unwrap();
             ca.recv(2 * 32).unwrap()
         };
         let zeros = flight(1, &[false, false]);

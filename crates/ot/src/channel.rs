@@ -185,18 +185,6 @@ pub trait Channel {
         Ok(u64::from_le_bytes(arr))
     }
 
-    /// Sends a length-prefixed byte string.
-    fn send_bytes(&mut self, data: &[u8]) -> Result<(), ChannelError> {
-        self.send_u64(data.len() as u64)?;
-        self.send(data)
-    }
-
-    /// Receives a length-prefixed byte string.
-    fn recv_bytes(&mut self) -> Result<Vec<u8>, ChannelError> {
-        let n = self.recv_u64()? as usize;
-        self.recv(n)
-    }
-
     /// Sends a packed bit vector (length-prefixed, LSB-first packing).
     fn send_bits(&mut self, bits: &[bool]) -> Result<(), ChannelError> {
         let mut packed = vec![0u8; bits.len().div_ceil(8)];
@@ -207,9 +195,22 @@ pub trait Channel {
         self.send(&packed)
     }
 
-    /// Receives a packed bit vector.
-    fn recv_bits(&mut self) -> Result<Vec<bool>, ChannelError> {
-        let n = self.recv_u64()? as usize;
+    /// Receives a packed bit vector of the `n` bits this party expects.
+    ///
+    /// The sender's `u64` length prefix must equal `n`; a mismatch is an
+    /// error naming both counts, raised before anything is allocated, so
+    /// a peer cannot make this side reserve memory it picked.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a count mismatch or if the peer disconnects.
+    fn recv_bits(&mut self, n: usize) -> Result<Vec<bool>, ChannelError> {
+        let announced = self.recv_u64()?;
+        if usize::try_from(announced).ok() != Some(n) {
+            return Err(ChannelError::msg(format!(
+                "receiving a bit vector: peer announced {announced} bits, {n} expected"
+            )));
+        }
         let packed = self.recv(n.div_ceil(8))?;
         Ok((0..n)
             .map(|i| (packed[i / 8] >> (i % 8)) & 1 == 1)
@@ -358,7 +359,7 @@ mod tests {
         let (mut a, mut b) = mem_pair();
         let bits = vec![true, false, true, true, false, false, true, false, true];
         a.send_bits(&bits).unwrap();
-        assert_eq!(b.recv_bits().unwrap(), bits);
+        assert_eq!(b.recv_bits(bits.len()).unwrap(), bits);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use deepsecure_crypto::{Block, FixedKeyHash, Prg};
 use rand::Rng;
-use workpool::ThreadPool;
 
 use crate::base::{self, Group};
 use crate::channel::Channel;
@@ -101,23 +100,13 @@ impl<G: Group> std::fmt::Debug for SenderPrecomp<G> {
 
 impl<G: Group> SenderPrecomp<G> {
     /// Generates the offline material: `s` plus `KAPPA` = 128 keypairs (one
-    /// scalar multiplication each in `group`).
-    pub fn generate<R: Rng + ?Sized>(group: &G, rng: &mut R) -> SenderPrecomp<G> {
-        SenderPrecomp::generate_with(group, rng, ThreadPool::sequential())
-    }
-
-    /// [`SenderPrecomp::generate`] with the 128 keypair multiplications
-    /// fanned out across `pool`. RNG order matches the sequential path
-    /// (`s` first, then the base-OT scalars), so the material is
-    /// identical for the same seed.
-    pub fn generate_with<R: Rng + ?Sized>(
-        group: &G,
-        rng: &mut R,
-        pool: ThreadPool,
-    ) -> SenderPrecomp<G> {
+    /// scalar multiplication each in `group`, fanned out across `threads`
+    /// workers, `0` = one per core). `s` is drawn first, then the base-OT
+    /// scalars, so the material for a seed is the same at every width.
+    pub fn generate<R: Rng + ?Sized>(group: &G, rng: &mut R, threads: usize) -> SenderPrecomp<G> {
         SenderPrecomp {
             s: (0..KAPPA).map(|_| rng.gen()).collect(),
-            keys: base::ReceiverKeys::generate_with(group, KAPPA, rng, pool),
+            keys: base::ReceiverKeys::generate(group, KAPPA, rng, threads),
         }
     }
 }
@@ -156,8 +145,8 @@ impl std::fmt::Debug for ExtReceiver {
 }
 
 impl ExtSender {
-    /// One-time setup: runs 128 base OTs *as receiver* with random choice
-    /// vector `s`.
+    /// One-time setup on one worker: runs 128 base OTs *as receiver* with
+    /// random choice vector `s`.
     ///
     /// # Errors
     ///
@@ -167,14 +156,15 @@ impl ExtSender {
         group: &G,
         rng: &mut R,
     ) -> Result<ExtSender, OtError> {
-        ExtSender::setup_with(channel, SenderPrecomp::generate(group, rng))
+        ExtSender::setup_with(channel, SenderPrecomp::generate(group, rng, 1), 1)
     }
 
     /// The online half of setup: completes the 128 base OTs with
     /// [`SenderPrecomp`] material generated ahead of time, leaving only
     /// the two batched flights (one addition per transfer before the
     /// second, one table multiplication per transfer after it) on the
-    /// wire path.
+    /// wire path. That work is fanned out across `threads` workers (`0` =
+    /// one per core); the wire is the same at every width.
     ///
     /// # Errors
     ///
@@ -182,25 +172,10 @@ impl ExtSender {
     pub fn setup_with<C: Channel, G: Group>(
         channel: &mut C,
         pre: SenderPrecomp<G>,
-    ) -> Result<ExtSender, OtError> {
-        ExtSender::setup_with_pool(channel, pre, ThreadPool::sequential())
-    }
-
-    /// [`ExtSender::setup_with`] with the online base-OT work (the `B_i`
-    /// selections and the table multiplications that derive the chosen
-    /// seeds) fanned out across `pool`. Wire-identical to the sequential
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates base-OT failures.
-    pub fn setup_with_pool<C: Channel, G: Group>(
-        channel: &mut C,
-        pre: SenderPrecomp<G>,
-        pool: ThreadPool,
+        threads: usize,
     ) -> Result<ExtSender, OtError> {
         let SenderPrecomp { s, keys } = pre;
-        let seeds_blocks = base::receive_with_pool(channel, &s, keys, pool)?;
+        let seeds_blocks = base::receive(channel, &s, keys, threads)?;
         Ok(ExtSender {
             s,
             seeds: seeds_blocks.into_iter().map(Prg::from_seed).collect(),
@@ -279,8 +254,8 @@ impl ExtSender {
 }
 
 impl ExtReceiver {
-    /// One-time setup: runs 128 random base OTs *as sender*; their key
-    /// pairs are the seed pairs.
+    /// One-time setup on one worker: runs 128 random base OTs *as sender*;
+    /// their key pairs are the seed pairs.
     ///
     /// # Errors
     ///
@@ -290,23 +265,24 @@ impl ExtReceiver {
         group: &G,
         rng: &mut R,
     ) -> Result<ExtReceiver, OtError> {
-        ExtReceiver::setup_with_pool(channel, group, rng, ThreadPool::sequential())
+        ExtReceiver::setup_with(channel, group, rng, 1)
     }
 
     /// [`ExtReceiver::setup`] with the base-OT sender's scalar
-    /// multiplications (one per transfer) fanned out across `pool`.
-    /// Wire-identical to the sequential path for the same seed.
+    /// multiplications (one per transfer) fanned out across `threads`
+    /// workers (`0` = one per core). The wire for a seed is the same at
+    /// every width.
     ///
     /// # Errors
     ///
     /// Propagates base-OT failures.
-    pub fn setup_with_pool<C: Channel, G: Group, R: Rng + ?Sized>(
+    pub fn setup_with<C: Channel, G: Group, R: Rng + ?Sized>(
         channel: &mut C,
         group: &G,
         rng: &mut R,
-        pool: ThreadPool,
+        threads: usize,
     ) -> Result<ExtReceiver, OtError> {
-        let pairs = base::send_with_pool(channel, group, KAPPA, rng, pool)?;
+        let pairs = base::send(channel, group, KAPPA, rng, threads)?;
         Ok(ExtReceiver {
             seed_pairs: pairs
                 .into_iter()
@@ -442,14 +418,14 @@ mod tests {
         let (mut ca, mut cb) = mem_pair();
         let pre = {
             let mut rng = StdRng::seed_from_u64(123);
-            SenderPrecomp::generate(&group, &mut rng)
+            SenderPrecomp::generate(&group, &mut rng, 1)
         };
         let pairs: Vec<(Block, Block)> = (0..9u128)
             .map(|i| (Block::from(i), Block::from(i + 50)))
             .collect();
         let pairs2 = pairs.clone();
         let sender = std::thread::spawn(move || {
-            let mut s = ExtSender::setup_with(&mut ca, pre).unwrap();
+            let mut s = ExtSender::setup_with(&mut ca, pre, 1).unwrap();
             s.send(&mut ca, &pairs2).unwrap();
         });
         let g2 = group;
@@ -601,7 +577,7 @@ mod tests {
         let pairs: Vec<(Block, Block)> = (0..m as u128)
             .map(|i| (Block::from(i * 2 + 10_000), Block::from(i * 2 + 10_001)))
             .collect();
-        for pool in [ThreadPool::sequential(), ThreadPool::new(4)] {
+        for threads in [1, 4] {
             let (ca, cb) = mem_pair();
             let pairs2 = pairs.clone();
             let sender = std::thread::spawn(move || {
@@ -610,8 +586,8 @@ mod tests {
                     sent: Vec::new(),
                 };
                 let mut rng = StdRng::seed_from_u64(5);
-                let pre = SenderPrecomp::generate_with(&Ristretto255, &mut rng, pool);
-                let mut s = ExtSender::setup_with_pool(&mut chan, pre, pool).unwrap();
+                let pre = SenderPrecomp::generate(&Ristretto255, &mut rng, threads);
+                let mut s = ExtSender::setup_with(&mut chan, pre, threads).unwrap();
                 let base = chan.sent.len();
                 s.send(&mut chan, &pairs2).unwrap();
                 fnv1a(&chan.sent[base..])
@@ -622,7 +598,7 @@ mod tests {
             };
             let mut rng = StdRng::seed_from_u64(6);
             let mut r =
-                ExtReceiver::setup_with_pool(&mut chan, &Ristretto255, &mut rng, pool).unwrap();
+                ExtReceiver::setup_with(&mut chan, &Ristretto255, &mut rng, threads).unwrap();
             let base = chan.sent.len();
             let choices: Vec<bool> = (0..m).map(|i| i % 3 == 0).collect();
             let got = r.receive(&mut chan, &choices).unwrap();

@@ -2,9 +2,9 @@
 //!
 //! The protocol channels are pure byte streams: the receiver always knows
 //! exactly how many bytes to expect. Only the serving handshake (`DSRV/4`)
-//! exchanges self-describing lines, so [`FramedChannel`] moves whole
-//! frames with `send_frame`/`recv_frame`, and every caller unwraps it with
-//! `into_inner` as soon as its handshake is done.
+//! exchanges self-describing lines, so [`send_frame`] and [`recv_frame`]
+//! move whole frames — a 4-byte little-endian length, then the payload —
+//! on the same channel the protocol then runs on.
 
 use crate::channel::{Channel, ChannelError};
 
@@ -14,69 +14,41 @@ use crate::channel::{Channel, ChannelError};
 /// body is allocated or awaited.
 pub const MAX_FRAME_LEN: u32 = 4096;
 
-/// A framing wrapper over any byte channel.
-#[derive(Debug)]
-pub struct FramedChannel<C: Channel> {
-    inner: C,
+/// Sends one length-prefixed frame (empty payloads are legal); both
+/// endpoints of a connection must agree to frame.
+///
+/// # Errors
+///
+/// Fails if the payload exceeds [`MAX_FRAME_LEN`] or the transport fails.
+pub fn send_frame(chan: &mut impl Channel, payload: &[u8]) -> Result<(), ChannelError> {
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&l| l <= MAX_FRAME_LEN)
+        .ok_or_else(|| {
+            ChannelError::msg(format!(
+                "sending frame: payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
+                payload.len()
+            ))
+        })?;
+    chan.send(&len.to_le_bytes())?;
+    chan.send(payload)
 }
 
-impl<C: Channel> FramedChannel<C> {
-    /// Wraps `inner`; both endpoints of a connection must agree to frame.
-    pub fn new(inner: C) -> FramedChannel<C> {
-        FramedChannel { inner }
+/// Receives one whole frame.
+///
+/// # Errors
+///
+/// Fails on transport failure or a corrupt (oversized) header.
+pub fn recv_frame(chan: &mut impl Channel) -> Result<Vec<u8>, ChannelError> {
+    let header = chan.recv(4)?;
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+    if len > MAX_FRAME_LEN {
+        return Err(ChannelError::msg(format!(
+            "receiving frame: header claims {len} bytes (cap {MAX_FRAME_LEN}) — \
+             corrupt framing or an unframed peer"
+        )));
     }
-
-    /// Sends one length-prefixed frame (empty payloads are legal).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the payload exceeds [`MAX_FRAME_LEN`] or the transport
-    /// fails.
-    pub fn send_frame(&mut self, payload: &[u8]) -> Result<(), ChannelError> {
-        let len = u32::try_from(payload.len())
-            .ok()
-            .filter(|&l| l <= MAX_FRAME_LEN)
-            .ok_or_else(|| {
-                ChannelError::msg(format!(
-                    "sending frame: payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
-                    payload.len()
-                ))
-            })?;
-        self.inner.send(&len.to_le_bytes())?;
-        self.inner.send(payload)
-    }
-
-    /// Receives one whole frame.
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport failure or a corrupt (oversized) header.
-    pub fn recv_frame(&mut self) -> Result<Vec<u8>, ChannelError> {
-        let header = self.inner.recv(4)?;
-        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        if len > MAX_FRAME_LEN {
-            return Err(ChannelError::msg(format!(
-                "receiving frame: header claims {len} bytes (cap {MAX_FRAME_LEN}) — \
-                 corrupt framing or an unframed peer"
-            )));
-        }
-        self.inner.recv(len as usize)
-    }
-
-    /// Flushes the wrapped channel, e.g. before dropping it after a
-    /// rejection frame.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the transport fails.
-    pub fn flush(&mut self) -> Result<(), ChannelError> {
-        self.inner.flush()
-    }
-
-    /// Unwraps to the raw byte stream the protocol runs on.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
+    chan.recv(len as usize)
 }
 
 #[cfg(test)]
@@ -89,16 +61,15 @@ mod tests {
 
     #[test]
     fn whole_frames_roundtrip() {
-        let (a, b) = mem_pair();
-        let (mut fa, mut fb) = (FramedChannel::new(a), FramedChannel::new(b));
-        fa.send_frame(b"alpha").unwrap();
-        fa.send_frame(b"").unwrap();
-        fa.send_frame(&[7u8; 1000]).unwrap();
-        assert_eq!(fb.recv_frame().unwrap(), b"alpha");
-        assert_eq!(fb.recv_frame().unwrap(), b"");
-        assert_eq!(fb.recv_frame().unwrap(), vec![7u8; 1000]);
+        let (mut a, mut b) = mem_pair();
+        send_frame(&mut a, b"alpha").unwrap();
+        send_frame(&mut a, b"").unwrap();
+        send_frame(&mut a, &[7u8; 1000]).unwrap();
+        assert_eq!(recv_frame(&mut b).unwrap(), b"alpha");
+        assert_eq!(recv_frame(&mut b).unwrap(), b"");
+        assert_eq!(recv_frame(&mut b).unwrap(), vec![7u8; 1000]);
         // Counters include the empty payload and the three 4-byte headers.
-        assert_eq!(fa.into_inner().bytes_sent(), 5 + 1000 + 3 * 4);
+        assert_eq!(a.bytes_sent(), 5 + 1000 + 3 * 4);
     }
 
     #[test]
@@ -107,17 +78,15 @@ mod tests {
         // One byte over the cap is refused the same way, and nothing of
         // the claimed body is waited for.
         for len in [u32::MAX, MAX_FRAME_LEN + 1] {
-            let (mut a, b) = mem_pair();
-            let mut fb = FramedChannel::new(b);
+            let (mut a, mut b) = mem_pair();
             a.send(&len.to_le_bytes()).unwrap();
-            let err = fb.recv_frame().unwrap_err();
+            let err = recv_frame(&mut b).unwrap_err();
             assert!(err.to_string().contains("corrupt framing"), "{err}");
         }
-        let (a, _b) = mem_pair();
-        let err = FramedChannel::new(a)
-            .send_frame(&vec![0u8; MAX_FRAME_LEN as usize + 1])
-            .unwrap_err();
+        let (mut a, _b) = mem_pair();
+        let err = send_frame(&mut a, &vec![0u8; MAX_FRAME_LEN as usize + 1]).unwrap_err();
         assert!(err.to_string().contains("cap"), "{err}");
+        assert_eq!(a.bytes_sent(), 0, "nothing of a refused frame is sent");
     }
 
     proptest! {
@@ -128,8 +97,7 @@ mod tests {
             seed in any::<u64>(),
         ) {
             // Frames of arbitrary sizes (incl. 0) arrive whole and in order.
-            let (a, b) = mem_pair();
-            let (mut fa, mut fb) = (FramedChannel::new(a), FramedChannel::new(b));
+            let (mut a, mut b) = mem_pair();
             let mut x = seed | 1;
             let frames: Vec<Vec<u8>> = sizes
                 .iter()
@@ -143,15 +111,15 @@ mod tests {
                 })
                 .collect();
             for frame in &frames {
-                fa.send_frame(frame).unwrap();
+                send_frame(&mut a, frame).unwrap();
             }
             for frame in &frames {
-                prop_assert_eq!(&fb.recv_frame().unwrap(), frame);
+                prop_assert_eq!(&recv_frame(&mut b).unwrap(), frame);
             }
             // Wire accounting: payload plus one 4-byte header per frame.
             let wire = sizes.iter().sum::<usize>() as u64 + 4 * sizes.len() as u64;
-            prop_assert_eq!(fa.into_inner().bytes_sent(), wire);
-            prop_assert_eq!(fb.into_inner().bytes_received(), wire);
+            prop_assert_eq!(a.bytes_sent(), wire);
+            prop_assert_eq!(b.bytes_received(), wire);
         }
     }
 }

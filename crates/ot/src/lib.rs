@@ -15,8 +15,9 @@
 //!   outsourcing mode) parties talk over; the counters are what the
 //!   communication columns of Tables 4–6 measure. [`channel::MemChannel`]
 //!   joins in-process threads; [`tcp::TcpChannel`] joins real processes
-//!   over sockets; [`framed::FramedChannel`] frames the handshake lines
-//!   that precede the protocol; [`sim::SimChannel`] models LAN/WAN
+//!   over sockets; [`framed::send_frame`] / [`framed::recv_frame`] frame
+//!   the handshake lines that precede the protocol on any of them;
+//!   [`sim::SimChannel`] models LAN/WAN
 //!   latency and bandwidth in-process; [`fault::FaultChannel`] injects a
 //!   seeded, deterministic schedule of delays, short reads/writes, and
 //!   connection drops for resilience testing.
@@ -64,10 +65,65 @@ pub use base::{Group, ReceiverKeys};
 pub use channel::{mem_pair, Channel, ChannelError, MemChannel};
 pub use ext::SenderPrecomp;
 pub use fault::{ChaosSpec, FaultChannel, FaultProfile};
-pub use framed::FramedChannel;
 pub use ristretto::Ristretto255;
 pub use sim::{NetModel, SimChannel};
 pub use tcp::{tcp_pair, TcpChannel};
+
+/// `threads` with `0` resolved to one worker per available core (1 if
+/// the core count cannot be read) — the width of the base-OT fan-out and
+/// of the serving pool's fill workers.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        threads
+    }
+}
+
+/// The `threads` default of every config: the `DEEPSECURE_THREADS`
+/// environment variable through [`resolve_threads`], else `1` (unset or
+/// not a count).
+pub fn threads_from_env() -> usize {
+    parse_threads(std::env::var("DEEPSECURE_THREADS").ok().as_deref())
+}
+
+fn parse_threads(raw: Option<&str>) -> usize {
+    raw.and_then(|v| v.trim().parse().ok())
+        .map_or(1, resolve_threads)
+}
+
+/// Evaluates `f(0..n)` on up to `resolve_threads(threads)` scoped workers,
+/// one contiguous chunk each (the caller computes the first), and returns
+/// the results in index order. At width 1 everything runs inline with no
+/// spawn. A panic in `f` resurfaces on the caller with its original
+/// payload once every chunk has finished.
+fn fan_out<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let workers = resolve_threads(threads).min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let chunk = n.div_ceil(workers);
+    let f = &f;
+    std::thread::scope(|s| {
+        let rest: Vec<_> = (chunk..n)
+            .step_by(chunk)
+            .map(|start| s.spawn(move || (start..n.min(start + chunk)).map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out = Vec::with_capacity(n);
+        out.extend((0..chunk).map(f));
+        for handle in rest {
+            match handle.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
+}
 
 /// One splitmix64 step: advances `state` and returns the next draw. The
 /// one seeded stream behind every deterministic schedule that is not
@@ -121,5 +177,68 @@ impl std::error::Error for OtError {
 impl From<ChannelError> for OtError {
     fn from(e: ChannelError) -> OtError {
         OtError::Channel(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use super::*;
+
+    #[test]
+    fn map_preserves_index_order() {
+        for threads in [1, 2, 3, 7] {
+            let out = fan_out(threads, 100, |i| i * i);
+            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn map_handles_empty_and_tiny_inputs() {
+        assert_eq!(fan_out(4, 0, |i| i), Vec::<usize>::new());
+        assert_eq!(fan_out(4, 1, |i| i + 10), vec![10]);
+        // Width 0 is one worker per core, not zero workers.
+        assert_eq!(fan_out(0, 3, |i| i), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn every_task_runs_exactly_once() {
+        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
+        fan_out(7, 1000, |i| hits[i].fetch_add(1, Ordering::Relaxed));
+        for h in &hits {
+            assert_eq!(h.load(Ordering::Relaxed), 1);
+        }
+    }
+
+    #[test]
+    fn compute_panic_propagates_to_caller() {
+        for threads in [2, 4] {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                fan_out(threads, 64, |i| {
+                    if i == 33 {
+                        panic!("boom from task");
+                    }
+                    i
+                });
+            }));
+            let payload = caught.expect_err("the panic must resurface");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"boom from task"),
+                "payload kept at {threads} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn env_parsing() {
+        assert_eq!(parse_threads(None), 1);
+        assert_eq!(parse_threads(Some("6")), 6);
+        assert_eq!(parse_threads(Some(" 3 ")), 3);
+        assert_eq!(parse_threads(Some("0")), resolve_threads(0));
+        assert!(resolve_threads(0) >= 1);
+        assert_eq!(parse_threads(Some("banana")), 1);
     }
 }

@@ -206,7 +206,7 @@ mod tests {
         sb.send_bits(&[true, false, true]).unwrap();
         assert_eq!(sb.recv(300).unwrap(), vec![1u8; 300]);
         assert_eq!(sb.recv_u64().unwrap(), 42);
-        assert_eq!(sa.recv_bits().unwrap(), vec![true, false, true]);
+        assert_eq!(sa.recv_bits(3).unwrap(), vec![true, false, true]);
         // The wrapper adds time, never bytes: counters are the inner
         // channel's counters, bit for bit.
         assert_eq!(sa.bytes_sent(), sa.get_ref().bytes_sent());

@@ -22,7 +22,7 @@ const WRITE_BUF: usize = 1 << 16;
 /// The counters count protocol payload bytes exactly as [`super::channel::MemChannel`]
 /// does — a loopback run and an in-memory run of the same protocol report
 /// identical totals (TCP/IP header overhead is not modelled; the 4-byte
-/// headers of [`crate::FramedChannel`] handshake frames count as payload).
+/// headers of [`crate::framed::send_frame`] handshake frames count as payload).
 pub struct TcpChannel {
     /// The socket's two handles; `None` once [`TcpChannel::close`] has
     /// dropped them.
@@ -438,8 +438,39 @@ mod tests {
             b.recv_blocks(2).unwrap(),
             vec![Block::from(7u128), Block::from(9u128)]
         );
-        assert_eq!(b.recv_bits().unwrap(), vec![true, false, true]);
+        assert_eq!(b.recv_bits(3).unwrap(), vec![true, false, true]);
         t.join().unwrap();
+    }
+
+    #[test]
+    fn a_hostile_bit_count_is_refused_before_allocation() {
+        // Sizing the buffer from a peer's u64::MAX count would ask for
+        // 2^61 bytes and abort the process; the count must equal the
+        // expected one before anything is allocated or read further.
+        let (mut a, mut b) = tcp_pair().unwrap();
+        a.send_u64(u64::MAX).unwrap();
+        a.flush().unwrap();
+        let err = b.recv_bits(10).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&u64::MAX.to_string()) && msg.contains("10 expected"),
+            "{msg}"
+        );
+        assert_eq!(b.bytes_received(), 8, "only the count prefix is read");
+    }
+
+    #[test]
+    fn an_off_by_one_bit_count_is_refused() {
+        let (mut a, mut b) = tcp_pair().unwrap();
+        a.send_bits(&[true; 11]).unwrap();
+        a.flush().unwrap();
+        let err = b.recv_bits(10).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("peer announced 11 bits, 10 expected"),
+            "{err}"
+        );
+        assert_eq!(b.bytes_received(), 8, "the packed bits are not read");
     }
 
     #[test]

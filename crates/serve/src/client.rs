@@ -35,9 +35,8 @@ use std::time::{Duration, Instant};
 use deepsecure_core::compile::Compiled;
 use deepsecure_core::protocol::InferenceConfig;
 use deepsecure_core::session::{ServerSession, ServerSetup, WireBreakdown};
-use deepsecure_ot::{
-    jittered, splitmix64, Channel, ChaosSpec, FaultChannel, FramedChannel, TcpChannel,
-};
+use deepsecure_ot::framed::{recv_frame, send_frame};
+use deepsecure_ot::{jittered, splitmix64, Channel, ChaosSpec, FaultChannel, TcpChannel};
 
 use crate::demo::{self, DemoModel};
 use crate::proto;
@@ -75,10 +74,11 @@ pub struct ClientOptions {
     /// Budget for each TCP connect (with the channel's own jittered
     /// backoff inside it).
     pub connect_timeout: Duration,
-    /// Worker threads for the base-OT scalar multiplications of each fresh
-    /// set-up (`0` =
-    /// one per core); evaluation itself is one sequential gate walk. A
-    /// pure client-side perf knob — wire bytes are identical at any width.
+    /// Fan-out width of the base-OT scalar multiplications of each fresh
+    /// set-up (`0` = one per core); evaluation itself is one sequential
+    /// gate walk. A pure client-side perf knob — wire bytes are identical
+    /// at any width. Defaults to [`deepsecure_ot::threads_from_env`]: the
+    /// `DEEPSECURE_THREADS` env var, else `1`.
     pub threads: usize,
     /// Deterministic fault injection on this client's sockets.
     pub chaos: Option<ChaosSpec>,
@@ -102,7 +102,7 @@ impl Default for ClientOptions {
         ClientOptions {
             seed: 1,
             connect_timeout: Duration::from_secs(5),
-            threads: demo::inference_config().threads,
+            threads: deepsecure_ot::threads_from_env(),
             chaos: None,
             deadline: None,
             io_timeout: None,
@@ -252,38 +252,36 @@ fn establish(
         // for a listener; retrying it here would multiply that wait by the
         // attempt cap on a dead server.
         let mut tcp = TcpChannel::connect_retry(addr, connect_budget)?;
-        let handshake =
-            (|| -> Result<(FramedChannel<FaultChannel<TcpChannel>>, proto::Reply), ServeError> {
-                tcp.set_io_timeouts(opts.io_timeout, opts.io_timeout)?;
-                let chan = match opts.chaos {
-                    // Re-key the fault schedule per connection (still fully
-                    // deterministic via the jitter stream): a drop that lands
-                    // at a fixed operation index must not recur at the same
-                    // spot on every reconnect, or no retry budget ever gets a
-                    // session past it — real networks don't fail on a replay
-                    // schedule either.
-                    Some(spec) => FaultChannel::new(
-                        tcp,
-                        ChaosSpec {
-                            seed: spec.seed.wrapping_add(splitmix64(rng_state)),
-                            ..spec
-                        },
-                    ),
-                    None => FaultChannel::transparent(tcp),
-                };
-                let mut framed = FramedChannel::new(chan);
-                let hello = match resume {
-                    Some((sid, token)) => proto::hello_resume(model_name, fingerprint, sid, token),
-                    None => proto::hello(model_name, fingerprint),
-                };
-                framed.send_frame(hello.as_bytes())?;
-                let reply =
-                    proto::parse_reply(&framed.recv_frame()?).map_err(ServeError::Handshake)?;
-                Ok((framed, reply))
-            })();
+        let handshake = (|| -> Result<(FaultChannel<TcpChannel>, proto::Reply), ServeError> {
+            tcp.set_io_timeouts(opts.io_timeout, opts.io_timeout)?;
+            let mut chan = match opts.chaos {
+                // Re-key the fault schedule per connection (still fully
+                // deterministic via the jitter stream): a drop that lands
+                // at a fixed operation index must not recur at the same
+                // spot on every reconnect, or no retry budget ever gets a
+                // session past it — real networks don't fail on a replay
+                // schedule either.
+                Some(spec) => FaultChannel::new(
+                    tcp,
+                    ChaosSpec {
+                        seed: spec.seed.wrapping_add(splitmix64(rng_state)),
+                        ..spec
+                    },
+                ),
+                None => FaultChannel::transparent(tcp),
+            };
+            let hello = match resume {
+                Some((sid, token)) => proto::hello_resume(model_name, fingerprint, sid, token),
+                None => proto::hello(model_name, fingerprint),
+            };
+            send_frame(&mut chan, hello.as_bytes())?;
+            let reply =
+                proto::parse_reply(&recv_frame(&mut chan)?).map_err(ServeError::Handshake)?;
+            Ok((chan, reply))
+        })();
         match handshake {
             Ok((
-                framed,
+                chan,
                 proto::Reply::Accepted {
                     session_id,
                     chunk_gates,
@@ -291,7 +289,7 @@ fn establish(
                 },
             )) => {
                 return Ok(Established {
-                    chan: framed.into_inner(),
+                    chan,
                     session_id,
                     chunk_gates,
                     token,

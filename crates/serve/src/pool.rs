@@ -38,7 +38,6 @@ use deepsecure_core::session::{GarbledMaterial, MaterialSource};
 use deepsecure_ot::{Ristretto255, SenderPrecomp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use workpool::ThreadPool;
 
 use crate::lock;
 
@@ -93,9 +92,9 @@ struct Shared {
     /// for `wait_warm`) and on stop.
     work: Condvar,
     target: usize,
-    /// Worker pool for the base-OT scalar multiplications of an inline
+    /// Fan-out width of the base-OT scalar multiplications of an inline
     /// miss in [`PrecomputePool::take_base`].
-    keygen_pool: ThreadPool,
+    keygen_threads: usize,
     /// Per-item seed counter: every generated instance gets a distinct
     /// RNG stream derived from the pool seed.
     seed_counter: AtomicU64,
@@ -143,7 +142,8 @@ impl std::fmt::Debug for PrecomputePool {
 }
 
 impl PrecomputePool {
-    /// Starts the pool and its `fill_workers` fill threads. `models` maps
+    /// Starts the pool and its `fill_workers` fill threads (`0` = one per
+    /// core, [`deepsecure_ot::resolve_threads`]). `models` maps
     /// a name to its compiled circuit and per-run cycle count; `target` is
     /// the stock level kept per queue (base stock and each model's
     /// material stock); models whose per-instance table bytes exceed
@@ -154,7 +154,7 @@ impl PrecomputePool {
     /// never overshoot `target`. Fill workers parallelize *across* items
     /// (each garbles sequentially); an inline base-OT **miss** — a caller
     /// alone on its critical path — instead fans its scalar
-    /// multiplications across a `fill_workers`-wide pool.
+    /// multiplications across `fill_workers` workers.
     pub fn start(
         models: Vec<(String, Arc<Compiled>, usize)>,
         target: usize,
@@ -162,7 +162,7 @@ impl PrecomputePool {
         material_cap_bytes: u64,
         fill_workers: usize,
     ) -> PrecomputePool {
-        let fill_workers = fill_workers.max(1);
+        let fill_workers = deepsecure_ot::resolve_threads(fill_workers);
         let state = State {
             base: VecDeque::new(),
             base_in_flight: 0,
@@ -189,7 +189,7 @@ impl PrecomputePool {
             state: Mutex::new(state),
             work: Condvar::new(),
             target,
-            keygen_pool: ThreadPool::new(fill_workers),
+            keygen_threads: fill_workers,
             seed_counter: AtomicU64::new(1),
             seed,
         });
@@ -217,10 +217,10 @@ impl PrecomputePool {
             }
             st.stats.base_misses += 1;
         }
-        SenderPrecomp::generate_with(
+        SenderPrecomp::generate(
             &Ristretto255,
             &mut self.shared.next_rng(),
-            self.shared.keygen_pool,
+            self.shared.keygen_threads,
         )
     }
 
@@ -382,7 +382,7 @@ fn worker_loop(shared: &Shared) {
         // …generate outside it (this is the expensive part)…
         match job {
             Job::Base => {
-                let pre = SenderPrecomp::generate(&Ristretto255, &mut shared.next_rng());
+                let pre = SenderPrecomp::generate(&Ristretto255, &mut shared.next_rng(), 1);
                 let mut st = lock(&shared.state);
                 st.base_in_flight -= 1;
                 st.base.push_back(pre);

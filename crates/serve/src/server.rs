@@ -28,7 +28,8 @@ use std::time::{Duration, Instant};
 
 use deepsecure_core::protocol::InferenceConfig;
 use deepsecure_core::session::{ClientSession, ClientSetup};
-use deepsecure_ot::{Channel, FramedChannel, TcpChannel};
+use deepsecure_ot::framed::{recv_frame, send_frame};
+use deepsecure_ot::{Channel, TcpChannel};
 
 use crate::demo::{self, DemoModel};
 use crate::lock;
@@ -68,8 +69,10 @@ pub struct ServeConfig {
     /// Worker threads: the pool's fill-worker count and the fan-out width
     /// of base-OT scalar multiplications (each session's set-up and the
     /// pool's inline misses). Gate walks stay sequential at any value.
-    /// `0` means auto (one per available core). Defaults to the
-    /// `DEEPSECURE_THREADS` env var, else `1`.
+    /// `0` means one per available core
+    /// ([`deepsecure_ot::resolve_threads`], where each is used). Defaults
+    /// to [`deepsecure_ot::threads_from_env`]: the `DEEPSECURE_THREADS`
+    /// env var, else `1`.
     pub threads: usize,
     /// Max open connections — live handler threads, handshakes and idle
     /// sessions included. The arrival that would exceed the cap is shed
@@ -89,17 +92,6 @@ pub struct ServeConfig {
     pub retry_after_ms: u64,
 }
 
-impl ServeConfig {
-    /// `threads` with `0` resolved to the core count, floored at one.
-    fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            workpool::auto_threads()
-        } else {
-            self.threads
-        }
-    }
-}
-
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
@@ -110,7 +102,7 @@ impl Default for ServeConfig {
             idle_timeout: Some(Duration::from_secs(120)),
             seed: 7,
             chunk_gates: 0,
-            threads: workpool::threads_from_env("DEEPSECURE_THREADS").unwrap_or(1),
+            threads: deepsecure_ot::threads_from_env(),
             queue_cap: 64,
             model_session_cap: None,
             live_session_cap: None,
@@ -220,10 +212,9 @@ impl Server {
     ///
     /// Fails on an unknown model name or if the address cannot be bound.
     pub fn bind(config: &ServeConfig) -> Result<Server, ServeError> {
-        let threads = config.resolved_threads();
         let cfg = InferenceConfig {
             chunk_gates: config.chunk_gates,
-            threads,
+            threads: config.threads,
             ..demo::inference_config()
         };
         let mut models = HashMap::new();
@@ -247,7 +238,7 @@ impl Server {
             config.pool_target,
             config.seed,
             crate::pool::DEFAULT_MATERIAL_CAP,
-            threads,
+            config.threads,
         );
         Ok(Server {
             listener,
@@ -339,10 +330,9 @@ impl Server {
 /// same as a shed, just without the backoff hint.
 fn shed_busy(stream: TcpStream, retry_after_ms: u64) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    if let Ok(chan) = TcpChannel::from_stream(stream) {
-        let mut framed = FramedChannel::new(chan);
-        let _ = framed.send_frame(proto::busy(retry_after_ms).as_bytes());
-        let _ = framed.flush();
+    if let Ok(mut chan) = TcpChannel::from_stream(stream) {
+        let _ = send_frame(&mut chan, proto::busy(retry_after_ms).as_bytes());
+        let _ = chan.flush();
     }
 }
 
@@ -505,11 +495,7 @@ enum ShedReason {
 
 /// Counts the shed, sends the `BUSY` frame (best-effort), and surfaces
 /// the shed to the handler as [`ServeError::Busy`].
-fn shed(
-    shared: &Shared,
-    framed: &mut FramedChannel<TcpChannel>,
-    reason: &ShedReason,
-) -> ServeError {
+fn shed(shared: &Shared, chan: &mut TcpChannel, reason: &ShedReason) -> ServeError {
     {
         let mut st = lock(&shared.stats);
         match reason {
@@ -517,8 +503,8 @@ fn shed(
             ShedReason::LiveCapacity => st.shed_live_capacity += 1,
         }
     }
-    let _ = framed.send_frame(proto::busy(shared.retry_after_ms).as_bytes());
-    let _ = framed.flush();
+    let _ = send_frame(chan, proto::busy(shared.retry_after_ms).as_bytes());
+    let _ = chan.flush();
     ServeError::Busy {
         retry_after_ms: shared.retry_after_ms,
     }
@@ -528,21 +514,20 @@ fn serve_session(shared: &Shared, stream: TcpStream) -> Result<(), ServeError> {
     // A wedged client must not pin this handler (and the eventual
     // graceful drain) forever.
     stream.set_read_timeout(shared.idle_timeout)?;
-    let chan = TcpChannel::from_stream(stream)?;
-    let mut framed = FramedChannel::new(chan);
-    let hello_frame = framed.recv_frame()?;
+    let mut chan = TcpChannel::from_stream(stream)?;
+    let hello_frame = recv_frame(&mut chan)?;
     let hello = match proto::parse_hello(&hello_frame) {
         Ok(parsed) => parsed,
         Err(m) => {
-            let _ = framed.send_frame(proto::err(&m).as_bytes());
-            let _ = framed.flush();
+            let _ = send_frame(&mut chan, proto::err(&m).as_bytes());
+            let _ = chan.flush();
             return Err(ServeError::Handshake(m));
         }
     };
     let Some(hosted) = shared.models.get(&hello.model) else {
         let m = format!("model {:?} not hosted", hello.model);
-        let _ = framed.send_frame(proto::err(&m).as_bytes());
-        let _ = framed.flush();
+        let _ = send_frame(&mut chan, proto::err(&m).as_bytes());
+        let _ = chan.flush();
         return Err(ServeError::Handshake(m));
     };
     if hello.fingerprint != hosted.demo.fingerprint {
@@ -551,8 +536,8 @@ fn serve_session(shared: &Shared, stream: TcpStream) -> Result<(), ServeError> {
              server {:016x} (different code version?)",
             hello.model, hello.fingerprint, hosted.demo.fingerprint
         );
-        let _ = framed.send_frame(proto::err(&m).as_bytes());
-        let _ = framed.flush();
+        let _ = send_frame(&mut chan, proto::err(&m).as_bytes());
+        let _ = chan.flush();
         return Err(ServeError::Handshake(m));
     }
 
@@ -627,7 +612,7 @@ fn serve_session(shared: &Shared, stream: TcpStream) -> Result<(), ServeError> {
         } else {
             ShedReason::LiveCapacity
         };
-        return Err(shed(shared, &mut framed, &reason));
+        return Err(shed(shared, &mut chan, &reason));
     }
     let (sid, resumed_state) = match claimed {
         Some((sid, s)) if shared.registry.register_resumed(sid, &hello.model) => {
@@ -644,8 +629,10 @@ fn serve_session(shared: &Shared, stream: TcpStream) -> Result<(), ServeError> {
         registry: &shared.registry,
         id: sid,
     };
-    framed.send_frame(proto::ok(sid, shared.cfg.chunk_gates, token).as_bytes())?;
-    let mut chan = framed.into_inner();
+    send_frame(
+        &mut chan,
+        proto::ok(sid, shared.cfg.chunk_gates, token).as_bytes(),
+    )?;
 
     let session = ClientSession::new(Arc::clone(&hosted.demo.compiled), &shared.cfg);
     let mut setup = match resumed_state {

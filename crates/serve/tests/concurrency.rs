@@ -336,7 +336,7 @@ fn mid_handshake_disconnects_leave_the_server_serving_others() {
         assert!(!timed_out, "oversized header left hanging");
     }
     // …and one that handshakes a model the server does not host (raw
-    // frames: a 4-byte LE length prefix, as FramedChannel writes them).
+    // frames: a 4-byte LE length prefix, as `framed::send_frame` writes them).
     {
         use std::io::Read;
         let mut s = std::net::TcpStream::connect(&addr).expect("connect");

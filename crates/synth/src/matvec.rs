@@ -1,65 +1,12 @@
 //! Matrix–vector multiplication (Table 1's FC / convolution kernel), with
 //! signed operands — the enhancement over TinyGarble's library that §1
-//! calls out — plus the folded sequential MAC of §3.5.
+//! calls out: one accumulator row per output, [`sparse_row`], plus the
+//! folded sequential MAC of §3.5.
 
 use deepsecure_circuit::{Builder, Circuit};
 
 use crate::word::{self, Word};
 use crate::{arith, mul};
-
-/// Dot product `Σ xᵢ·wᵢ` with fixed-point truncating multiplies and
-/// wrap-around accumulation.
-///
-/// # Panics
-///
-/// Panics if the operand lists differ in length or are empty.
-pub fn dot(b: &mut Builder, xs: &[Word], ws: &[Word], frac: u32) -> Word {
-    assert_eq!(xs.len(), ws.len(), "dot product arity mismatch");
-    assert!(!xs.is_empty(), "empty dot product");
-    let mut acc: Option<Word> = None;
-    for (x, w) in xs.iter().zip(ws) {
-        let p = mul::mul_fixed(b, x, w, frac);
-        acc = Some(match acc {
-            None => p,
-            Some(a) => arith::add(b, &a, &p),
-        });
-    }
-    acc.expect("non-empty")
-}
-
-/// Dense matrix–vector product: `weights` is row-major `n_out × n_in`.
-///
-/// # Panics
-///
-/// Panics if row lengths do not match `xs`.
-pub fn matvec(b: &mut Builder, xs: &[Word], weights: &[Vec<Word>], frac: u32) -> Vec<Word> {
-    weights.iter().map(|row| dot(b, xs, row, frac)).collect()
-}
-
-/// Sparse dot product: only the MACs named by `mask` are synthesized —
-/// this is how the public sparsity map of the pruned network (§3.2.2)
-/// removes gates from the netlist.
-pub fn dot_masked(
-    b: &mut Builder,
-    xs: &[Word],
-    ws: &[Word],
-    mask: &[bool],
-    frac: u32,
-) -> Option<Word> {
-    assert_eq!(xs.len(), mask.len(), "mask arity mismatch");
-    let mut acc: Option<Word> = None;
-    for ((x, w), &keep) in xs.iter().zip(ws).zip(mask) {
-        if !keep {
-            continue;
-        }
-        let p = mul::mul_fixed(b, x, w, frac);
-        acc = Some(match acc {
-            None => p,
-            Some(a) => arith::add(b, &a, &p),
-        });
-    }
-    acc
-}
 
 /// Sparsity-aware accumulator row: sums `mul_fixed(xᵢ, wᵢ)` over the
 /// *declared* weight slots only (a `None` slot is a pruned weight that
@@ -171,52 +118,52 @@ mod tests {
 
     const Q: Format = Format::Q3_12;
 
+    /// One `sparse_row` over fresh 16-bit words: `n` garbler activations,
+    /// an evaluator init word, and an evaluator weight for each slot
+    /// `mask` keeps.
+    fn row_circuit(mask: &[bool]) -> Circuit {
+        let mut b = Builder::new();
+        let xs: Vec<Word> = mask.iter().map(|_| garbler_word(&mut b, 16)).collect();
+        let init = word::evaluator_word(&mut b, 16);
+        let ws: Vec<Option<Word>> = mask
+            .iter()
+            .map(|&m| m.then(|| word::evaluator_word(&mut b, 16)))
+            .collect();
+        let out = sparse_row(&mut b, init, &xs, &ws, 12);
+        output_word(&mut b, &out);
+        b.finish()
+    }
+
+    fn bits(values: &[f64]) -> Vec<bool> {
+        values
+            .iter()
+            .flat_map(|&v| Fixed::from_f64(v, Q).to_bits())
+            .collect()
+    }
+
     #[test]
     fn dot_matches_fixed_reference() {
+        // init + Σ xᵢ·wᵢ against the `Fixed` oracle: truncating multiplies,
+        // wrap-around adds, in slot order.
         let xs_f = [0.5, -1.25, 2.0];
         let ws_f = [1.5, 0.25, -0.5];
-        let mut b = Builder::new();
-        let xs: Vec<Word> = xs_f.iter().map(|_| garbler_word(&mut b, 16)).collect();
-        let ws: Vec<Word> = ws_f
-            .iter()
-            .map(|_| word::evaluator_word(&mut b, 16))
-            .collect();
-        let out = dot(&mut b, &xs, &ws, 12);
-        output_word(&mut b, &out);
-        let c = b.finish();
-        let gbits: Vec<bool> = xs_f
-            .iter()
-            .flat_map(|v| Fixed::from_f64(*v, Q).to_bits())
-            .collect();
-        let ebits: Vec<bool> = ws_f
-            .iter()
-            .flat_map(|v| Fixed::from_f64(*v, Q).to_bits())
-            .collect();
-        let got = Fixed::from_bits(&c.eval(&gbits, &ebits), Q);
+        let init_f = 0.75;
+        let c = row_circuit(&[true; 3]);
+        let mut e = vec![init_f];
+        e.extend(ws_f);
+        let got = Fixed::from_bits(&c.eval(&bits(&xs_f), &bits(&e)), Q);
         let want = xs_f
             .iter()
             .zip(&ws_f)
             .map(|(x, w)| Fixed::from_f64(*x, Q).mul(Fixed::from_f64(*w, Q)))
-            .fold(Fixed::zero(Q), |a, p| a.add(p));
+            .fold(Fixed::from_f64(init_f, Q), |a, p| a.add(p));
         assert_eq!(got, want);
     }
 
     #[test]
     fn masked_dot_skips_pruned_macs() {
-        let mut b = Builder::new();
-        let xs: Vec<Word> = (0..4).map(|_| garbler_word(&mut b, 16)).collect();
-        let ws: Vec<Word> = (0..4).map(|_| word::evaluator_word(&mut b, 16)).collect();
-        let out = dot_masked(&mut b, &xs, &ws, &[true, false, false, true], 12).unwrap();
-        output_word(&mut b, &out);
-        let sparse = b.finish();
-
-        let mut b = Builder::new();
-        let xs: Vec<Word> = (0..4).map(|_| garbler_word(&mut b, 16)).collect();
-        let ws: Vec<Word> = (0..4).map(|_| word::evaluator_word(&mut b, 16)).collect();
-        let out = dot(&mut b, &xs, &ws, 12);
-        output_word(&mut b, &out);
-        let dense = b.finish();
-
+        let sparse = row_circuit(&[true, false, false, true]);
+        let dense = row_circuit(&[true; 4]);
         assert!(
             sparse.stats().non_xor * 2 <= dense.stats().non_xor + 32,
             "50% sparsity should halve MAC gates: {} vs {}",
@@ -227,57 +174,38 @@ mod tests {
 
     #[test]
     fn sparse_row_matches_masked_dot() {
-        // sparse_row over Option slots == bias + dot_masked over the same
-        // mask.
-        let mask = [true, false, true, false];
+        // A `None` slot costs exactly what leaving its activation out of
+        // the row does, and computes the same value.
+        let via_mask = row_circuit(&[true, false, true, false]);
         let mut b = Builder::new();
         let xs: Vec<Word> = (0..4).map(|_| garbler_word(&mut b, 16)).collect();
-        let bias = word::evaluator_word(&mut b, 16);
-        let ws: Vec<Option<Word>> = mask
-            .iter()
-            .map(|&m| m.then(|| word::evaluator_word(&mut b, 16)))
+        let init = word::evaluator_word(&mut b, 16);
+        let ws: Vec<Option<Word>> = (0..2)
+            .map(|_| Some(word::evaluator_word(&mut b, 16)))
             .collect();
-        let out = sparse_row(&mut b, bias, &xs, &ws, 12);
+        let live = [xs[0].clone(), xs[2].clone()];
+        let out = sparse_row(&mut b, init, &live, &ws, 12);
         output_word(&mut b, &out);
-        let via_row = b.finish();
+        let via_live = b.finish();
 
-        let mut b = Builder::new();
-        let xs: Vec<Word> = (0..4).map(|_| garbler_word(&mut b, 16)).collect();
-        let bias = word::evaluator_word(&mut b, 16);
-        let ws: Vec<Word> = mask
-            .iter()
-            .filter(|&&m| m)
-            .map(|_| word::evaluator_word(&mut b, 16))
-            .collect();
-        let xs_live: Vec<Word> = xs
-            .iter()
-            .zip(&mask)
-            .filter(|(_, &m)| m)
-            .map(|(x, _)| x.clone())
-            .collect();
-        let d = dot(&mut b, &xs_live, &ws, 12);
-        let out = arith::add(&mut b, &bias, &d);
-        output_word(&mut b, &out);
-        let via_dot = b.finish();
-
-        assert_eq!(via_row.stats().non_xor, via_dot.stats().non_xor);
-        let g: Vec<bool> = [0.5, -1.0, 2.0, 0.25]
-            .iter()
-            .flat_map(|&v| deepsecure_fixed::Fixed::from_f64(v, Q).to_bits())
-            .collect();
-        let e: Vec<bool> = [0.125, 1.5, -0.5]
-            .iter()
-            .flat_map(|&v| deepsecure_fixed::Fixed::from_f64(v, Q).to_bits())
-            .collect();
-        assert_eq!(via_row.eval(&g, &e), via_dot.eval(&g, &e));
+        assert_eq!(via_mask.stats().non_xor, via_live.stats().non_xor);
+        let g = bits(&[0.5, -1.0, 2.0, 0.25]);
+        let e = bits(&[0.125, 1.5, -0.5]);
+        assert_eq!(via_mask.eval(&g, &e), via_live.eval(&g, &e));
     }
 
     #[test]
-    fn fully_masked_dot_is_none() {
+    fn fully_masked_row_is_its_init_word() {
         let mut b = Builder::new();
         let xs: Vec<Word> = (0..2).map(|_| garbler_word(&mut b, 16)).collect();
-        let ws: Vec<Word> = (0..2).map(|_| word::evaluator_word(&mut b, 16)).collect();
-        assert!(dot_masked(&mut b, &xs, &ws, &[false, false], 12).is_none());
+        let init = word::evaluator_word(&mut b, 16);
+        let out = sparse_row(&mut b, init.clone(), &xs, &[None, None], 12);
+        assert_eq!(out, init);
+        output_word(&mut b, &out);
+        assert!(
+            b.finish().gates().is_empty(),
+            "no gate for an all-pruned row"
+        );
     }
 
     #[test]

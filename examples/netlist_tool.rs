@@ -37,7 +37,7 @@ fn report(label: &str, c: &deepsecure::circuit::Circuit) {
         stats.total(),
         stats.xor,
         stats.non_xor,
-        passes::depth(c),
+        passes::levelize(c).max_level(),
         passes::non_xor_depth(c),
     );
     println!(
